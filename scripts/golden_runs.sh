@@ -5,6 +5,11 @@ set -e
 cd "$(dirname "$0")/.."
 OUT=${NETRAD_OUT:-out}
 
+# Without an installed netrad, run the package of this checkout.
+if ! command -v netrad >/dev/null 2>&1; then
+    netrad() { PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m netrad.cli "$@"; }
+fi
+
 # Single-terminal image and its wavenumber coverage (no cooperation).
 netrad coverage --scenario scenarios/lane_single_terminal.json --out "$OUT/mono_coverage"
 netrad image    --scenario scenarios/lane_single_terminal.json --out "$OUT/mono_image"

@@ -34,7 +34,6 @@ from .wavenumber import (
     unit_wavevectors,
 )
 from .synth import (
-    PulseModel,
     SignalRecord,
     apply_rcs,
     bistatic_delay,

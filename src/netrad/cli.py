@@ -44,7 +44,8 @@ class _ValidationFailure(Exception):
 
 @dataclass
 class RunConfig:
-    """One resolved CLI invocation."""
+    """One resolved CLI invocation. Fields absent from a subcommand's
+    options keep these defaults."""
 
     subcommand: str
     scenario_path: str | None
@@ -119,9 +120,9 @@ def _reference_target(scenario: scene.Scenario) -> scene.Vec2:
 
 
 def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
+    ref = _reference_target(scenario)  # either grid is placed around a target
     if config.grid_spacing is not None:
         s = config.grid_spacing
-        ref = _reference_target(scenario)
         half = config.grid_margin_cells
         n = 2 * half + 1
         origin = scene.Vec2(ref.x - half * s, ref.y - half * s)
@@ -309,9 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="scenario JSON file")
+    common.add_argument("--scenario", dest="scenario_path", metavar="SCENARIO",
+                        help="scenario JSON file")
     common.add_argument(
         "--out",
+        dest="out_dir",
+        metavar="OUT",
         default=os.environ.get(OUT_DIR_ENV),
         help=f"output directory (default from ${OUT_DIR_ENV})",
     )
@@ -319,10 +323,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         type=_parse_set, action="append", default=[],
                         help="override a scenario key (f0_hz, bandwidth_hz, noise_power, seed)")
     common.add_argument("--seed", type=int, help="override the scenario RNG seed")
-    common.add_argument("--dyn-range", type=float, default=40.0,
+    common.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE",
+                        type=float, default=40.0,
                         help="raster dynamic range in dB (default 40)")
     common.add_argument("--workers", type=int, default=1,
-                        help="pixel-block workers for back-projection")
+                        help="back-projection threads (results do not depend on it)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid-spacing", type=float,
@@ -359,33 +364,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.out is None:
+    if args.out_dir is None:
         print(
             json.dumps({"error": {"kind": "validation",
                                   "message": f"--out is required (or set ${OUT_DIR_ENV})"}}),
             file=sys.stderr,
         )
         return _EXIT_VALIDATION
-    config = RunConfig(
-        subcommand=args.subcommand,
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        overrides=args.overrides,
-        dynamic_range_db=args.dyn_range,
-        seed=args.seed,
-        workers=args.workers,
-        n_freq=getattr(args, "n_freq", 64),
-        grid_spacing=getattr(args, "grid_spacing", None),
-        grid_margin_cells=getattr(args, "grid_margin_cells", 24),
-        baseband=getattr(args, "baseband", False),
-        fs=getattr(args, "fs", None),
-        mode=getattr(args, "mode", "coherent"),
-        pair_scope=getattr(args, "pair_scope", "all"),
-        plan_count=getattr(args, "plan_count", None),
-        plan_bandwidth=getattr(args, "plan_bandwidth", None),
-        psi0_deg=getattr(args, "psi0_deg", 90.0),
-    )
-    return run(config)
+    # every option is stored under its RunConfig field name
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,12 @@ in phase. The formulation is valid for any geometry (near field or far
 field, monostatic or bistatic); the spectral ramp filter is omitted,
 which is the usual approximation when f0 >> B.
 
-Accumulation runs over channels in the given record order for every
-pixel, so results are bit-identical for any worker count.
+The carrier phase factors into a Tx and an Rx part, so one range map
+per Tx element and one range map and phase per Rx element serve every
+pair using the element. Each (pair, Tx element) sums its channels without
+the Tx phase, by ascending Rx element and then record order; Tx phases
+are applied last, by ascending Tx element. The order is fixed per pixel:
+a pair's image is bit-identical for any worker count and co-imaged pairs.
 """
 
 from __future__ import annotations
@@ -55,31 +59,35 @@ class ComplexImage:
         return np.abs(self.pixels)
 
 
-def _interp_linear(rec: SignalRecord, tau: np.ndarray) -> np.ndarray:
-    pos = (tau - rec.t0) * rec.fs
-    i0 = np.clip(np.floor(pos).astype(int), 0, len(rec.samples) - 2)
-    frac = pos - i0
-    s = rec.samples
-    return s[i0] * (1.0 - frac) + s[i0 + 1] * frac
+def _interp_linear(rec: SignalRecord, pos: np.ndarray, work) -> np.ndarray:
+    """Two-point interpolation at fractional sample positions ``pos``
+    (overwritten), into the reused buffers ``work``."""
+    index, vals, step = work
+    # pos >= 0 inside the record window, so truncation is the floor;
+    # mode="clip" keeps the last sample's index in range
+    np.copyto(index, pos, casting="unsafe")
+    np.subtract(pos, index, out=pos)
+    np.multiply(np.take(np.diff(rec.samples), index, out=step, mode="clip"), pos, out=vals)
+    return np.add(vals, np.take(rec.samples, index, out=step, mode="clip"), out=vals)
 
 
-def _interp_sinc(rec: SignalRecord, tau: np.ndarray) -> np.ndarray:
-    pos = (tau - rec.t0) * rec.fs
+def _interp_sinc(rec: SignalRecord, pos: np.ndarray, work) -> np.ndarray:
+    """Windowed-sinc interpolation at ``pos``; ``work`` is not needed."""
     n = len(rec.samples)
-    base = np.clip(np.round(pos).astype(int) - _SINC_TAPS // 2, 0, n - _SINC_TAPS)
-    idx = base[:, None] + np.arange(_SINC_TAPS)[None, :]
-    weights = np.sinc(pos[:, None] - idx)
-    return (rec.samples[idx] * weights).sum(axis=1)
+    base = np.clip(np.round(pos.ravel()).astype(int) - _SINC_TAPS // 2, 0, n - _SINC_TAPS)
+    idx = base[:, None] + np.arange(_SINC_TAPS)
+    weights = np.sinc(pos.reshape(-1, 1) - idx)
+    return (rec.samples[idx] * weights).sum(axis=1).reshape(pos.shape)
 
 
 _INTERPOLATORS = {"linear": _interp_linear, "sinc": _interp_sinc}
 
 
-def _check_window(rec: SignalRecord, tau: np.ndarray, shape, row0: int) -> None:
+def _check_window(rec: SignalRecord, tau: np.ndarray, row0: int) -> None:
     lo, hi = float(tau.min()), float(tau.max())
     if lo < rec.t0 or hi > rec.t_end:
         flat = int(np.argmin(tau) if lo < rec.t0 else np.argmax(tau))
-        i, j = np.unravel_index(flat, shape)
+        i, j = np.unravel_index(flat, tau.shape)
         bad = lo if lo < rec.t0 else hi
         raise ValueError(
             f"pixel ({int(i) + row0},{int(j)}) delay {bad:g} s outside record window "
@@ -94,59 +102,13 @@ def backproject(
     workers: int = 1,
     interp: str = "linear",
 ) -> ComplexImage:
-    """Form the complex image of one Tx-Rx pair from its channel records.
-
-    All records must belong to a single active pair and every pixel's
-    bistatic delay must fall inside every record's time window. Linear
-    interpolation is the default; ``interp="sinc"`` selects a windowed
-    sinc kernel for higher amplitude fidelity at off-sample delays.
-    Parallelism is over pixel blocks and does not change the result.
-    """
+    """Form the complex image of the one Tx-Rx pair of ``records``; see ``pair_images``."""
     if not records:
         raise ValueError("no records to back-project")
-    pair = records[0].channel[:2]
-    for rec in records:
-        if rec.channel[:2] != pair:
-            raise ValueError(
-                f"records mix pairs {pair} and {rec.channel[:2]}; back-project one pair at a time"
-            )
-    l, k = pair
-    if not scenario.pairing.is_active(l, k):
-        raise ValueError(f"pair {pair} is not active in the association matrix")
-    try:
-        interpolate = _INTERPOLATORS[interp]
-    except KeyError:
-        raise ValueError(f"unknown interpolation {interp!r}; use 'linear' or 'sinc'") from None
-
-    x, y = grid.pixel_coords()
-    term_tx, term_rx = scenario.terminals[l], scenario.terminals[k]
-    omega = 2.0 * math.pi * scenario.f0
-
-    def fill(row0: int, row1: int) -> np.ndarray:
-        xs, ys = x[row0:row1], y[row0:row1]
-        out = np.zeros(xs.shape, dtype=complex)
-        for rec in records:
-            tx_el = term_tx.tx_elements[rec.channel[2]]
-            rx_el = term_rx.rx_elements[rec.channel[3]]
-            tau = (
-                np.hypot(xs - tx_el.x, ys - tx_el.y)
-                + np.hypot(rx_el.x - xs, rx_el.y - ys)
-            ) / SPEED_OF_LIGHT
-            _check_window(rec, tau, xs.shape, row0)
-            vals = interpolate(rec, tau.ravel()).reshape(tau.shape)
-            out += vals * np.exp(1j * omega * tau)
-        return out
-
-    nx = grid.size[0]
-    if workers <= 1 or nx == 1:
-        pixels = fill(0, nx)
-    else:
-        n_chunks = min(workers, nx)
-        bounds = np.linspace(0, nx, n_chunks + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: fill(b[0], b[1]), zip(bounds[:-1], bounds[1:])))
-        pixels = np.concatenate(parts, axis=0)
-    return ComplexImage(grid=grid, pixels=pixels, provenance=(l, k))
+    pairs = sorted({rec.channel[:2] for rec in records})
+    if len(pairs) > 1:
+        raise ValueError(f"records mix pairs {pairs}; back-project one pair at a time")
+    return pair_images(records, scenario, grid, workers=workers, interp=interp)[0]
 
 
 def pair_images(
@@ -157,14 +119,83 @@ def pair_images(
     interp: str = "linear",
 ) -> list[ComplexImage]:
     """Back-project each Tx-Rx pair present in ``records`` separately,
-    preserving first-appearance pair order."""
-    groups: dict[tuple[int, int], list[SignalRecord]] = {}
+    preserving first-appearance pair order.
+
+    Every pair must be active and every pixel's bistatic delay must fall
+    inside each record's time window. Linear interpolation is the
+    default; ``interp="sinc"`` selects a windowed sinc kernel for higher
+    amplitude fidelity at off-sample delays. ``workers`` threads split
+    the receive terminals, and the pixel rows when there are fewer
+    terminals than workers; the result does not depend on their number.
+    """
+    try:
+        interpolate = _INTERPOLATORS[interp]
+    except KeyError:
+        raise ValueError(f"unknown interpolation {interp!r}; use 'linear' or 'sinc'") from None
+    pairs = list(dict.fromkeys(rec.channel[:2] for rec in records))
+    for pair in pairs:
+        if not scenario.pairing.is_active(*pair):
+            raise ValueError(f"pair {pair} is not active in the association matrix")
+
+    x, y = grid.x_coords[:, None], grid.y_coords[None, :]
+    omega = 2.0 * math.pi * scenario.f0
+    tx_range: dict[tuple[int, int], np.ndarray] = {}
+    by_rx: dict[int, dict[int, list[SignalRecord]]] = {}
     for rec in records:
-        groups.setdefault(rec.channel[:2], []).append(rec)
-    return [
-        backproject(recs, scenario, grid, workers=workers, interp=interp)
-        for recs in groups.values()
-    ]
+        l, k, n, m = rec.channel
+        if (l, n) not in tx_range:
+            el = scenario.terminals[l].tx_elements[n]
+            tx_range[l, n] = np.hypot(x - el.x, y - el.y)
+        by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
+    pixels = {pair: np.zeros(grid.size, dtype=complex) for pair in pairs}
+
+    def image_rows(k: int, row0: int, row1: int) -> None:
+        rows, shape = slice(row0, row1), (row1 - row0, grid.size[1])
+        # one sum per (Tx terminal, Tx element) without the Tx phase; the
+        # lowest Tx element of each pair sums in the pair's own pixels
+        keys = sorted({(r.channel[0], r.channel[2]) for rs in by_rx[k].values() for r in rs})
+        lowest = {l: n for l, n in reversed(keys)}
+        sums = {
+            (l, n): pixels[l, k][rows] if lowest[l] == n else np.zeros(shape, dtype=complex)
+            for l, n in keys
+        }
+        rx_range, pos = np.empty(shape), np.empty(shape)
+        # complex products never write over an operand: numpy rounds an
+        # in-place product of one element differently from a longer one
+        phase, term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
+                np.empty(shape, dtype=complex))
+        for m in sorted(by_rx[k]):
+            el = scenario.terminals[k].rx_elements[m]
+            np.hypot(el.x - x[rows], el.y - y, out=rx_range)
+            np.divide(rx_range, SPEED_OF_LIGHT, out=pos)
+            np.exp(np.multiply(pos, 1j * omega, out=phase), out=phase)
+            for rec in by_rx[k][m]:
+                l, _, n, _ = rec.channel
+                np.add(tx_range[l, n][rows], rx_range, out=pos)
+                _check_window(rec, np.divide(pos, SPEED_OF_LIGHT, out=pos), row0)
+                np.multiply(np.subtract(pos, rec.t0, out=pos), rec.fs, out=pos)
+                sums[l, n] += np.multiply(interpolate(rec, pos, work), phase, out=term)
+        for l, n in keys:
+            np.divide(tx_range[l, n][rows], SPEED_OF_LIGHT, out=pos)
+            np.exp(np.multiply(pos, 1j * omega, out=phase), out=phase)
+            np.multiply(sums[l, n], phase, out=term)
+            if lowest[l] == n:
+                sums[l, n][...] = term
+            else:
+                pixels[l, k][rows] += term
+
+    nx = grid.size[0]
+    blocks = max(1, min(nx, math.ceil(workers / max(len(by_rx), 1))))
+    bounds = np.linspace(0, nx, blocks + 1).astype(int)
+    tasks = [(k, int(r0), int(r1)) for k in by_rx for r0, r1 in zip(bounds[:-1], bounds[1:])]
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda task: image_rows(*task), tasks))
+    else:
+        for task in tasks:
+            image_rows(*task)
+    return [ComplexImage(grid=grid, pixels=pixels[pair], provenance=pair) for pair in pairs]
 
 
 def point_spread(

@@ -16,7 +16,6 @@ Measurement conventions, stated once and used everywhere:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -266,7 +265,3 @@ def compute_metrics(
         islr_db=islr(image),
         peak_snr_db=snr,
     )
-
-
-def metrics_to_json(metrics: ImageMetrics, indent: int | None = 2) -> str:
-    return json.dumps(metrics.to_dict(), indent=indent)

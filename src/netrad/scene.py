@@ -265,11 +265,15 @@ def validate(scenario: Scenario) -> list[str]:
         v.append("bandwidth must be positive")
     elif not scenario.f0 > scenario.bandwidth / 2:
         v.append("carrier f0 must exceed bandwidth/2")
-    if scenario.noise_power < 0:
+    if not math.isfinite(scenario.noise_power):
+        v.append(f"noise_power must be finite, got {scenario.noise_power}")
+    elif scenario.noise_power < 0:
         v.append("noise power must be non-negative")
 
     if scenario.sync_errors.shape != (n, n):
         v.append(f"sync_errors must be {n}x{n}, got {scenario.sync_errors.shape}")
+    elif not np.isfinite(scenario.sync_errors).all():
+        v.append("sync_errors must be finite")
     if scenario.pairing.entries.shape != (n, n):
         v.append(f"pairing must be {n}x{n}, got {scenario.pairing.entries.shape}")
     else:

@@ -25,21 +25,6 @@ from .scene import SPEED_OF_LIGHT, ImageGrid, Scenario, Vec2, distance
 
 
 @dataclass(frozen=True)
-class PulseModel:
-    """Range-compressed pulse: normalized sinc of the given bandwidth."""
-
-    bandwidth: float
-    kind: str = "band-limited-sinc"
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("pulse bandwidth must be positive")
-
-    def envelope(self, t: np.ndarray) -> np.ndarray:
-        return np.sinc(self.bandwidth * t)
-
-
-@dataclass(frozen=True)
 class SignalRecord:
     """Complex baseband time series of one measurement channel.
 
@@ -164,7 +149,6 @@ def synthesize(
     if n_samp < 2:
         raise ValueError("window shorter than two samples")
     t = t_min + np.arange(n_samp) / fs
-    pulse = PulseModel(bandwidth=bw)
     margin = 4.0 / bw
     sigma2 = scenario.noise_power
 
@@ -187,7 +171,7 @@ def synthesize(
                         )
                     beta = apply_rcs(d_tx, d_rx, target.reflectivity, include_spreading)
                     phase = np.exp(-2j * math.pi * scenario.f0 * tau)
-                    acc += beta * phase * pulse.envelope(t - tau)
+                    acc += beta * phase * np.sinc(bw * (t - tau))
                 if sigma2 > 0.0:
                     rng = _channel_rng(scenario.rng_seed, (l, k, n, m))
                     noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)

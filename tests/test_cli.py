@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,39 @@ class TestFailures:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "runtime"
         assert "Nyquist" in err["error"]["message"]
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_power_exits_2(self, tmp_path, capsys, noise):
+        # NaN noise used to give a noiseless image and inf an all-NaN one
+        code = run_cli(
+            ["image", "--scenario", SCENARIOS / "lane_single_terminal.json",
+             "--out", tmp_path, "--set", f"noise_power={noise}"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any("noise_power" in v for v in err["error"]["violations"])
+
+    def test_non_finite_sync_error_exits_2(self, tmp_path, capsys):
+        # used to fail at runtime with "cannot size a window"
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["sync_errors_s"] = [[math.nan]]
+        path = tmp_path / "sync_nan.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["image", "--scenario", path, "--out", tmp_path / "out"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any("sync_errors" in v for v in err["error"]["violations"])
+
+    @pytest.mark.parametrize("grid_args", [[], ["--grid-spacing", "0.1"]])
+    def test_fuse_without_targets_exits_2(self, tmp_path, capsys, grid_args):
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["targets"] = []
+        path = tmp_path / "no_targets.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["fuse", "--scenario", path, "--out", tmp_path / "out", *grid_args])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "no targets" in err["error"]["message"]
 
     def test_report_without_metrics_exits_2(self, tmp_path, capsys):
         code = run_cli(["report", "--out", tmp_path])

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +114,24 @@ class TestBackproject:
         for workers in (2, 8):
             par = backproject(records, sc, grid, workers=workers)
             assert np.array_equal(base.pixels, par.pixels)
+
+    def test_threads_under_frequent_switching_match_serial(self):
+        # more threads than cores and a short switch interval interleave the
+        # tasks, which split both receive terminals and pixel rows
+        sc = lane_scenario(n_terminals=3, m_rx=4, pairing=AssociationMatrix.full(3))
+        grid = ImageGrid(Vec2(-0.6, 19.4), (0.05, 0.05), (25, 25))
+        records = synthesize(sc, suggest_window(sc, grid))
+        base = pair_images(records, sc, grid, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = {w: pair_images(records, sc, grid, workers=w) for w in (2, 4, 8)}
+        finally:
+            sys.setswitchinterval(interval)
+        for images in runs.values():
+            for a, b in zip(base, images):
+                assert a.provenance == b.provenance
+                assert np.array_equal(a.pixels, b.pixels)
 
     def test_rigid_translation_invariance(self):
         # translating the whole experiment (terminals, target, grid) by one

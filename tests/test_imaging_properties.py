@@ -1,0 +1,96 @@
+"""Property tests of the back-projection kernel on random small
+acquisitions: 1-3 terminals with 1-2 Tx and 1-3 Rx elements each, a
+random association matrix and records in random order."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from netrad.imaging import backproject, pair_images
+from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
+from netrad.synth import suggest_window, synthesize
+from helpers import BW, F0, brute_force_backprojection
+
+WORKERS = (1, 2, 3, 8)
+
+
+@st.composite
+def acquisitions(draw):
+    offset = st.floats(-0.1, 0.1)
+    n_terms = draw(st.integers(1, 3))
+    terminals = []
+    for i in range(n_terms):
+        center = Vec2((i - (n_terms - 1) / 2) * 0.7 + draw(offset), draw(offset))
+        tx = tuple(
+            Vec2(center.x + draw(offset), center.y + draw(offset))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+        rx = tuple(
+            Vec2(center.x + draw(offset), center.y + draw(offset))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        terminals.append(Terminal(i, center, tx, rx))
+    entries = np.array(
+        draw(st.lists(st.integers(0, 1), min_size=n_terms**2, max_size=n_terms**2))
+    ).reshape(n_terms, n_terms)
+    assume(entries.any())
+    target = Vec2(draw(st.floats(-0.5, 0.5)), draw(st.floats(8.0, 12.0)))
+    scenario = Scenario(
+        terminals=tuple(terminals),
+        targets=(PointTarget(target),),
+        f0=F0,
+        bandwidth=BW,
+        noise_power=draw(st.sampled_from([0.0, 0.1])),
+        pairing=AssociationMatrix(entries),
+        rng_seed=draw(st.integers(0, 99)),
+    )
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    spacing = draw(st.floats(0.02, 0.2))
+    grid = ImageGrid(
+        Vec2(target.x - spacing * (nx - 1) / 2, target.y - spacing * (ny - 1) / 2),
+        (spacing, spacing),
+        (nx, ny),
+    )
+    records = synthesize(scenario, suggest_window(scenario, grid))
+    order = draw(st.permutations(range(len(records))))
+    return scenario, grid, [records[i] for i in order]
+
+
+def records_of(records, pair):
+    return [r for r in records if r.channel[:2] == pair]
+
+
+@settings(max_examples=40, deadline=None)
+@given(acquisitions())
+def test_each_pair_matches_oracle(acquisition):
+    sc, grid, records = acquisition
+    for image in pair_images(records, sc, grid):
+        oracle = brute_force_backprojection(records_of(records, image.provenance), sc, grid)
+        peak = np.abs(oracle).max()
+        np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    acquisitions(),
+    st.sampled_from(["linear", "sinc"]),
+    st.sampled_from(WORKERS),
+)
+def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, interp, pair_workers):
+    sc, grid, records = acquisition
+    images = pair_images(records, sc, grid, interp=interp)
+    # first-appearance pair order
+    assert [im.provenance for im in images] == list(dict.fromkeys(r.channel[:2] for r in records))
+    for workers in WORKERS[1:]:
+        again = pair_images(records, sc, grid, workers=workers, interp=interp)
+        assert [im.provenance for im in again] == [im.provenance for im in images]
+        for a, b in zip(images, again):
+            assert np.array_equal(a.pixels, b.pixels)
+    # a pair imaged alone, with its own thread count, gives the same bits
+    for image in images:
+        alone = backproject(
+            records_of(records, image.provenance), sc, grid, workers=pair_workers, interp=interp
+        )
+        assert np.array_equal(alone.pixels, image.pixels)
