@@ -104,7 +104,7 @@ def _load_scenario(config: RunConfig) -> scene.Scenario:
     if config.seed is not None:
         doc["seed"] = config.seed
     try:
-        scenario = scene.load_scenario(json.dumps(doc))
+        scenario = scene.scenario_from_doc(doc)
     except scene.SchemaError as err:
         raise _ValidationFailure(f"{path}: {err}") from err
     violations = scene.validate(scenario)
@@ -232,7 +232,7 @@ def _cmd_orchestrate(config: RunConfig, out: Path) -> None:
         orchestrate.default_stand_off(scenario, target),
         psi_0=math.radians(config.psi0_deg),
     )
-    (out / "plan.json").write_text(json.dumps(_round9(plan.to_dict()), indent=2) + "\n")
+    _write_json(plan.to_dict(), out / "plan.json")
     planned = orchestrate.scenario_from_plan(scenario, plan, bandwidth=bandwidth)
     images = _imaging_pipeline(config, planned, planned.pairing.active_pairs())
     _fuse_and_report(config, planned, images, out)
@@ -337,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--fs", type=float, help="complex sampling rate in Hz (default 4B)")
 
     p = sub.add_parser("coverage", parents=[common], help="wavenumber coverage and predicted resolution")
-    p.add_argument("--n-freq", type=int, default=64, help="frequency samples per tile")
+    p.add_argument("--n-freq", type=int, default=64,
+                   help="frequencies per channel in coverage.csv (prediction uses the band edges)")
     p.add_argument("--baseband", action="store_true", help="emit base-band tiles")
 
     p = sub.add_parser("simulate", parents=[common], help="raw channel records")

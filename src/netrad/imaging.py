@@ -244,7 +244,7 @@ def default_grid(
     else:
         lo = hi = center
     ref = Vec2((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0)
-    est = predicted_resolution(coverage_region(scenario, ref, n_freq=16))
+    est = predicted_resolution(coverage_region(scenario, ref))
     rho = min(est.rho_x, est.rho_y)
     if math.isinf(rho):
         raise ValueError("acquisition has no finite predicted resolution; pass an explicit grid")
@@ -259,13 +259,12 @@ def default_grid(
 
 def export_image_csv(image: ComplexImage, path) -> None:
     """Write pixels as (x, y, re, im) rows, x-major."""
-    xs, ys = image.grid.x_coords, image.grid.y_coords
+    ys = image.grid.y_coords
     with open(path, "w") as fh:
         fh.write("x_m,y_m,re,im\n")
-        for i, xv in enumerate(xs):
-            for j, yv in enumerate(ys):
-                v = image.pixels[i, j]
-                fh.write(f"{xv:.9g},{yv:.9g},{v.real:.9g},{v.imag:.9g}\n")
+        for xv, column in zip(image.grid.x_coords.tolist(), image.pixels):
+            rows = np.column_stack((ys, column.real, column.imag))
+            fh.write(f"{xv:.9g},%.9g,%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def export_image_pgm(image: ComplexImage, path, dynamic_range_db: float = 40.0) -> None:

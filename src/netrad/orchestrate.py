@@ -111,7 +111,6 @@ def plan(
     target: Vec2,
     n_active: int,
     objective: str = "extent-y",
-    n_freq: int = 16,
 ) -> OrchestrationPlan:
     """Greedy selection of ``n_active`` terminals maximizing a coverage
     objective at ``target``.
@@ -136,22 +135,17 @@ def plan(
             pairing = _masked_pairing(scenario.pairing, trial, n)
             if not pairing.active_pairs():
                 continue
-            est = predicted_resolution(
-                coverage_region(replace(scenario, pairing=pairing), target, n_freq=n_freq)
-            )
+            est = predicted_resolution(coverage_region(replace(scenario, pairing=pairing), target))
             val = _objective_value(est, objective)
-            if val > best_val:  # strict: ties keep the earlier (lowest) id
-                best_id, best_val = cand, val
+            if val > best_val * (1.0 + 1e-9):  # ties within rounding keep the lowest id
+                best_id, best_val, best = cand, val, (pairing, est)
         if best_id is None:
             raise ValueError("infeasible plan: no candidate yields an active pair")
         selected.append(best_id)
         remaining.remove(best_id)
 
     selected.sort()
-    pairing = _masked_pairing(scenario.pairing, selected, n)
-    est = predicted_resolution(
-        coverage_region(replace(scenario, pairing=pairing), target, n_freq=n_freq)
-    )
+    pairing, est = best  # the last round's winner is the selected set
     angles = [
         _observation_angle(scenario.terminals[i].phase_center, target) for i in selected
     ]
@@ -172,7 +166,6 @@ def tessellated_plan(
     stand_off: float,
     psi_0: float = math.pi / 2.0,
     full_pairing: bool = True,
-    n_freq: int = 16,
 ) -> OrchestrationPlan:
     """Plan ``count`` acquisitions at tessellated angles around ``target``.
 
@@ -186,7 +179,7 @@ def tessellated_plan(
         AssociationMatrix.full(count) if full_pairing else AssociationMatrix.identity(count)
     )
     probe = plan_scenario_prototype(positions, pairing, f0, bandwidth, target)
-    est = predicted_resolution(coverage_region(probe, target, n_freq=n_freq))
+    est = predicted_resolution(coverage_region(probe, target))
     return OrchestrationPlan(
         angles=tuple(angles), positions=tuple(positions), pairing=pairing, predicted=est
     )

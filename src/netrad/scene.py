@@ -213,10 +213,6 @@ class Scenario:
     def n_terminals(self) -> int:
         return len(self.terminals)
 
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.f0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scenario):
             return NotImplemented
@@ -383,15 +379,17 @@ def _parse_target(doc, index: int) -> PointTarget:
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse a JSON scenario document, filling documented defaults.
-
-    Raises SchemaError naming the offending field (or the JSON parse
-    position) on any malformed input.
-    """
+    """Parse JSON scenario text; see ``scenario_from_doc``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
+    return scenario_from_doc(doc)
+
+
+def scenario_from_doc(doc) -> Scenario:
+    """Build a scenario from a parsed JSON document, filling documented
+    defaults. Raises SchemaError naming the offending field if malformed."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
 

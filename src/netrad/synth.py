@@ -77,26 +77,23 @@ def default_sample_rate(bandwidth: float, oversample: float = 4.0) -> float:
 
 def suggest_window(scenario: Scenario, grid: ImageGrid | None = None,
                    margin: float | None = None) -> tuple[float, float]:
-    """Acquisition window covering every target (and, optionally, every
-    grid pixel) delay over all active channels, padded by ``margin``
-    (default 6/B, comfortably above the 4/B minimum the simulator
-    enforces around target responses)."""
+    """Acquisition window covering, over all active channels, every target
+    delay plus the pair's clock error (responses arrive that late) and,
+    optionally, every grid pixel delay without it (back-projection never
+    compensates the error), padded by ``margin`` (default 6/B, comfortably
+    above the 4/B minimum the simulator enforces around target responses)."""
     if margin is None:
         margin = 6.0 / scenario.bandwidth
-    points = [t.position for t in scenario.targets]
-    if grid is not None:
-        xs, ys = grid.x_coords, grid.y_coords
-        points = points + [
-            Vec2(float(x), float(y)) for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])
-        ]
+    corners = [] if grid is None else [
+        Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
     lo, hi = math.inf, -math.inf
     for l, k in scenario.pairing.active_pairs():
         for tx_el in scenario.terminals[l].tx_elements:
             for rx_el in scenario.terminals[k].rx_elements:
                 dt_sync = scenario.sync_errors[l, k]
-                for p in points:
-                    tau = bistatic_delay(tx_el, rx_el, p) + dt_sync
-                    lo, hi = min(lo, tau), max(hi, tau)
+                taus = [bistatic_delay(tx_el, rx_el, t.position) + dt_sync for t in scenario.targets]
+                taus += [bistatic_delay(tx_el, rx_el, p) for p in corners]
+                lo, hi = min([lo, *taus]), max([hi, *taus])
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
     # grid pixel delays can be extreme over corners; margin still applies

@@ -81,12 +81,19 @@ class ResolutionEstimate:
         }
 
 
+def _units_toward(elements, target: Vec2) -> np.ndarray:
+    """(n, 2) unit vectors from each element toward ``target``; NaN rows
+    for elements sitting on it."""
+    d = [(target.x - el.x, target.y - el.y) for el in elements]
+    units = [(dx / r, dy / r) if (r := math.hypot(dx, dy)) else (math.nan,) * 2 for dx, dy in d]
+    return np.array(units).reshape(-1, 2)
+
+
 def _unit_toward(frm: Vec2, to: Vec2, what: str) -> np.ndarray:
-    d = np.asarray(to) - np.asarray(frm)
-    r = math.hypot(d[0], d[1])
-    if r == 0.0:
+    (u,) = _units_toward([frm], to)
+    if np.isnan(u[0]):
         raise ValueError(f"degenerate geometry: {what} coincides with the target")
-    return d / r
+    return u
 
 
 def unit_wavevectors(tx_pos: Vec2, rx_pos: Vec2, target: Vec2, f: float) -> tuple[Vec2, Vec2]:
@@ -113,13 +120,23 @@ def composite_wavenumber(k_tx: Vec2, k_rx: Vec2) -> Vec2:
     return k_tx - k_rx
 
 
+def _band(f0: float, bandwidth: float, n_freq: int, baseband: bool):
+    """Sampled frequencies and their wavenumber scales 2*pi*(f [- f0])/c."""
+    if n_freq < 2:
+        raise ValueError("n_freq must be at least 2")
+    if bandwidth < 0:
+        raise ValueError("bandwidth must be non-negative")
+    freqs = np.linspace(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, n_freq)
+    return freqs, (TWO_PI / SPEED_OF_LIGHT) * (freqs - (f0 if baseband else 0.0))
+
+
 def coverage_segment(
     tx_pos: Vec2,
     rx_pos: Vec2,
     target: Vec2,
     f0: float,
     bandwidth: float,
-    n_freq: int = 64,
+    n_freq: int = 2,
     baseband: bool = False,
     pair: tuple[int, int, int, int] = (0, 0, 0, 0),
 ) -> WavenumberTile:
@@ -130,49 +147,43 @@ def coverage_segment(
     The segment lies along the bisector of the two sensor directions and
     has length (4*pi*B/c) * cos(delta_psi / 2).
     """
-    if n_freq < 2:
-        raise ValueError("n_freq must be at least 2")
-    if bandwidth < 0:
-        raise ValueError("bandwidth must be non-negative")
+    freqs, scale = _band(f0, bandwidth, n_freq, baseband)
     u_tx = _unit_toward(tx_pos, target, "tx element")
     u_rx = _unit_toward(rx_pos, target, "rx element")
-    direction = u_tx + u_rx  # k* = (2 pi f / c) * (u_tx + u_rx)
-    freqs = np.linspace(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, n_freq)
-    scale = (TWO_PI / SPEED_OF_LIGHT) * (freqs - (f0 if baseband else 0.0))
-    samples = scale[:, None] * direction[None, :]
+    samples = scale[:, None] * (u_tx + u_rx)[None, :]  # k* = (2 pi f / c) * (u_tx + u_rx)
     return WavenumberTile(pair=pair, samples=samples, freqs=freqs, baseband=baseband)
 
 
 def coverage_region(
     scenario: Scenario,
     target: Vec2,
-    n_freq: int = 64,
+    n_freq: int = 2,
     baseband: bool = False,
 ) -> WavenumberRegion:
     """Coverage of every active measurement channel of a scenario.
 
     One tile per (tx terminal, rx terminal, tx element, rx element)
-    channel admitted by the association matrix. With ``baseband=True``
-    each tile is shifted by its own center-frequency composite wavevector,
-    modeling magnitude-only (incoherent) image combination.
-    """
+    channel admitted by the association matrix, equal to its
+    ``coverage_segment``; the default two frequencies (the band edges)
+    are all ``predicted_resolution`` needs. Element unit vectors are
+    computed once and a pair's tiles are views of one array.
+    ``baseband=True`` models magnitude-only (incoherent) combination."""
+    freqs, scale = _band(scenario.f0, scenario.bandwidth, n_freq, baseband)
+    pairs, terms = scenario.pairing.active_pairs(), scenario.terminals
+    u_tx = {l: _units_toward(terms[l].tx_elements, target) for l in {p[0] for p in pairs}}
+    u_rx = {k: _units_toward(terms[k].rx_elements, target) for k in {p[1] for p in pairs}}
+    mono, bist = any(l == k for l, k in pairs), any(l != k for l, k in pairs)
     tiles: list[WavenumberTile] = []
-    mono = bist = False
-    for l, k in scenario.pairing.active_pairs():
-        mono |= l == k
-        bist |= l != k
-        term_tx, term_rx = scenario.terminals[l], scenario.terminals[k]
-        for n, tx_el in enumerate(term_tx.tx_elements):
-            for m, rx_el in enumerate(term_rx.rx_elements):
-                try:
-                    tiles.append(
-                        coverage_segment(
-                            tx_el, rx_el, target, scenario.f0, scenario.bandwidth,
-                            n_freq=n_freq, baseband=baseband, pair=(l, k, n, m),
-                        )
-                    )
-                except ValueError as err:
-                    raise ValueError(f"channel ({l},{k},{n},{m}): {err}") from err
+    for l, k in pairs:
+        direction = u_tx[l][:, None] + u_rx[k][None, :]
+        if len(bad := np.argwhere(np.isnan(direction[:, :, 0]))):  # first in (n, m) order
+            n, m = bad[0].tolist()
+            what = "tx" if np.isnan(u_tx[l][n, 0]) else "rx"
+            raise ValueError(f"channel ({l},{k},{n},{m}): degenerate geometry: "
+                             f"{what} element coincides with the target")
+        samples = scale[:, None] * direction[:, :, None, :]
+        tiles.extend(WavenumberTile((l, k, n, m), samples[n, m], freqs, baseband)
+                     for n, m in np.ndindex(direction.shape[:2]))
     if not tiles:
         raise ValueError("no active channels: association matrix selects no pairs")
     label = "fused" if (mono and bist) else ("bistatic" if bist else "monostatic")
@@ -191,18 +202,18 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
         return pts
     # lexicographic sort by (x, y)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    pts = pts[order].tolist()  # Python floats: same arithmetic, faster loop
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
+    lower: list[list[float]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[list[float]] = []
+    for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
@@ -221,22 +232,21 @@ def polygon_area(vertices) -> float:
 def predicted_resolution(region: WavenumberRegion) -> ResolutionEstimate:
     """Resolution supported by a coverage region.
 
-    The axis-aligned extents of the convex hull of all tile samples give
-    rho = 2*pi / extent per axis; a zero extent is reported as an
-    unbounded (infinite) resolution. Slicing the coverage along x and y
-    implicitly treats the covered region as a rectangle, which is the
-    usual approximation; no non-separable resolution figure is reported.
-    """
-    samples = region.all_samples()
-    dk_x = float(samples[:, 0].max() - samples[:, 0].min())
-    dk_y = float(samples[:, 1].max() - samples[:, 1].min())
-    hull = convex_hull(samples)
+    The axis-aligned extents of the coverage give rho = 2*pi / extent per
+    axis; a zero extent is reported as an unbounded (infinite) resolution.
+    Each tile is a straight segment, linear and monotone in f, so its band
+    edges (first and last samples) are its extremes: the extents (exactly
+    those of all samples) and the convex hull come from them alone, for
+    any sampling density. Slicing along x and y treats the covered region
+    as a rectangle, the usual approximation."""
+    ends = np.concatenate([t.samples[[0, -1]] for t in region.tiles])
+    dk_x, dk_y = np.ptp(ends, axis=0).tolist()
     return ResolutionEstimate(
         rho_x=(TWO_PI / dk_x) if dk_x > 0.0 else math.inf,
         rho_y=(TWO_PI / dk_y) if dk_y > 0.0 else math.inf,
         dk_x=dk_x,
         dk_y=dk_y,
-        hull=tuple(Vec2(p[0], p[1]) for p in hull),
+        hull=tuple(Vec2(x, y) for x, y in convex_hull(ends).tolist()),
     )
 
 
@@ -273,9 +283,9 @@ def export_coverage_csv(region: WavenumberRegion, path) -> None:
     with open(path, "w") as fh:
         fh.write("pair_id,k_x,k_y,f_hz\n")
         for tile in region.tiles:
-            pid = "-".join(str(i) for i in tile.pair)
-            for (kx, ky), f in zip(tile.samples, tile.freqs):
-                fh.write(f"{pid},{kx:.9g},{ky:.9g},{f:.9g}\n")
+            fmt = "-".join(str(i) for i in tile.pair) + ",%.9g,%.9g,%.9g\n"
+            rows = np.column_stack((tile.samples, tile.freqs))
+            fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def export_hull_csv(estimate: ResolutionEstimate, path) -> None:

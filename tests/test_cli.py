@@ -127,6 +127,19 @@ class TestImageAndFuse:
         assert doc["n_images_fused"] == 1
 
 
+    def test_sync_error_defocuses_instead_of_failing(self, tmp_path):
+        # a uniform 15 ns clock error delays every target response; the
+        # window must still cover the unsynchronized pixel delays
+        doc = json.loads((SCENARIOS / "opposite_side.json").read_text())
+        n = len(doc["terminals"])
+        doc["sync_errors_s"] = [[15e-9] * n for _ in range(n)]
+        path = tmp_path / "sync.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["fuse", "--pairs", "all", "--grid-spacing", "0.075",
+                        "--scenario", path, "--out", tmp_path / "out"]) == 0
+        assert read_image_csv(tmp_path / "out" / "fused.csv").shape == (49 * 49, 4)
+
+
 class TestOrchestrate:
     def test_plan_quadruples_predicted_resolution(self, tmp_path):
         assert run_cli(
@@ -143,6 +156,14 @@ class TestOrchestrate:
         assert plan["angles_deg"][0] == pytest.approx(90.0)
         assert (tmp_path / "fused.csv").exists()
         assert (tmp_path / "metrics.json").exists()
+
+    def test_plan_json_keys_are_sorted(self, tmp_path):
+        assert run_cli(
+            ["orchestrate", "--L", "2", "--scenario", SCENARIOS / "lane_base_100mhz.json",
+             "--out", tmp_path, "--grid-spacing", "0.09"]
+        ) == 0
+        text = (tmp_path / "plan.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestReport:

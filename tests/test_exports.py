@@ -1,0 +1,53 @@
+"""The CSV writers against a reference writer that formats every row
+with its own f-string, on values at the edges of the 9-digit format."""
+
+import numpy as np
+
+from netrad.imaging import ComplexImage, export_image_csv
+from netrad.scene import ImageGrid, Vec2
+from netrad.wavenumber import (
+    WavenumberRegion,
+    WavenumberTile,
+    coverage_region,
+    export_coverage_csv,
+)
+from helpers import TARGET, lane_scenario
+
+EDGE = np.array([-0.0, 0.0, 1e-5, -1e-5, 1e21, -1e21, 123456789.5, 2.5e-300, np.inf, np.nan])
+
+
+def reference_coverage_csv(region):
+    text = "pair_id,k_x,k_y,f_hz\n"
+    for tile in region.tiles:
+        pid = "-".join(str(i) for i in tile.pair)
+        for (kx, ky), f in zip(tile.samples, tile.freqs):
+            text += f"{pid},{kx:.9g},{ky:.9g},{f:.9g}\n"
+    return text
+
+
+def reference_image_csv(image):
+    text = "x_m,y_m,re,im\n"
+    for i, xv in enumerate(image.grid.x_coords):
+        for j, yv in enumerate(image.grid.y_coords):
+            v = image.pixels[i, j]
+            text += f"{xv:.9g},{yv:.9g},{v.real:.9g},{v.imag:.9g}\n"
+    return text
+
+
+def test_coverage_csv_matches_reference(tmp_path):
+    edge = WavenumberTile((0, 1, 12, 3), np.column_stack([EDGE, -EDGE[::-1]]), -EDGE)
+    sampled = coverage_region(lane_scenario(n_terminals=2, m_rx=3), TARGET, n_freq=5,
+                              baseband=True)
+    region = WavenumberRegion(tiles=(edge,) + sampled.tiles, label="monostatic")
+    export_coverage_csv(region, tmp_path / "coverage.csv")
+    assert (tmp_path / "coverage.csv").read_text() == reference_coverage_csv(region)
+
+
+def test_image_csv_matches_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    pixels = (rng.standard_normal((5, 4)) - 1j * rng.standard_normal((5, 4))) * 1e-7
+    pixels.real.flat[: len(EDGE)] = EDGE
+    pixels.imag.flat[: len(EDGE)] = -EDGE[::-1]  # negative imaginary parts, -0.0 last
+    image = ComplexImage(ImageGrid(Vec2(-0.2, 1e-5), (0.1, 1e21), (5, 4)), pixels, (0, 0))
+    export_image_csv(image, tmp_path / "image.csv")
+    assert (tmp_path / "image.csv").read_text() == reference_image_csv(image)

@@ -178,6 +178,13 @@ class TestGreedyPlan:
         p = plan(sc, TARGET, 1, objective="extent-y")
         assert p.positions[0] == sc.terminals[0].phase_center
 
+    def test_area_tie_within_rounding_breaks_toward_lowest_id(self):
+        # terminals 1 and 3 mirror each other about the target, so their
+        # hull areas differ only by rounding (~1e-12 relative)
+        sc = lane_scenario(n_terminals=5, pairing=AssociationMatrix.full(5))
+        p = plan(sc, TARGET, 4, objective="area")
+        assert np.flatnonzero(p.pairing.entries.any(axis=1)).tolist() == [0, 1, 2, 4]
+
     def test_infeasible_plan_rejected(self):
         sc = lane_scenario(n_terminals=2, m_rx=1)
         with pytest.raises(ValueError):

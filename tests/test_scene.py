@@ -12,6 +12,7 @@ from netrad.scene import (
     Terminal,
     Vec2,
     load_scenario,
+    scenario_from_doc,
     scenario_to_json,
     validate,
 )
@@ -55,6 +56,12 @@ def test_minimal_doc_defaults():
     assert sc.targets[0].reflectivity == 1.0 + 0.0j
     # phase center defaults to the element centroid
     assert sc.terminals[0].phase_center == Vec2(0.0, 0.0)
+
+
+def test_parsed_doc_loads_like_its_text():
+    assert scenario_from_doc(lane_doc()) == load_scenario(json.dumps(lane_doc()))
+    with pytest.raises(SchemaError, match="top-level document must be an object"):
+        scenario_from_doc([lane_doc()])
 
 
 def test_lane_doc_loads():

@@ -215,6 +215,21 @@ class TestSuggestWindow:
         near = bistatic_delay(Vec2(0, 0), Vec2(0, 0), Vec2(0, 10))
         assert lo < near and hi > far
 
+    def test_sync_error_shifts_targets_not_pixels(self):
+        from netrad.scene import ImageGrid
+
+        dt = 15e-9
+        sc = single_terminal_scenario()
+        grid = ImageGrid(Vec2(-1, 19), (0.5, 0.5), (5, 5))
+        synced = Scenario(sc.terminals, sc.targets, F0, BW, sync_errors=[[dt]])
+        lo, hi = suggest_window(synced, grid)
+        margin = 6.0 / BW
+        corners = [bistatic_delay(Vec2(0, 0), Vec2(0, 0), Vec2(x, y))
+                   for x in (-1, 1) for y in (19, 21)]
+        assert lo == min(corners) - margin
+        assert hi == 40.0 / C + dt + margin
+        assert suggest_window(sc, grid) == (min(corners) - margin, max(corners) + margin)
+
 
 class TestExport:
     def test_record_csv(self, tmp_path):
