@@ -1,0 +1,44 @@
+#!/bin/sh
+# Golden gate in one command: compare the golden runs of revision REV
+# with those of the working tree.
+#
+#     scripts/golden_check.sh REV
+#
+# Extracts REV with `git archive` into a temporary directory, runs each
+# side's golden_runs.sh on its own package into temporary output
+# directories, prints scripts/golden_diff.py's report and exits with its
+# code. The temporary directory is removed on exit and no bytecode is
+# written, so no files or git state are left behind.
+set -e
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REV" >&2
+    exit 2
+fi
+cd "$(dirname "$0")/.."
+rev=$(git rev-parse --verify --quiet "$1^{commit}") || {
+    echo "golden_check: not a commit: $1" >&2
+    exit 2
+}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 130' INT TERM
+export PYTHONDONTWRITEBYTECODE=1
+
+# golden_runs.sh prefers a `netrad` on PATH; this one runs the package of
+# the side under test, also where netrad is installed.
+mkdir "$tmp/bin" "$tmp/base"
+cat > "$tmp/bin/netrad" <<'EOF'
+#!/bin/sh
+PYTHONPATH="$NETRAD_SRC${PYTHONPATH:+:$PYTHONPATH}" exec python3 -m netrad.cli "$@"
+EOF
+chmod +x "$tmp/bin/netrad"
+git archive "$rev" | tar -x -C "$tmp/base"
+
+PATH="$tmp/bin:$PATH" NETRAD_SRC="$tmp/base/src" NETRAD_OUT="$tmp/out_base" \
+    sh "$tmp/base/scripts/golden_runs.sh" >/dev/null
+PATH="$tmp/bin:$PATH" NETRAD_SRC="$PWD/src" NETRAD_OUT="$tmp/out_tree" \
+    sh scripts/golden_runs.sh >/dev/null
+
+status=0
+python3 scripts/golden_diff.py "$tmp/out_base" "$tmp/out_tree" || status=$?
+exit $status

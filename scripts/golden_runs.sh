@@ -15,8 +15,8 @@ netrad coverage --scenario scenarios/lane_single_terminal.json --out "$OUT/mono_
 netrad image    --scenario scenarios/lane_single_terminal.json --out "$OUT/mono_image"
 
 # Incoherent vs coherent fusion of the five monostatic lane images.
-# Incoherent fusion keeps the single-terminal 0.30 m resolution, so it
-# gets a grid sized for that instead of the coherent default.
+# Incoherent fusion keeps the single-terminal 0.30 m resolution; its
+# reference artifacts are on a 0.075 m grid (the default would be 0.070 m).
 netrad fuse --mode incoherent --pairs mono --scenario scenarios/lane_multistatic.json --grid-spacing 0.075 --out "$OUT/fuse_incoherent"
 netrad fuse --mode coherent   --pairs mono --scenario scenarios/lane_multistatic.json --out "$OUT/fuse_coherent_mono"
 

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import fusion, imaging, metrics, orchestrate, scene, synth, wavenumber
@@ -44,12 +44,12 @@ class _ValidationFailure(Exception):
 
 @dataclass
 class RunConfig:
-    """One resolved CLI invocation. Fields absent from a subcommand's
-    options keep these defaults."""
+    """One resolved CLI invocation. Options left unset, and fields absent
+    from a subcommand's options, keep these defaults."""
 
     subcommand: str
-    scenario_path: str | None
     out_dir: str
+    scenario_path: str | None = None
     overrides: list[tuple[str, float]] = field(default_factory=list)
     dynamic_range_db: float = 40.0
     seed: int | None = None
@@ -119,7 +119,8 @@ def _reference_target(scenario: scene.Scenario) -> scene.Vec2:
     return scenario.targets[0].position
 
 
-def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
+def _make_grid(config: RunConfig, scenario: scene.Scenario,
+               pairs: list[tuple[int, int]]) -> scene.ImageGrid:
     ref = _reference_target(scenario)  # either grid is placed around a target
     if config.grid_spacing is not None:
         s = config.grid_spacing
@@ -127,21 +128,25 @@ def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
         n = 2 * half + 1
         origin = scene.Vec2(ref.x - half * s, ref.y - half * s)
         return scene.ImageGrid(origin=origin, spacing=(s, s), size=(n, n))
-    return imaging.default_grid(scenario, margin_cells=config.grid_margin_cells)
+    # the default grid resolves the selected pairs; incoherent fusion adds
+    # no coverage, so it resolves the finest single pair
+    n = scenario.n_terminals
+    groups = [[pair] for pair in pairs] if config.mode == "incoherent" else [pairs]
+    grids = []
+    for group in groups:
+        pairing = scene.AssociationMatrix([[(l, k) in group for k in range(n)] for l in range(n)])
+        grids.append(imaging.default_grid(replace(scenario, pairing=pairing),
+                                          margin_cells=config.grid_margin_cells))
+    return min(grids, key=lambda grid: grid.spacing[0])
 
 
-def _pair_filter(config: RunConfig, scenario: scene.Scenario) -> list[tuple[int, int]]:
+def _imaging_pipeline(config: RunConfig, scenario: scene.Scenario) -> list[imaging.ComplexImage]:
     pairs = scenario.pairing.active_pairs()
     if config.mode == "incoherent" or config.pair_scope == "mono":
         pairs = [(l, k) for l, k in pairs if l == k]
     if not pairs:
         raise _ValidationFailure("no active pairs left after pair selection")
-    return pairs
-
-
-def _imaging_pipeline(config: RunConfig, scenario: scene.Scenario,
-                      pairs: list[tuple[int, int]]) -> list[imaging.ComplexImage]:
-    grid = _make_grid(config, scenario)
+    grid = _make_grid(config, scenario, pairs)
     window = synth.suggest_window(scenario, grid)
     records = synth.synthesize(scenario, window, fs=config.fs, pairs=pairs)
     return imaging.pair_images(records, scenario, grid, workers=config.workers)
@@ -182,8 +187,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
 
 def _cmd_image(config: RunConfig, out: Path) -> None:
     scenario = _load_scenario(config)
-    pairs = _pair_filter(config, scenario)
-    images = _imaging_pipeline(config, scenario, pairs)
+    images = _imaging_pipeline(config, scenario)
     for im in images:
         stem = "image_{}-{}".format(*im.provenance)
         imaging.export_image_csv(im, out / f"{stem}.csv")
@@ -212,8 +216,7 @@ def _fuse_and_report(config: RunConfig, scenario: scene.Scenario,
 
 def _cmd_fuse(config: RunConfig, out: Path) -> None:
     scenario = _load_scenario(config)
-    pairs = _pair_filter(config, scenario)
-    images = _imaging_pipeline(config, scenario, pairs)
+    images = _imaging_pipeline(config, scenario)
     _fuse_and_report(config, scenario, images, out)
 
 
@@ -234,7 +237,7 @@ def _cmd_orchestrate(config: RunConfig, out: Path) -> None:
     )
     _write_json(plan.to_dict(), out / "plan.json")
     planned = orchestrate.scenario_from_plan(scenario, plan, bandwidth=bandwidth)
-    images = _imaging_pipeline(config, planned, planned.pairing.active_pairs())
+    images = _imaging_pipeline(config, planned)
     _fuse_and_report(config, planned, images, out)
 
 
@@ -320,43 +323,42 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"output directory (default from ${OUT_DIR_ENV})",
     )
     common.add_argument("--set", dest="overrides", metavar="KEY=VALUE",
-                        type=_parse_set, action="append", default=[],
+                        type=_parse_set, action="append",
                         help="override a scenario key (f0_hz, bandwidth_hz, noise_power, seed)")
     common.add_argument("--seed", type=int, help="override the scenario RNG seed")
-    common.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE",
-                        type=float, default=40.0,
-                        help="raster dynamic range in dB (default 40)")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE", type=float,
+                        help=f"raster dynamic range in dB (default {RunConfig.dynamic_range_db:g})")
+    common.add_argument("--workers", type=int,
                         help="back-projection threads (results do not depend on it)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid-spacing", type=float,
                       help="pixel spacing in m (default: finest predicted rho / 4)")
-    grid.add_argument("--grid-margin-cells", type=int, default=24,
+    grid.add_argument("--grid-margin-cells", type=int,
                       help="pixels beyond the target bounding box per side")
-    grid.add_argument("--fs", type=float, help="complex sampling rate in Hz (default 4B)")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--fs", type=float, help="complex sampling rate in Hz (default 4B)")
 
     p = sub.add_parser("coverage", parents=[common], help="wavenumber coverage and predicted resolution")
-    p.add_argument("--n-freq", type=int, default=64,
+    p.add_argument("--n-freq", type=int,
                    help="frequencies per channel in coverage.csv (prediction uses the band edges)")
     p.add_argument("--baseband", action="store_true", help="emit base-band tiles")
 
-    p = sub.add_parser("simulate", parents=[common], help="raw channel records")
-    p.add_argument("--fs", type=float, help="complex sampling rate in Hz (default 4B)")
+    sub.add_parser("simulate", parents=[common, sampling], help="raw channel records")
 
-    sub.add_parser("image", parents=[common, grid], help="per-pair back-projected images")
+    sub.add_parser("image", parents=[common, grid, sampling], help="per-pair back-projected images")
 
-    p = sub.add_parser("fuse", parents=[common, grid], help="fused image and metrics")
-    p.add_argument("--mode", choices=("incoherent", "coherent"), default="coherent")
-    p.add_argument("--pairs", dest="pair_scope", choices=("mono", "all"), default="all",
+    p = sub.add_parser("fuse", parents=[common, grid, sampling], help="fused image and metrics")
+    p.add_argument("--mode", choices=("incoherent", "coherent"))
+    p.add_argument("--pairs", dest="pair_scope", choices=("mono", "all"),
                    help="fuse monostatic pairs only, or every active pair")
 
-    p = sub.add_parser("orchestrate", parents=[common, grid],
+    p = sub.add_parser("orchestrate", parents=[common, grid, sampling],
                        help="tessellated plan plus end-to-end fused image")
     p.add_argument("--L", dest="plan_count", type=int, help="acquisitions to plan (default L)")
     p.add_argument("--B", dest="plan_bandwidth", type=float,
                    help="per-terminal bandwidth in Hz (default: scenario bandwidth)")
-    p.add_argument("--psi0-deg", type=float, default=90.0,
+    p.add_argument("--psi0-deg", type=float,
                    help="first observation angle in degrees (default broadside)")
 
     sub.add_parser("report", parents=[common], help="aggregate metrics across a directory of runs")
@@ -372,8 +374,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return _EXIT_VALIDATION
-    # every option is stored under its RunConfig field name
-    return run(RunConfig(**vars(args)))
+    # every option is stored under its RunConfig field name; options left
+    # unset take the field's default
+    return run(RunConfig(**{k: v for k, v in vars(args).items() if v is not None}))
 
 
 if __name__ == "__main__":

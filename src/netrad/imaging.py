@@ -11,12 +11,21 @@ in phase. The formulation is valid for any geometry (near field or far
 field, monostatic or bistatic); the spectral ramp filter is omitted,
 which is the usual approximation when f0 >> B.
 
-The carrier phase factors into a Tx and an Rx part, so one range map
-per Tx element and one range map and phase per Rx element serve every
+The carrier phase factors into a Tx and an Rx part, so one delay map
+per Tx element and one delay map and phase per Rx element serve every
 pair using the element. Each (pair, Tx element) sums its channels without
 the Tx phase, by ascending Rx element and then record order; Tx phases
 are applied last, by ascending Tx element. The order is fixed per pixel:
 a pair's image is bit-identical for any worker count and co-imaged pairs.
+
+A delay map is r/c with r the square root of the broadcast squared x and
+y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
+Phases exp(j*theta) come from a table of exp(2*pi*j*k/T) times a short
+Taylor series in the residual angle, within a few units of the last
+place of theta of the exact value. Each channel's window is checked
+against the sum of its maps' minima and maxima; rounding is monotone, so
+that bound passes no pixel the exact per-pixel check would reject, and
+the exact check runs, with its message, only when the bound fails.
 """
 
 from __future__ import annotations
@@ -83,6 +92,36 @@ def _interp_sinc(rec: SignalRecord, pos: np.ndarray, work) -> np.ndarray:
 _INTERPOLATORS = {"linear": _interp_linear, "sinc": _interp_sinc}
 
 
+def _delay_map(el: Vec2, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Delay |p - el| / c from element ``el`` to each pixel p = (x, y)."""
+    r2 = np.add(np.square(x - el.x), np.square(y - el.y), out=out)
+    return np.divide(np.sqrt(r2, out=r2), SPEED_OF_LIGHT, out=r2)
+
+
+_PHASE_STEPS = 4096
+_PHASE_STEP = 2.0 * math.pi / _PHASE_STEPS
+# exp(2*pi*j*k/T) from its first quadrant, whose rotations by j are exact
+_QUARTER = np.exp(1j * _PHASE_STEP * np.arange(_PHASE_STEPS // 4))
+_PHASE_TABLE = np.concatenate((_QUARTER, 1j * _QUARTER, -_QUARTER, -1j * _QUARTER))
+
+
+def _carrier_phase(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """exp(j*theta) into ``out`` (``theta`` is overwritten): the nearest
+    table entry exp(2*pi*j*k/T) times exp(j*d) in the residual |d| <= pi/T,
+    whose series is cut where its terms fall below 1e-17."""
+    index, rot, table, turn = work
+    np.rint(np.multiply(theta, 1.0 / _PHASE_STEP, out=turn), out=turn)
+    np.copyto(index, turn, casting="unsafe")
+    np.bitwise_and(index, _PHASE_STEPS - 1, out=index)
+    d = np.subtract(theta, np.multiply(turn, _PHASE_STEP, out=turn), out=theta)
+    d2 = np.multiply(d, d, out=turn)
+    # cos d = 1 - d^2/2 + d^4/24 and sin d = d - d^3/6
+    re = np.multiply(d2, 1.0 / 24.0, out=rot.real)
+    np.add(np.multiply(np.subtract(re, 0.5, out=re), d2, out=re), 1.0, out=re)
+    np.multiply(np.subtract(1.0, np.multiply(d2, 1.0 / 6.0, out=d2), out=d2), d, out=rot.imag)
+    return np.multiply(np.take(_PHASE_TABLE, index, out=table, mode="clip"), rot, out=out)
+
+
 def _check_window(rec: SignalRecord, tau: np.ndarray, row0: int) -> None:
     lo, hi = float(tau.min()), float(tau.max())
     if lo < rec.t0 or hi > rec.t_end:
@@ -139,13 +178,13 @@ def pair_images(
 
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
     omega = 2.0 * math.pi * scenario.f0
-    tx_range: dict[tuple[int, int], np.ndarray] = {}
+    tx_delay: dict[tuple[int, int], tuple[np.ndarray, float, float]] = {}
     by_rx: dict[int, dict[int, list[SignalRecord]]] = {}
     for rec in records:
         l, k, n, m = rec.channel
-        if (l, n) not in tx_range:
-            el = scenario.terminals[l].tx_elements[n]
-            tx_range[l, n] = np.hypot(x - el.x, y - el.y)
+        if (l, n) not in tx_delay:
+            delay = _delay_map(scenario.terminals[l].tx_elements[n], x, y)
+            tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
     pixels = {pair: np.zeros(grid.size, dtype=complex) for pair in pairs}
 
@@ -159,27 +198,30 @@ def pair_images(
             (l, n): pixels[l, k][rows] if lowest[l] == n else np.zeros(shape, dtype=complex)
             for l, n in keys
         }
-        rx_range, pos = np.empty(shape), np.empty(shape)
+        rx_delay, pos = np.empty(shape), np.empty(shape)
         # complex products never write over an operand: numpy rounds an
         # in-place product of one element differently from a longer one
         phase, term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
                 np.empty(shape, dtype=complex))
+        phase_work = work + (np.empty(shape),)
         for m in sorted(by_rx[k]):
-            el = scenario.terminals[k].rx_elements[m]
-            np.hypot(el.x - x[rows], el.y - y, out=rx_range)
-            np.divide(rx_range, SPEED_OF_LIGHT, out=pos)
-            np.exp(np.multiply(pos, 1j * omega, out=phase), out=phase)
+            _delay_map(scenario.terminals[k].rx_elements[m], x[rows], y, out=rx_delay)
+            rx_lo, rx_hi = float(rx_delay.min()), float(rx_delay.max())
+            _carrier_phase(np.multiply(rx_delay, omega, out=pos), phase, phase_work)
             for rec in by_rx[k][m]:
                 l, _, n, _ = rec.channel
-                np.add(tx_range[l, n][rows], rx_range, out=pos)
-                _check_window(rec, np.divide(pos, SPEED_OF_LIGHT, out=pos), row0)
+                delay, tx_lo, tx_hi = tx_delay[l, n]
+                np.add(delay[rows], rx_delay, out=pos)
+                # rounding is monotone, so the bound never passes a pixel
+                # the exact check would reject
+                if tx_lo + rx_lo < rec.t0 or tx_hi + rx_hi > rec.t_end:
+                    _check_window(rec, pos, row0)
                 np.multiply(np.subtract(pos, rec.t0, out=pos), rec.fs, out=pos)
                 sums[l, n] += np.multiply(interpolate(rec, pos, work), phase, out=term)
         for l, n in keys:
-            np.divide(tx_range[l, n][rows], SPEED_OF_LIGHT, out=pos)
-            np.exp(np.multiply(pos, 1j * omega, out=phase), out=phase)
-            np.multiply(sums[l, n], phase, out=term)
+            np.multiply(tx_delay[l, n][0][rows], omega, out=pos)
+            np.multiply(sums[l, n], _carrier_phase(pos, phase, phase_work), out=term)
             if lowest[l] == n:
                 sums[l, n][...] = term
             else:

@@ -126,6 +126,19 @@ class TestImageAndFuse:
         assert doc["provenance"] == "fused:coh"
         assert doc["n_images_fused"] == 1
 
+    def test_incoherent_default_grid_resolves_single_pairs(self, tmp_path):
+        # incoherent fusion adds no coverage: the default grid takes a
+        # quarter of the finest single pair's 0.281 m, not the pitch of the
+        # 25-pair coherent coverage, which the mainlobe would fill
+        assert run_cli(["fuse", "--mode", "incoherent", "--pairs", "mono",
+                        "--scenario", SCENARIOS / "lane_multistatic.json",
+                        "--out", tmp_path]) == 0
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        assert "error" not in doc
+        assert doc["rho_y_m"] == pytest.approx(0.30, rel=0.10)
+        xs = np.unique(read_image_csv(tmp_path / "fused.csv")[:, 0])
+        assert len(xs) == 49
+        assert np.diff(xs).mean() == pytest.approx(0.0703, rel=0.01)
 
     def test_sync_error_defocuses_instead_of_failing(self, tmp_path):
         # a uniform 15 ns clock error delays every target response; the

@@ -2,13 +2,17 @@
 acquisitions: 1-3 terminals with 1-2 Tx and 1-3 Rx elements each, a
 random association matrix and records in random order."""
 
+import cmath
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from netrad.imaging import backproject, pair_images
+from netrad.imaging import _carrier_phase, _check_window, _delay_map, backproject, pair_images
 from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
 from netrad.synth import suggest_window, synthesize
 from helpers import BW, F0, brute_force_backprojection
@@ -94,3 +98,73 @@ def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, interp, pair_
             records_of(records, image.provenance), sc, grid, workers=pair_workers, interp=interp
         )
         assert np.array_equal(alone.pixels, image.pixels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=64))
+def test_carrier_phase_matches_cmath(angles):
+    theta = np.array(angles)
+    shape = theta.shape
+    work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
+            np.empty(shape, dtype=complex), np.empty(shape))
+    phase = _carrier_phase(theta.copy(), np.empty(shape, dtype=complex), work)
+    for t, z in zip(angles, phase.tolist()):
+        assert abs(z - cmath.exp(1j * t)) <= 4 * np.spacing(abs(t)) + 1e-15, t
+
+
+def pixel_delays(rec, sc, grid):
+    """The kernel's per-pixel delays of ``rec``: Tx map plus Rx map."""
+    x, y = grid.x_coords[:, None], grid.y_coords[None, :]
+    l, k, n, m = rec.channel
+    return (_delay_map(sc.terminals[l].tx_elements[n], x, y)
+            + _delay_map(sc.terminals[k].rx_elements[m], x, y))
+
+
+def first_window_error(records, sc, grid):
+    """The message of the first record, in the kernel's one-worker order
+    (receive terminal by first appearance, then Rx element, then record
+    order), whose exact per-pixel delays leave its window; None if none."""
+    by_rx = {}
+    for rec in records:
+        by_rx.setdefault(rec.channel[1], []).append(rec)
+    for recs in by_rx.values():
+        for rec in sorted(recs, key=lambda r: r.channel[3]):
+            try:
+                _check_window(rec, pixel_delays(rec, sc, grid), 0)
+            except ValueError as err:
+                return str(err)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(acquisitions(), st.data())
+def test_window_bound_raises_exactly_when_exact_check_does(acquisition, data):
+    sc, grid, records = acquisition
+    moved = []
+    # move record windows so that an edge lands inside, on, one ulp inside
+    # or just outside the span of the record's pixel delays
+    for rec in records:
+        tau = pixel_delays(rec, sc, grid)
+        lo, hi = float(tau.min()), float(tau.max())
+        edge = data.draw(
+            st.sampled_from([lo, float(np.nextafter(lo, np.inf)), hi, float(np.nextafter(hi, 0))])
+            | st.floats(-0.5, 1.5).map(lambda u: lo + u * (hi - lo))
+        )
+        side = data.draw(st.sampled_from(["keep"] * 4 + ["t0", "t_end"]))
+        if side == "t0":
+            rec = replace(rec, t0=edge)
+        elif side == "t_end":
+            rec = replace(rec, t0=edge - (len(rec.samples) - 1) / rec.fs)
+        moved.append(rec)
+    expected = first_window_error(moved, sc, grid)
+    if expected is None:
+        pair_images(moved, sc, grid)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            pair_images(moved, sc, grid)
+    for workers in WORKERS[1:]:
+        if expected is None:
+            pair_images(moved, sc, grid, workers=workers)
+        else:
+            with pytest.raises(ValueError, match="outside record window"):
+                pair_images(moved, sc, grid, workers=workers)
