@@ -6,8 +6,8 @@
 #
 # Extracts REV with `git archive` into a temporary directory, runs each
 # side's golden_runs.sh on its own package into temporary output
-# directories, prints scripts/golden_diff.py's report and exits with its
-# code. The temporary directory is removed on exit and no bytecode is
+# directories, prints scripts/golden_diff.py's report followed by the
+# line count of src/ on each side, and exits with golden_diff.py's code. The temporary directory is removed on exit and no bytecode is
 # written, so no files or git state are left behind.
 set -e
 if [ $# -ne 1 ]; then
@@ -41,4 +41,6 @@ PATH="$tmp/bin:$PATH" NETRAD_SRC="$PWD/src" NETRAD_OUT="$tmp/out_tree" \
 
 status=0
 python3 scripts/golden_diff.py "$tmp/out_base" "$tmp/out_tree" || status=$?
+src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l | tr -d ' '; }
+echo "src/ lines: $(src_lines "$tmp/base") at $rev, $(src_lines .) in the working tree"
 exit $status

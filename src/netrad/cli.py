@@ -48,7 +48,7 @@ class RunConfig:
     from a subcommand's options, keep these defaults."""
 
     subcommand: str
-    out_dir: str
+    out_dir: str | None
     scenario_path: str | None = None
     overrides: list[tuple[str, float]] = field(default_factory=list)
     dynamic_range_db: float = 40.0
@@ -64,6 +64,28 @@ class RunConfig:
     plan_count: int | None = None
     plan_bandwidth: float | None = None
     psi0_deg: float = 90.0
+
+
+# numeric options: RunConfig field, flag, least valid value and whether
+# that value itself is valid; every value must also be finite
+_OPTION_BOUNDS = (
+    ("dynamic_range_db", "--dyn-range", 0, False), ("grid_spacing", "--grid-spacing", 0, False),
+    ("fs", "--fs", 0, False), ("plan_bandwidth", "--B", 0, False),
+    ("psi0_deg", "--psi0-deg", -math.inf, False), ("workers", "--workers", 1, True),
+    ("plan_count", "--L", 1, True), ("grid_margin_cells", "--grid-margin-cells", 0, True),
+    ("n_freq", "--n-freq", 2, True),
+)
+
+
+def _check_options(config: RunConfig) -> None:
+    if config.out_dir is None:
+        raise _ValidationFailure(f"--out is required (or set ${OUT_DIR_ENV})")
+    for name, option, low, inclusive in _OPTION_BOUNDS:
+        value = getattr(config, name)
+        if value is None or math.isfinite(value) and (value >= low if inclusive else value > low):
+            continue
+        bound = f" {'>=' if inclusive else '>'} {low}" if math.isfinite(low) else ""
+        raise _ValidationFailure(f"{option} must be a finite number{bound}, got {value:g}")
 
 
 def _round9(value):
@@ -223,16 +245,11 @@ def _cmd_fuse(config: RunConfig, out: Path) -> None:
 def _cmd_orchestrate(config: RunConfig, out: Path) -> None:
     scenario = _load_scenario(config)
     target = _reference_target(scenario)
-    count = config.plan_count if config.plan_count is not None else scenario.n_terminals
-    bandwidth = (
-        config.plan_bandwidth if config.plan_bandwidth is not None else scenario.bandwidth
-    )
+    # both options are checked positive, so unset (None) is the only falsy value
+    count = config.plan_count or scenario.n_terminals
+    bandwidth = config.plan_bandwidth or scenario.bandwidth
     plan = orchestrate.tessellated_plan(
-        scenario.f0,
-        bandwidth,
-        count,
-        target,
-        orchestrate.default_stand_off(scenario, target),
+        scenario.f0, bandwidth, count, target, orchestrate.default_stand_off(scenario, target),
         psi_0=math.radians(config.psi0_deg),
     )
     _write_json(plan.to_dict(), out / "plan.json")
@@ -277,6 +294,7 @@ def run(config: RunConfig) -> int:
     """Execute one configured subcommand, writing artifacts under the
     output directory. Returns the process exit code."""
     try:
+        _check_options(config)  # before anything is written
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[config.subcommand](config, out)
@@ -366,17 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.out_dir is None:
-        print(
-            json.dumps({"error": {"kind": "validation",
-                                  "message": f"--out is required (or set ${OUT_DIR_ENV})"}}),
-            file=sys.stderr,
-        )
-        return _EXIT_VALIDATION
+    args = vars(_build_parser().parse_args(argv))
     # every option is stored under its RunConfig field name; options left
     # unset take the field's default
-    return run(RunConfig(**{k: v for k, v in vars(args).items() if v is not None}))
+    return run(RunConfig(**{k: v for k, v in args.items() if v is not None or k == "out_dir"}))
 
 
 if __name__ == "__main__":

@@ -49,14 +49,22 @@ class FusionWeights:
             raise ValueError(f"no weight for image {key!r}") from None
 
 
-def _check_common_grid(images: list[ComplexImage]):
+def _check_common_grid(images: list[ComplexImage]) -> None:
     if not images:
         raise ValueError("no images to fuse")
-    grid = images[0].grid
-    for im in images[1:]:
-        if im.grid != grid:
-            raise ValueError("images do not share a common grid")
-    return grid
+    if any(im.grid != images[0].grid for im in images[1:]):
+        raise ValueError("images do not share a common grid")
+
+
+def _weighted_sum(images: list[ComplexImage], weights: FusionWeights | None,
+                  term, provenance: str) -> ComplexImage:
+    """Sum of ``term(pixels)`` weighted per image, on the checked common grid."""
+    if weights is None:
+        weights = FusionWeights.uniform(images)
+    out = np.zeros(images[0].grid.size, dtype=complex)
+    for im in images:
+        out += weights.get(im.provenance) * term(im.pixels)
+    return ComplexImage(grid=images[0].grid, pixels=out, provenance=provenance)
 
 
 def fuse_incoherent(images: list[ComplexImage], weights: FusionWeights | None = None) -> ComplexImage:
@@ -66,30 +74,20 @@ def fuse_incoherent(images: list[ComplexImage], weights: FusionWeights | None = 
     spectral content only, so mixing in bistatic magnitudes has no
     defined coverage interpretation here. Output pixels are real-valued.
     """
-    grid = _check_common_grid(images)
+    _check_common_grid(images)
     for im in images:
         prov = im.provenance
         if not (isinstance(prov, tuple) and prov[0] == prov[1]):
             raise ValueError(
                 f"incoherent fusion combines monostatic images only, got {prov!r}"
             )
-    if weights is None:
-        weights = FusionWeights.uniform(images)
-    out = np.zeros(grid.size, dtype=complex)
-    for im in images:
-        out += weights.get(im.provenance) * np.abs(im.pixels)
-    return ComplexImage(grid=grid, pixels=out, provenance="fused:inc")
+    return _weighted_sum(images, weights, np.abs, "fused:inc")
 
 
 def fuse_coherent(images: list[ComplexImage], weights: FusionWeights | None = None) -> ComplexImage:
     """Weighted pixel-wise complex sum of images on a common grid."""
-    grid = _check_common_grid(images)
-    if weights is None:
-        weights = FusionWeights.uniform(images)
-    out = np.zeros(grid.size, dtype=complex)
-    for im in images:
-        out += weights.get(im.provenance) * im.pixels
-    return ComplexImage(grid=grid, pixels=out, provenance="fused:coh")
+    _check_common_grid(images)
+    return _weighted_sum(images, weights, lambda pixels: pixels, "fused:coh")
 
 
 def select_pairs(pairing: AssociationMatrix, images: list[ComplexImage]) -> list[ComplexImage]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2
-from .synth import SignalRecord, default_sample_rate, suggest_window, synthesize
+from .synth import SignalRecord, suggest_window, synthesize
 from .wavenumber import coverage_region, predicted_resolution
 
 _SINC_TAPS = 16
@@ -240,19 +240,13 @@ def pair_images(
     return [ComplexImage(grid=grid, pixels=pixels[pair], provenance=pair) for pair in pairs]
 
 
-def point_spread(
-    scenario: Scenario,
-    target: Vec2,
-    grid: ImageGrid,
-    workers: int = 1,
-    interp: str = "linear",
-) -> ComplexImage:
+def point_spread(scenario: Scenario, target: Vec2, grid: ImageGrid) -> ComplexImage:
     """Point-spread response of the full acquisition: the fused image of
     a unit probe target at ``target``.
 
     The scenario's own targets and noise are replaced by the single
-    noiseless probe; synthesis, per-pair back-projection and coherent
-    multistatic fusion then run end to end.
+    noiseless probe; synthesis at 4B, per-pair linear back-projection and
+    coherent multistatic fusion then run end to end.
     """
     from .fusion import fuse_coherent
 
@@ -261,36 +255,25 @@ def point_spread(
         targets=(PointTarget(position=target, reflectivity=1.0 + 0.0j),),
         noise_power=0.0,
     )
-    window = suggest_window(probe, grid)
-    records = synthesize(probe, window, fs=default_sample_rate(probe.bandwidth))
-    images = pair_images(records, probe, grid, workers=workers, interp=interp)
-    return fuse_coherent(images)
+    records = synthesize(probe, suggest_window(probe, grid))
+    return fuse_coherent(pair_images(records, probe, grid))
 
 
-def default_grid(
-    scenario: Scenario,
-    center: Vec2 | None = None,
-    cells_per_rho: int = 4,
-    margin_cells: int = 24,
-) -> ImageGrid:
+def default_grid(scenario: Scenario, margin_cells: int = 24) -> ImageGrid:
     """Grid sized from the predicted resolution: spacing is the finest
-    finite predicted rho divided by ``cells_per_rho``, centered on the
-    target bounding box padded by ``margin_cells`` pixels per side."""
+    finite predicted rho / 4, centered on the target bounding box padded
+    by ``margin_cells`` pixels per side."""
     if not scenario.targets:
         raise ValueError("cannot size a default grid without targets")
-    if center is None:
-        xs = [t.position.x for t in scenario.targets]
-        ys = [t.position.y for t in scenario.targets]
-        lo = Vec2(min(xs), min(ys))
-        hi = Vec2(max(xs), max(ys))
-    else:
-        lo = hi = center
+    xs = [t.position.x for t in scenario.targets]
+    ys = [t.position.y for t in scenario.targets]
+    lo, hi = Vec2(min(xs), min(ys)), Vec2(max(xs), max(ys))
     ref = Vec2((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0)
     est = predicted_resolution(coverage_region(scenario, ref))
     rho = min(est.rho_x, est.rho_y)
     if math.isinf(rho):
         raise ValueError("acquisition has no finite predicted resolution; pass an explicit grid")
-    s = rho / cells_per_rho
+    s = rho / 4
     nx = int(math.ceil((hi.x - lo.x) / s)) + 2 * margin_cells + 1
     ny = int(math.ceil((hi.y - lo.y) / s)) + 2 * margin_cells + 1
     origin = Vec2(ref.x - s * (nx - 1) / 2.0, ref.y - s * (ny - 1) / 2.0)
@@ -309,10 +292,12 @@ def export_image_csv(image: ComplexImage, path) -> None:
             fh.write(f"{xv:.9g},%.9g,%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def export_image_pgm(image: ComplexImage, path, dynamic_range_db: float = 40.0) -> None:
+def export_image_pgm(image: ComplexImage, path, dynamic_range_db: float) -> None:
     """8-bit PGM raster of 20*log10|I| relative to the image peak,
-    clipped to the given dynamic range. A derived view only; numeric
-    consumers should read the CSV export instead."""
+    clipped to the given positive dynamic range. A derived view only;
+    numeric consumers should read the CSV export instead."""
+    if not (math.isfinite(dynamic_range_db) and dynamic_range_db > 0):
+        raise ValueError(f"dynamic range must be finite and positive, got {dynamic_range_db!r}")
     mag = image.magnitude
     peak = mag.max()
     if peak == 0.0:

@@ -243,11 +243,7 @@ def peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None = None) ->
     return 10.0 * math.log10(peak2 / var)
 
 
-def compute_metrics(
-    image: ComplexImage,
-    truth_pos: Vec2 | None = None,
-    cell: float | None = None,
-) -> ImageMetrics:
+def compute_metrics(image: ComplexImage, truth_pos: Vec2 | None = None) -> ImageMetrics:
     """All quality figures of one image in a single record.
 
     ``peak_snr_db`` is filled only when a truth position is given.
@@ -255,7 +251,7 @@ def compute_metrics(
     pos, _, (i, j) = _refine_peak(image)
     snr = None
     if truth_pos is not None:
-        snr = peak_snr(image, truth_pos, cell=cell)
+        snr = peak_snr(image, truth_pos)
     return ImageMetrics(
         peak_pos=pos,
         peak_val=complex(image.pixels[i, j]),

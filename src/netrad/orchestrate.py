@@ -50,8 +50,8 @@ class OrchestrationPlan:
             "predicted": self.predicted.to_dict(),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def tessellation_angles(psi_0: float, f0: float, bandwidth: float, count: int) -> list[float]:
@@ -165,19 +165,16 @@ def tessellated_plan(
     target: Vec2,
     stand_off: float,
     psi_0: float = math.pi / 2.0,
-    full_pairing: bool = True,
 ) -> OrchestrationPlan:
     """Plan ``count`` acquisitions at tessellated angles around ``target``.
 
-    Terminals are placed at the stand-off range; full pairing schedules
-    both the monostatic and the multistatic acquisitions, which fill the
-    angular gaps between the monostatic tiles.
+    Terminals are placed at the stand-off range and fully paired: every
+    monostatic and multistatic acquisition is scheduled, the multistatic
+    ones filling the angular gaps between the monostatic tiles.
     """
     angles = tessellation_angles(psi_0, f0, bandwidth, count)
     positions = angles_to_positions(angles, target, stand_off)
-    pairing = (
-        AssociationMatrix.full(count) if full_pairing else AssociationMatrix.identity(count)
-    )
+    pairing = AssociationMatrix.full(count)
     probe = plan_scenario_prototype(positions, pairing, f0, bandwidth, target)
     est = predicted_resolution(coverage_region(probe, target))
     return OrchestrationPlan(

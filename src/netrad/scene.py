@@ -152,10 +152,11 @@ class ImageGrid:
     def __post_init__(self):
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "size", tuple(int(n) for n in self.size))
-        dx, dy = self.spacing
         nx, ny = self.size
-        if dx <= 0 or dy <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in self.spacing):
+            raise ValueError(f"grid spacing must be finite and positive, got {self.spacing}")
+        if not self.origin.is_finite():
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
         if nx < 1 or ny < 1:
             raise ValueError("grid size must be at least 1x1")
 
@@ -437,7 +438,7 @@ def scenario_from_doc(doc) -> Scenario:
     )
 
 
-def scenario_to_json(scenario: Scenario, indent: int | None = 2) -> str:
+def scenario_to_json(scenario: Scenario) -> str:
     """Serialize a scenario to the JSON schema consumed by load_scenario.
 
     Floats are written exactly (shortest round-trip repr) so that
@@ -467,4 +468,4 @@ def scenario_to_json(scenario: Scenario, indent: int | None = 2) -> str:
         "pairing": scenario.pairing.entries.tolist(),
         "seed": scenario.rng_seed,
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)

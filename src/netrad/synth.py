@@ -68,22 +68,20 @@ def apply_rcs(path_tx: float, path_rx: float, reflectivity: complex,
     return beta
 
 
-def default_sample_rate(bandwidth: float, oversample: float = 4.0) -> float:
-    """Complex sampling rate used when none is given. The default 4x
+def default_sample_rate(bandwidth: float) -> float:
+    """Complex sampling rate used when none is given: 4B. That 4x
     oversampling keeps linear-interpolation amplitude errors in the
     back-projector below about half a percent at the mainlobe."""
-    return oversample * bandwidth
+    return 4.0 * bandwidth
 
 
-def suggest_window(scenario: Scenario, grid: ImageGrid | None = None,
-                   margin: float | None = None) -> tuple[float, float]:
+def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
     """Acquisition window covering, over all active channels, every target
     delay plus the pair's clock error (responses arrive that late) and,
     optionally, every grid pixel delay without it (back-projection never
-    compensates the error), padded by ``margin`` (default 6/B, comfortably
-    above the 4/B minimum the simulator enforces around target responses)."""
-    if margin is None:
-        margin = 6.0 / scenario.bandwidth
+    compensates the error), padded by 6/B, comfortably above the 4/B
+    minimum the simulator enforces around target responses."""
+    margin = 6.0 / scenario.bandwidth
     corners = [] if grid is None else [
         Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
     lo, hi = math.inf, -math.inf
@@ -110,7 +108,6 @@ def synthesize(
     scenario: Scenario,
     window: tuple[float, float],
     fs: float | None = None,
-    include_spreading: bool = False,
     pairs: list[tuple[int, int]] | None = None,
 ) -> list[SignalRecord]:
     """Simulate the received signal of every active measurement channel.
@@ -166,7 +163,7 @@ def synthesize(
                             f"delay {tau:g} s on channel ({l},{k},{n},{m}); "
                             f"need {margin:g} s margin"
                         )
-                    beta = apply_rcs(d_tx, d_rx, target.reflectivity, include_spreading)
+                    beta = apply_rcs(d_tx, d_rx, target.reflectivity)
                     phase = np.exp(-2j * math.pi * scenario.f0 * tau)
                     acc += beta * phase * np.sinc(bw * (t - tau))
                 if sigma2 > 0.0:

@@ -138,9 +138,9 @@ def coverage_segment(
     bandwidth: float,
     n_freq: int = 2,
     baseband: bool = False,
-    pair: tuple[int, int, int, int] = (0, 0, 0, 0),
 ) -> WavenumberTile:
-    """Sample the wavenumber segment covered by one channel over its band.
+    """Sample the wavenumber segment covered by one channel over its band,
+    as the tile of channel (0, 0, 0, 0).
 
     Frequencies are uniform over [f0 - B/2, f0 + B/2]. ``bandwidth`` may
     be zero, collapsing the segment to the single monochromatic point.
@@ -151,7 +151,7 @@ def coverage_segment(
     u_tx = _unit_toward(tx_pos, target, "tx element")
     u_rx = _unit_toward(rx_pos, target, "rx element")
     samples = scale[:, None] * (u_tx + u_rx)[None, :]  # k* = (2 pi f / c) * (u_tx + u_rx)
-    return WavenumberTile(pair=pair, samples=samples, freqs=freqs, baseband=baseband)
+    return WavenumberTile(pair=(0, 0, 0, 0), samples=samples, freqs=freqs, baseband=baseband)
 
 
 def coverage_region(

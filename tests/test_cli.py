@@ -264,6 +264,35 @@ class TestFailures:
         err = json.loads(capsys.readouterr().err)
         assert "no targets" in err["error"]["message"]
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("fuse", "--grid-spacing", "0"),
+        ("fuse", "--grid-spacing", "nan"),
+        ("fuse", "--grid-spacing", "inf"),
+        ("fuse", "--grid-margin-cells", "-2"),
+        ("fuse", "--fs", "0"),
+        ("fuse", "--fs", "nan"),
+        ("fuse", "--dyn-range", "-10"),
+        ("fuse", "--dyn-range", "0"),
+        ("fuse", "--dyn-range", "nan"),
+        ("fuse", "--workers", "0"),
+        ("fuse", "--workers", "-3"),
+        ("coverage", "--n-freq", "1"),
+        ("orchestrate", "--L", "0"),
+        ("orchestrate", "--B", "0"),
+        ("orchestrate", "--B", "nan"),
+        ("orchestrate", "--psi0-deg", "nan"),
+    ])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, command, option, value):
+        # each used to exit 3 with a library message, or 0 with garbage
+        out = tmp_path / "out"
+        code = run_cli([command, "--scenario", SCENARIOS / "lane_single_terminal.json",
+                        "--out", out, option, value])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "validation"
+        assert err["error"]["message"].startswith(f"{option} must be a finite number")
+        assert not out.exists()
+
     def test_report_without_metrics_exits_2(self, tmp_path, capsys):
         code = run_cli(["report", "--out", tmp_path])
         assert code == 2

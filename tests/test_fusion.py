@@ -64,6 +64,14 @@ class TestIncoherent:
         with pytest.raises(ValueError, match="common grid"):
             fuse_incoherent([a, b])
 
+    def test_grid_mismatch_reported_before_bistatic_image(self):
+        rng = np.random.default_rng(5)
+        bistatic = random_image(rng, (0, 1))
+        other = ImageGrid(Vec2(0, 0), (0.25, 0.25), (9, 9))
+        mono = ComplexImage(grid=other, pixels=bistatic.pixels.copy(), provenance=(1, 1))
+        with pytest.raises(ValueError, match="common grid"):
+            fuse_incoherent([bistatic, mono])
+
     def test_snr_improves_with_image_count(self):
         # noisy copies of one scene: peak SNR grows roughly linearly
         sc = lane_scenario(n_terminals=5, m_rx=1, noise_power=0.3, seed=1)

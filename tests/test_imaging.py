@@ -14,6 +14,7 @@ from netrad.scene import (
     Vec2,
 )
 from netrad.imaging import (
+    ComplexImage,
     backproject,
     default_grid,
     export_image_csv,
@@ -293,3 +294,13 @@ class TestExports:
         # byte-identical re-export
         export_image_csv(image, tmp_path / "im2.csv")
         assert (tmp_path / "im2.csv").read_bytes() == csv.read_bytes()
+
+    @pytest.mark.parametrize("dynamic_range_db", [0.0, -10.0, math.nan, math.inf])
+    def test_pgm_rejects_invalid_dynamic_range(self, tmp_path, dynamic_range_db):
+        # -10 dB used to write an all-white raster, 0 and nan to warn and
+        # write garbage
+        grid = ImageGrid(Vec2(0.0, 0.0), (0.1, 0.1), (3, 3))
+        image = ComplexImage(grid, np.arange(9.0).reshape(3, 3), (0, 0))
+        with pytest.raises(ValueError, match="dynamic range must be finite and positive"):
+            export_image_pgm(image, tmp_path / "im.pgm", dynamic_range_db)
+        assert not (tmp_path / "im.pgm").exists()

@@ -6,6 +6,7 @@ import pytest
 
 from netrad.scene import (
     AssociationMatrix,
+    ImageGrid,
     PointTarget,
     Scenario,
     SchemaError,
@@ -205,6 +206,18 @@ def test_association_matrix_helpers():
     ident = AssociationMatrix.identity(3)
     assert ident.active_pairs() == [(0, 0), (1, 1), (2, 2)]
     assert ident.is_active(1, 1) and not ident.is_active(0, 1)
+
+
+@pytest.mark.parametrize("origin, spacing", [
+    (Vec2(0.0, 0.0), (math.nan, 0.1)),
+    (Vec2(0.0, 0.0), (0.1, math.inf)),
+    (Vec2(math.nan, 0.0), (0.1, 0.1)),
+    (Vec2(0.0, -math.inf), (0.1, 0.1)),
+])
+def test_image_grid_rejects_non_finite_geometry(origin, spacing):
+    # a nan spacing used to pass the positivity test and image all-nan pixels
+    with pytest.raises(ValueError, match="must be finite"):
+        ImageGrid(origin, spacing, (3, 3))
 
 
 def test_vec2_arithmetic():
