@@ -122,7 +122,11 @@ def _load_scenario(config: RunConfig) -> scene.Scenario:
             raise _ValidationFailure(
                 f"--set key {key!r} not overridable (choose from {', '.join(_OVERRIDABLE_KEYS)})"
             )
-        doc[key] = int(value) if key == "seed" else value
+        if key == "seed":
+            if not value.is_integer():
+                raise _ValidationFailure(f"--set seed must be an integer, got {value:g}")
+            value = int(value)
+        doc[key] = value
     if config.seed is not None:
         doc["seed"] = config.seed
     try:
@@ -185,7 +189,7 @@ def _cmd_coverage(config: RunConfig, out: Path) -> None:
     wavenumber.export_hull_csv(est, out / "hull.csv")
     doc = est.to_dict()
     doc["label"] = region.label
-    doc["n_tiles"] = len(region.tiles)
+    doc["n_tiles"] = len(region.pairs)
     _write_json(doc, out / "resolution.json")
 
 

@@ -115,8 +115,8 @@ def plan(
     """Greedy selection of ``n_active`` terminals maximizing a coverage
     objective at ``target``.
 
-    Candidates are scored by the hull extent (or area) of the coverage
-    of the already-selected set plus the candidate, under the scenario
+    Candidates are scored by the coverage extent (or hull area) of the
+    already-selected set plus the candidate, under the scenario
     pairing restricted to that set; ties break toward the lowest
     terminal id, so the plan is deterministic.
     """

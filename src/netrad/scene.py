@@ -258,7 +258,11 @@ def validate(scenario: Scenario) -> list[str]:
         if not abs(target.reflectivity) > 0:
             v.append(f"target {t}: reflectivity magnitude must be positive")
 
-    if not scenario.bandwidth > 0:
+    band = (("f0_hz", scenario.f0), ("bandwidth_hz", scenario.bandwidth))
+    if not all(math.isfinite(value) for _, value in band):
+        v.extend(f"{name} must be finite, got {value}" for name, value in band
+                 if not math.isfinite(value))
+    elif not scenario.bandwidth > 0:
         v.append("bandwidth must be positive")
     elif not scenario.f0 > scenario.bandwidth / 2:
         v.append("carrier f0 must exceed bandwidth/2")
@@ -266,6 +270,9 @@ def validate(scenario: Scenario) -> list[str]:
         v.append(f"noise_power must be finite, got {scenario.noise_power}")
     elif scenario.noise_power < 0:
         v.append("noise power must be non-negative")
+
+    if not scenario.rng_seed >= 0:
+        v.append(f"seed must be non-negative, got {scenario.rng_seed}")
 
     if scenario.sync_errors.shape != (n, n):
         v.append(f"sync_errors must be {n}x{n}, got {scenario.sync_errors.shape}")

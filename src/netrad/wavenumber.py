@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,26 +34,30 @@ class WavenumberTile:
     rx element) channel: points of the segment swept by the composite
     wavevector over the signal band.
 
-    ``samples`` is an (n, 2) array in rad/m; ``freqs`` holds the sampled
-    frequencies in Hz. Base-band tiles are shifted so the center-frequency
-    composite wavevector sits at the origin (magnitude-only imaging).
+    ``samples`` is an (n_freq, 2) array in rad/m; ``freqs`` holds the
+    sampled frequencies in Hz.
     """
 
     pair: tuple[int, int, int, int]
     samples: np.ndarray
     freqs: np.ndarray
-    baseband: bool = False
 
 
 @dataclass(frozen=True)
 class WavenumberRegion:
-    """Union of coverage tiles for a full acquisition."""
+    """Coverage of a full acquisition, one row per channel: channel
+    ``pairs[i]`` (tx terminal, rx terminal, tx element, rx element) sweeps
+    ``samples[i]``, an (n_freq, 2) array in rad/m, over ``freqs`` in Hz."""
 
-    tiles: tuple[WavenumberTile, ...]
+    pairs: tuple[tuple[int, int, int, int], ...]
+    samples: np.ndarray
+    freqs: np.ndarray
     label: str  # "monostatic" | "bistatic" | "fused"
 
-    def all_samples(self) -> np.ndarray:
-        return np.concatenate([t.samples for t in self.tiles], axis=0)
+    @property
+    def tiles(self) -> tuple[WavenumberTile, ...]:
+        """Per-channel views of ``samples``."""
+        return tuple(WavenumberTile(p, s, self.freqs) for p, s in zip(self.pairs, self.samples))
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,11 @@ class ResolutionEstimate:
     rho_y: float
     dk_x: float
     dk_y: float
-    hull: tuple[Vec2, ...]
+    ends: np.ndarray  # band-edge points of every channel
+
+    @cached_property
+    def hull(self) -> np.ndarray:  # built on first read: only some callers need it
+        return convex_hull(self.ends)
 
     def to_dict(self) -> dict:
         return {
@@ -77,7 +86,7 @@ class ResolutionEstimate:
             "dk_x_rad_per_m": self.dk_x,
             "dk_y_rad_per_m": self.dk_y,
             "hull_area_rad2_per_m2": polygon_area(self.hull),
-            "hull_vertices": [[v.x, v.y] for v in self.hull],
+            "hull_vertices": self.hull.tolist(),
         }
 
 
@@ -151,7 +160,7 @@ def coverage_segment(
     u_tx = _unit_toward(tx_pos, target, "tx element")
     u_rx = _unit_toward(rx_pos, target, "rx element")
     samples = scale[:, None] * (u_tx + u_rx)[None, :]  # k* = (2 pi f / c) * (u_tx + u_rx)
-    return WavenumberTile(pair=(0, 0, 0, 0), samples=samples, freqs=freqs, baseband=baseband)
+    return WavenumberTile(pair=(0, 0, 0, 0), samples=samples, freqs=freqs)
 
 
 def coverage_region(
@@ -162,18 +171,19 @@ def coverage_region(
 ) -> WavenumberRegion:
     """Coverage of every active measurement channel of a scenario.
 
-    One tile per (tx terminal, rx terminal, tx element, rx element)
+    One row per (tx terminal, rx terminal, tx element, rx element)
     channel admitted by the association matrix, equal to its
     ``coverage_segment``; the default two frequencies (the band edges)
     are all ``predicted_resolution`` needs. Element unit vectors are
-    computed once and a pair's tiles are views of one array.
-    ``baseband=True`` models magnitude-only (incoherent) combination."""
+    computed once and all samples fill one array. ``baseband=True``
+    shifts each segment so its center-frequency point sits at the origin
+    (magnitude-only, incoherent combination)."""
     freqs, scale = _band(scenario.f0, scenario.bandwidth, n_freq, baseband)
     pairs, terms = scenario.pairing.active_pairs(), scenario.terminals
     u_tx = {l: _units_toward(terms[l].tx_elements, target) for l in {p[0] for p in pairs}}
     u_rx = {k: _units_toward(terms[k].rx_elements, target) for k in {p[1] for p in pairs}}
     mono, bist = any(l == k for l, k in pairs), any(l != k for l, k in pairs)
-    tiles: list[WavenumberTile] = []
+    channels, directions = [], []
     for l, k in pairs:
         direction = u_tx[l][:, None] + u_rx[k][None, :]
         if len(bad := np.argwhere(np.isnan(direction[:, :, 0]))):  # first in (n, m) order
@@ -181,13 +191,13 @@ def coverage_region(
             what = "tx" if np.isnan(u_tx[l][n, 0]) else "rx"
             raise ValueError(f"channel ({l},{k},{n},{m}): degenerate geometry: "
                              f"{what} element coincides with the target")
-        samples = scale[:, None] * direction[:, :, None, :]
-        tiles.extend(WavenumberTile((l, k, n, m), samples[n, m], freqs, baseband)
-                     for n, m in np.ndindex(direction.shape[:2]))
-    if not tiles:
+        channels.extend((l, k, n, m) for n, m in np.ndindex(direction.shape[:2]))
+        directions.append(direction.reshape(-1, 2))
+    if not channels:
         raise ValueError("no active channels: association matrix selects no pairs")
+    samples = scale[:, None] * np.concatenate(directions)[:, None, :]
     label = "fused" if (mono and bist) else ("bistatic" if bist else "monostatic")
-    return WavenumberRegion(tiles=tuple(tiles), label=label)
+    return WavenumberRegion(pairs=tuple(channels), samples=samples, freqs=freqs, label=label)
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -234,19 +244,19 @@ def predicted_resolution(region: WavenumberRegion) -> ResolutionEstimate:
 
     The axis-aligned extents of the coverage give rho = 2*pi / extent per
     axis; a zero extent is reported as an unbounded (infinite) resolution.
-    Each tile is a straight segment, linear and monotone in f, so its band
-    edges (first and last samples) are its extremes: the extents (exactly
-    those of all samples) and the convex hull come from them alone, for
-    any sampling density. Slicing along x and y treats the covered region
-    as a rectangle, the usual approximation."""
-    ends = np.concatenate([t.samples[[0, -1]] for t in region.tiles])
+    Each channel is a straight segment, linear and monotone in f, so its
+    band edges (first and last samples) are its extremes: the extents
+    (exactly those of all samples) and the convex hull come from them
+    alone, for any sampling density. Slicing along x and y treats the
+    covered region as a rectangle, the usual approximation."""
+    ends = region.samples[:, [0, -1]].reshape(-1, 2)
     dk_x, dk_y = np.ptp(ends, axis=0).tolist()
     return ResolutionEstimate(
         rho_x=(TWO_PI / dk_x) if dk_x > 0.0 else math.inf,
         rho_y=(TWO_PI / dk_y) if dk_y > 0.0 else math.inf,
         dk_x=dk_x,
         dk_y=dk_y,
-        hull=tuple(Vec2(x, y) for x, y in convex_hull(ends).tolist()),
+        ends=ends,
     )
 
 
@@ -279,12 +289,12 @@ def bistatic_loss(alpha: float) -> float:
 # --- exports ----------------------------------------------------------------
 
 def export_coverage_csv(region: WavenumberRegion, path) -> None:
-    """Write tile samples as (pair_id, k_x, k_y, f_hz) rows."""
+    """Write every channel's samples as (pair_id, k_x, k_y, f_hz) rows."""
     with open(path, "w") as fh:
         fh.write("pair_id,k_x,k_y,f_hz\n")
-        for tile in region.tiles:
-            fmt = "-".join(str(i) for i in tile.pair) + ",%.9g,%.9g,%.9g\n"
-            rows = np.column_stack((tile.samples, tile.freqs))
+        for pair, samples in zip(region.pairs, region.samples):
+            fmt = "-".join(str(i) for i in pair) + ",%.9g,%.9g,%.9g\n"
+            rows = np.column_stack((samples, region.freqs))
             fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
 
 
@@ -292,5 +302,5 @@ def export_hull_csv(estimate: ResolutionEstimate, path) -> None:
     """Write hull polygon vertices as (k_x, k_y) rows."""
     with open(path, "w") as fh:
         fh.write("k_x,k_y\n")
-        for v in estimate.hull:
-            fh.write(f"{v.x:.9g},{v.y:.9g}\n")
+        for x, y in estimate.hull.tolist():
+            fh.write(f"{x:.9g},{y:.9g}\n")

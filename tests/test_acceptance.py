@@ -304,9 +304,9 @@ def test_criterion_10_monochromatic_degeneracy():
         tile = coverage_segment(origin, origin, TARGET, F0, 0.0, n_freq=8)
         assert np.all(tile.samples == tile.samples[0])  # a single point
 
-        est = predicted_resolution(
-            WavenumberRegion(tiles=(tile,), label="monostatic")
-        )
+        est = predicted_resolution(WavenumberRegion(
+            pairs=(tile.pair,), samples=tile.samples[None], freqs=tile.freqs, label="monostatic"
+        ))
         assert math.isinf(est.rho_x) and math.isinf(est.rho_y)
         assert est.dk_x == 0.0 and est.dk_y == 0.0
 

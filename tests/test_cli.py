@@ -242,6 +242,30 @@ class TestFailures:
         err = json.loads(capsys.readouterr().err)
         assert any("noise_power" in v for v in err["error"]["violations"])
 
+    @pytest.mark.parametrize("key", ["f0_hz", "bandwidth_hz"])
+    def test_non_finite_band_exits_2(self, tmp_path, capsys, key):
+        # an infinite carrier used to exit 0 with all-NaN records
+        code = run_cli(
+            ["simulate", "--scenario", SCENARIOS / "lane_single_terminal.json",
+             "--out", tmp_path, "--set", f"{key}=inf"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["violations"] == [f"{key} must be finite, got inf"]
+
+    @pytest.mark.parametrize("args", [
+        ["--seed", "-1"], ["--set", "seed=-1"], ["--set", "seed=nan"], ["--set", "seed=1.5"],
+    ])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, args):
+        # negative and NaN seeds used to exit 3 and 1.5 to run with seed 1
+        code = run_cli(["simulate", "--scenario", SCENARIOS / "lane_single_terminal.json",
+                        "--out", tmp_path, *args])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert "seed" in " ".join([err["message"], *err.get("violations", [])])
+        assert not (tmp_path / "records").exists()
+
     def test_non_finite_sync_error_exits_2(self, tmp_path, capsys):
         # used to fail at runtime with "cannot size a window"
         doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())

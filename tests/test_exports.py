@@ -5,12 +5,7 @@ import numpy as np
 
 from netrad.imaging import ComplexImage, export_image_csv
 from netrad.scene import ImageGrid, Vec2
-from netrad.wavenumber import (
-    WavenumberRegion,
-    WavenumberTile,
-    coverage_region,
-    export_coverage_csv,
-)
+from netrad.wavenumber import WavenumberRegion, coverage_region, export_coverage_csv
 from helpers import TARGET, lane_scenario
 
 EDGE = np.array([-0.0, 0.0, 1e-5, -1e-5, 1e21, -1e21, 123456789.5, 2.5e-300, np.inf, np.nan])
@@ -18,9 +13,9 @@ EDGE = np.array([-0.0, 0.0, 1e-5, -1e-5, 1e21, -1e21, 123456789.5, 2.5e-300, np.
 
 def reference_coverage_csv(region):
     text = "pair_id,k_x,k_y,f_hz\n"
-    for tile in region.tiles:
-        pid = "-".join(str(i) for i in tile.pair)
-        for (kx, ky), f in zip(tile.samples, tile.freqs):
+    for pair, samples in zip(region.pairs, region.samples):
+        pid = "-".join(str(i) for i in pair)
+        for (kx, ky), f in zip(samples, region.freqs):
             text += f"{pid},{kx:.9g},{ky:.9g},{f:.9g}\n"
     return text
 
@@ -35,12 +30,14 @@ def reference_image_csv(image):
 
 
 def test_coverage_csv_matches_reference(tmp_path):
-    edge = WavenumberTile((0, 1, 12, 3), np.column_stack([EDGE, -EDGE[::-1]]), -EDGE)
+    edge = WavenumberRegion(pairs=((0, 1, 12, 3),),
+                            samples=np.column_stack([EDGE, -EDGE[::-1]])[None], freqs=-EDGE,
+                            label="monostatic")
     sampled = coverage_region(lane_scenario(n_terminals=2, m_rx=3), TARGET, n_freq=5,
                               baseband=True)
-    region = WavenumberRegion(tiles=(edge,) + sampled.tiles, label="monostatic")
-    export_coverage_csv(region, tmp_path / "coverage.csv")
-    assert (tmp_path / "coverage.csv").read_text() == reference_coverage_csv(region)
+    for region in (edge, sampled):
+        export_coverage_csv(region, tmp_path / "coverage.csv")
+        assert (tmp_path / "coverage.csv").read_text() == reference_coverage_csv(region)
 
 
 def test_image_csv_matches_reference(tmp_path):

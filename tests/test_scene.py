@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ def test_validate_reports_noise_and_carrier_violations():
     v = validate(bad)
     assert "carrier f0 must exceed bandwidth/2" in v
     assert "noise power must be non-negative" in v
+
+
+def test_validate_reports_negative_seed():
+    doc = json.loads(MINIMAL_DOC)
+    doc["seed"] = -1
+    assert validate(scenario_from_doc(doc)) == ["seed must be non-negative, got -1"]
+
+
+@pytest.mark.parametrize("field, value", [("f0", math.inf), ("bandwidth", math.inf),
+                                          ("bandwidth", math.nan)])
+def test_validate_reports_non_finite_band(field, value):
+    bad = replace(load_scenario(MINIMAL_DOC), **{field: value})
+    assert validate(bad) == [f"{field}_hz must be finite, got {value}"]
 
 
 def test_validate_is_total_on_weird_values():

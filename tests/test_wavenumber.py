@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netrad import cli, orchestrate, wavenumber
+from netrad.imaging import default_grid
+from netrad.orchestrate import plan
 from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, Scenario, Vec2
 from netrad.wavenumber import (
+    WavenumberRegion,
     aperture_for_cross_range,
     bistatic_loss,
     composite_wavenumber,
@@ -112,14 +118,16 @@ class TestCoverageRegion:
     def test_single_channel_single_tile(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
         region = coverage_region(sc, TARGET)
-        assert len(region.tiles) == 1
+        assert len(region.pairs) == 1
         assert region.label == "monostatic"
 
     def test_full_pairing_tile_count(self):
         sc = lane_scenario(n_terminals=2, m_rx=3, pairing=AssociationMatrix.full(2))
         region = coverage_region(sc, TARGET)
         # 4 pairs x (1 tx x 3 rx) channels each
-        assert len(region.tiles) == 4 * 3
+        assert region.pairs == tuple((l, k, 0, m) for l in range(2) for k in range(2)
+                                     for m in range(3))
+        assert region.samples.shape == (4 * 3, 2, 2)
         assert region.label == "fused"
 
     def test_identity_equals_union_of_monostatic_regions(self):
@@ -133,22 +141,19 @@ class TestCoverageRegion:
                 terminals=sc.terminals, targets=sc.targets, f0=sc.f0,
                 bandwidth=sc.bandwidth, pairing=AssociationMatrix(mask),
             )
-            per_terminal.extend(coverage_region(sub, TARGET, n_freq=8).tiles)
-        assert len(per_terminal) == len(combined.tiles)
-        for a, b in zip(combined.tiles, per_terminal):
-            assert a.pair == b.pair
-            assert np.array_equal(a.samples, b.samples)
+            per_terminal.append(coverage_region(sub, TARGET, n_freq=8))
+        assert combined.pairs == sum((r.pairs for r in per_terminal), ())
+        assert np.array_equal(combined.samples,
+                              np.concatenate([r.samples for r in per_terminal]))
 
     def test_baseband_is_center_shifted_passband(self):
         sc = lane_scenario(n_terminals=1, m_rx=2)
         pb = coverage_region(sc, TARGET, n_freq=9, baseband=False)
         bb = coverage_region(sc, TARGET, n_freq=9, baseband=True)
-        for tp, tb in zip(pb.tiles, bb.tiles):
-            center = tp.samples[len(tp.samples) // 2]  # odd count: exact f0 sample
-            np.testing.assert_allclose(tb.samples, tp.samples - center, atol=1e-9)
-        # base-band tiles straddle the origin
-        allbb = bb.all_samples()
-        assert allbb.min() < 0 < allbb.max()
+        center = pb.samples[:, 9 // 2]  # odd count: exact f0 sample
+        np.testing.assert_allclose(bb.samples, pb.samples - center[:, None], atol=1e-9)
+        # base-band segments straddle the origin
+        assert bb.samples.min() < 0 < bb.samples.max()
 
     @pytest.mark.parametrize("extent_deg,tol", [(3.0, 0.02), (5.0, 0.04)])
     def test_aperture_area_formula(self, extent_deg, tol):
@@ -181,53 +186,80 @@ class TestPredictedResolution:
         assert est.rho_y == pytest.approx(1.5, rel=1e-9)
 
     def test_monochromatic_no_resolution(self):
-        tile = coverage_segment(ORIGIN, ORIGIN, TARGET, F0, 0.0, n_freq=4)
-        from netrad.wavenumber import WavenumberRegion
-
-        est = predicted_resolution(WavenumberRegion(tiles=(tile,), label="monostatic"))
+        seg = coverage_segment(ORIGIN, ORIGIN, TARGET, F0, 0.0, n_freq=4)
+        est = predicted_resolution(WavenumberRegion(
+            pairs=(seg.pair,), samples=seg.samples[None], freqs=seg.freqs, label="monostatic"))
         assert math.isinf(est.rho_x) and math.isinf(est.rho_y)
 
     def test_hull_monotonicity(self):
-        from netrad.wavenumber import WavenumberRegion
-
         sc = lane_scenario(n_terminals=3, m_rx=2, pairing=AssociationMatrix.full(3))
         region = coverage_region(sc, TARGET, n_freq=8)
         prev_x = prev_y = 0.0
-        for count in range(1, len(region.tiles) + 1):
-            est = predicted_resolution(
-                WavenumberRegion(tiles=region.tiles[:count], label=region.label)
-            )
+        for count in range(1, len(region.pairs) + 1):
+            est = predicted_resolution(replace(
+                region, pairs=region.pairs[:count], samples=region.samples[:count]))
             assert est.dk_x >= prev_x and est.dk_y >= prev_y
             prev_x, prev_y = est.dk_x, est.dk_y
 
     def test_tile_order_invariance(self):
-        from netrad.wavenumber import WavenumberRegion
-
         sc = lane_scenario(n_terminals=3, m_rx=2, pairing=AssociationMatrix.full(3))
         region = coverage_region(sc, TARGET, n_freq=8)
         est = predicted_resolution(region)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            perm = rng.permutation(len(region.tiles))
-            shuffled = WavenumberRegion(
-                tiles=tuple(region.tiles[i] for i in perm), label=region.label
-            )
+            perm = rng.permutation(len(region.pairs))
+            shuffled = replace(region, pairs=tuple(region.pairs[i] for i in perm),
+                               samples=region.samples[perm])
             est2 = predicted_resolution(shuffled)
             assert est2.dk_x == est.dk_x and est2.dk_y == est.dk_y
 
     def test_extents_match_exhaustive_pairwise_oracle(self):
         sc = lane_scenario(n_terminals=3, m_rx=1, pairing=AssociationMatrix.full(3))
         region = coverage_region(sc, TARGET, n_freq=8)
-        tiles = region.tiles[:3]  # <= 3 channels, n_freq <= 8
-        from netrad.wavenumber import WavenumberRegion
-
-        sub = WavenumberRegion(tiles=tiles, label="fused")
+        # <= 3 channels, n_freq <= 8
+        sub = replace(region, pairs=region.pairs[:3], samples=region.samples[:3])
         est = predicted_resolution(sub)
-        pts = sub.all_samples()
+        pts = sub.samples.reshape(-1, 2)
         best_x = max(abs(a[0] - b[0]) for a in pts for b in pts)
         best_y = max(abs(a[1] - b[1]) for a in pts for b in pts)
         assert est.dk_x == best_x  # exact float equality against brute force
         assert est.dk_y == best_y
+
+
+class TestHullIsBuiltOnlyWhereRead:
+    @pytest.fixture
+    def hull_calls(self, monkeypatch):
+        calls = []
+        hull = wavenumber.convex_hull
+        monkeypatch.setattr(wavenumber, "convex_hull", lambda pts: calls.append(1) or hull(pts))
+        return calls
+
+    def test_default_grid_builds_none(self, hull_calls):
+        default_grid(lane_scenario(pairing=AssociationMatrix.full(5)))
+        assert hull_calls == []
+
+    @pytest.mark.parametrize("objective", ["extent-x", "extent-y"])
+    def test_extent_plan_builds_none(self, hull_calls, objective):
+        plan(lane_scenario(pairing=AssociationMatrix.full(5)), TARGET, 3, objective=objective)
+        assert hull_calls == []
+
+    def test_area_plan_builds_one_per_candidate(self, hull_calls, monkeypatch):
+        candidates = []
+        region = orchestrate.coverage_region
+        monkeypatch.setattr(orchestrate, "coverage_region",
+                            lambda *a, **kw: candidates.append(1) or region(*a, **kw))
+        result = plan(lane_scenario(pairing=AssociationMatrix.full(5)), TARGET, 3,
+                      objective="area")
+        result.to_dict()  # the winner's hull is already built
+        assert len(candidates) == 5 + 4 + 3
+        assert len(hull_calls) == len(candidates)
+
+    def test_coverage_command_builds_one(self, hull_calls, tmp_path):
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "lane_multistatic.json"
+        assert cli.main(["coverage", "--scenario", str(scenario), "--out", str(tmp_path),
+                         "--n-freq", "2"]) == 0
+        assert (tmp_path / "hull.csv").exists() and (tmp_path / "resolution.json").exists()
+        assert len(hull_calls) == 1
 
 
 class TestConvexHull:

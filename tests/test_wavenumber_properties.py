@@ -1,7 +1,7 @@
 """Property tests of the resolution prediction on random small
 acquisitions: 1-3 terminals anywhere around the target with 1-2 Tx and
 1-3 Rx elements each, a random association matrix, pass-band and
-base-band tiles, and several frequency sampling densities."""
+base-band coverage, and several frequency sampling densities."""
 
 import math
 
@@ -68,7 +68,7 @@ def distance_outside(point, hull: np.ndarray) -> float:
 @given(acquisitions(), st.booleans(), st.sampled_from([2, 3, 16, 64]))
 def test_prediction_from_band_edges_matches_dense_sampling(scenario, baseband, n_freq):
     dense = coverage_region(scenario, TARGET, n_freq=n_freq, baseband=baseband)
-    samples = dense.all_samples()
+    samples = dense.samples.reshape(-1, 2)
     est = predicted_resolution(dense)
 
     # extents are those of every sample, exactly
@@ -79,13 +79,14 @@ def test_prediction_from_band_edges_matches_dense_sampling(scenario, baseband, n
     edges = predicted_resolution(coverage_region(scenario, TARGET, baseband=baseband))
     assert (est.rho_x, est.rho_y, est.dk_x, est.dk_y) == (
         edges.rho_x, edges.rho_y, edges.dk_x, edges.dk_y)
-    assert est.hull == edges.hull
+    assert np.array_equal(est.hull, edges.hull)
+    assert np.array_equal(est.hull, convex_hull(dense.samples[:, [0, -1]].reshape(-1, 2)))
 
     # the hull of the band edges is the hull of every sample: no sample
     # lies farther than tol outside it, so the areas differ by at most a
     # band of width tol along its perimeter (what a rounding-noise sliver
     # of collinear samples adds)
-    hull = np.array([[v.x, v.y] for v in est.hull])
+    hull = est.hull
     tol = 1e-9 * (float(np.abs(samples).max()) or 1.0)
     for point in samples:
         assert distance_outside(point, hull) <= tol
@@ -98,20 +99,24 @@ def test_prediction_from_band_edges_matches_dense_sampling(scenario, baseband, n
 @given(acquisitions(), st.booleans(), st.sampled_from([2, 3, 16]))
 def test_region_tiles_equal_per_channel_segments(scenario, baseband, n_freq):
     region = coverage_region(scenario, TARGET, n_freq=n_freq, baseband=baseband)
-    assert [t.pair for t in region.tiles] == [
+    assert list(region.pairs) == [
         (l, k, n, m)
         for l, k in scenario.pairing.active_pairs()
         for n in range(len(scenario.terminals[l].tx_elements))
         for m in range(len(scenario.terminals[k].rx_elements))
     ]
-    for tile in region.tiles:
-        l, k, n, m = tile.pair
+    assert region.samples.shape == (len(region.pairs), n_freq, 2)
+    for pair, samples, tile in zip(region.pairs, region.samples, region.tiles, strict=True):
+        l, k, n, m = pair
         ref = coverage_segment(
             scenario.terminals[l].tx_elements[n], scenario.terminals[k].rx_elements[m],
             TARGET, F0, scenario.bandwidth, n_freq=n_freq, baseband=baseband,
         )
-        assert tile.samples.tobytes() == ref.samples.tobytes()
-        assert tile.freqs.tobytes() == ref.freqs.tobytes()
+        assert samples.tobytes() == ref.samples.tobytes()
+        assert region.freqs.tobytes() == ref.freqs.tobytes()
+        # tiles are per-channel views of the region's one array
+        assert tile.pair == pair and np.shares_memory(tile.samples, region.samples)
+        assert tile.samples.tobytes() == samples.tobytes() and tile.freqs is region.freqs
 
 
 @pytest.mark.parametrize("kind, channel", [("tx", "(0,1,1,0)"), ("rx", "(0,1,0,1)")])
