@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Time back-projection of the 25-pair lane fuse at one and two workers.
+
+    python3 scripts/bp_timing.py [--reps 15] [--sizes 25,49,65,81,101,121] [--block-pixch N]
+
+Synthesizes `scenarios/lane_multistatic.json` once (3350 channels), then
+for each square grid, centred on the target at the default pixel pitch,
+times `imaging.pair_images` with workers 1 and 2 alternating and prints
+the median and quartiles of each in milliseconds, and their ratio.
+``--block-pixch`` replaces the kernel's pixel-channels per numpy call.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from netrad import imaging  # noqa: E402
+from netrad.imaging import default_grid, pair_images  # noqa: E402
+from netrad.scene import ImageGrid, Vec2, load_scenario  # noqa: E402
+from netrad.synth import suggest_window, synthesize  # noqa: E402
+
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--reps", type=int, default=15)
+parser.add_argument("--sizes", default="25,49,65,81,101,121")
+parser.add_argument("--block-pixch", type=int, default=imaging._BLOCK_PIXCH)
+args = parser.parse_args()
+imaging._BLOCK_PIXCH = args.block_pixch
+sc = load_scenario((ROOT / "scenarios" / "lane_multistatic.json").read_text())
+step = default_grid(sc).spacing[0]
+target = sc.targets[0].position
+
+
+def grid(n):
+    half = step * (n - 1) / 2
+    return ImageGrid(Vec2(target.x - half, target.y - half), (step, step), (n, n))
+
+
+sizes = [int(s) for s in args.sizes.split(",")]
+records = synthesize(sc, suggest_window(sc, grid(max(sizes))))
+print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}")
+for n in sizes:
+    g, times = grid(n), {1: [], 2: []}
+    for _ in range(args.reps):
+        for workers in (1, 2):
+            start = time.perf_counter()
+            pair_images(records, sc, g, workers=workers)
+            times[workers].append(1e3 * (time.perf_counter() - start))
+    q = {w: statistics.quantiles(t, n=4) for w, t in times.items()}
+    cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in (1, 2)]
+    print(f"{n:>4}² {cells[0]:>25} {cells[1]:>26} {q[1][1] / q[2][1]:>6.2f}")

@@ -15,8 +15,12 @@ The carrier phase factors into a Tx and an Rx part, so one delay map
 per Tx element and one delay map and phase per Rx element serve every
 pair using the element. Each (pair, Tx element) sums its channels without
 the Tx phase, by ascending Rx element and then record order; Tx phases
-are applied last, by ascending Tx element. The order is fixed per pixel:
-a pair's image is bit-identical for any worker count and co-imaged pairs.
+are applied last, by ascending Tx element. Rx elements are taken in
+blocks of B = max(1, _BLOCK_PIXCH // grid pixels): each numpy call of a
+channel's op chain covers the block's channels of one (pair, Tx element),
+whose rows are then added one after another. The order is fixed per
+pixel: a pair's image is bit-identical for any worker count, block size
+and co-imaged pairs.
 
 A delay map is r/c with r the square root of the broadcast squared x and
 y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
@@ -30,6 +34,7 @@ the exact check runs, with its message, only when the bound fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,6 +46,11 @@ from .synth import SignalRecord, suggest_window, synthesize
 from .wavenumber import coverage_region, predicted_resolution
 
 _SINC_TAPS = 16
+# Pixel-channels per numpy call: 5 Rx elements a block on 49x49, the most
+# within +5% peak memory (~80 B per pixel-channel and thread). Lane fuse,
+# scripts/bp_timing.py, median ms at 1/2 workers on 49x49: 69/101 one
+# element per call, 47/43 here, 49/42 in blocks of 10; one from 101x101 up.
+_BLOCK_PIXCH = 14336
 
 
 @dataclass(frozen=True)
@@ -68,33 +78,49 @@ class ComplexImage:
         return np.abs(self.pixels)
 
 
-def _interp_linear(rec: SignalRecord, pos: np.ndarray, work) -> np.ndarray:
-    """Two-point interpolation at fractional sample positions ``pos``
-    (overwritten), into the reused buffers ``work``."""
-    index, vals, step = work
-    # pos >= 0 inside the record window, so truncation is the floor;
-    # mode="clip" keeps the last sample's index in range
-    np.copyto(index, pos, casting="unsafe")
-    np.subtract(pos, index, out=pos)
-    np.multiply(np.take(np.diff(rec.samples), index, out=step, mode="clip"), pos, out=vals)
-    return np.add(vals, np.take(rec.samples, index, out=step, mode="clip"), out=vals)
+def _interp_linear(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarray:
+    """Two-point interpolation of each ``recs[c]`` at the delays
+    ``tau[c]`` (overwritten), into the reused buffers ``work``; the
+    records share t0, fs and length."""
+    index, vals, step, floor = work
+    rec, n = recs[0], len(recs[0].samples)
+    samples = np.concatenate([r.samples for r in recs]) if len(recs) > 1 else rec.samples
+    # the step to the next sample; a record's last sample repeats its last step
+    steps = np.empty_like(samples)
+    np.subtract(samples[1:], samples[:-1], out=steps[:-1])
+    steps[n - 1::n] = steps[n - 2::n]
+    pos = np.multiply(np.subtract(tau, rec.t0, out=tau), rec.fs, out=tau)
+    # 0 <= pos < n inside the record window: truncation is the floor and
+    # every index below is in range
+    np.copyto(index, np.trunc(pos, out=floor), casting="unsafe")
+    np.subtract(pos, floor, out=pos)
+    if len(recs) > 1:
+        np.add(index, np.arange(0, len(samples), n).reshape(-1, 1, 1), out=index)
+    np.multiply(np.take(steps, index, out=step, mode="wrap"), pos, out=vals)
+    return np.add(vals, np.take(samples, index, out=step, mode="wrap"), out=vals)
 
 
-def _interp_sinc(rec: SignalRecord, pos: np.ndarray, work) -> np.ndarray:
-    """Windowed-sinc interpolation at ``pos``; ``work`` is not needed."""
-    n = len(rec.samples)
-    base = np.clip(np.round(pos.ravel()).astype(int) - _SINC_TAPS // 2, 0, n - _SINC_TAPS)
-    idx = base[:, None] + np.arange(_SINC_TAPS)
-    weights = np.sinc(pos.reshape(-1, 1) - idx)
-    return (rec.samples[idx] * weights).sum(axis=1).reshape(pos.shape)
+def _interp_sinc(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarray:
+    """Windowed-sinc interpolation of each ``recs[c]`` at ``tau[c]``; the
+    records share t0, fs and length, and ``work`` is not needed."""
+    rec, n = recs[0], len(recs[0].samples)
+    if n < _SINC_TAPS:
+        raise ValueError(f"sinc interpolation needs {_SINC_TAPS} samples per record, got {n}")
+    pos = (tau - rec.t0) * rec.fs
+    base = np.clip(np.round(pos).astype(int) - _SINC_TAPS // 2, 0, n - _SINC_TAPS)
+    idx = base[..., None] + np.arange(_SINC_TAPS)
+    weights = np.sinc(pos[..., None] - idx)
+    starts = np.arange(0, len(recs) * n, n).reshape(-1, 1, 1, 1)
+    return (np.concatenate([r.samples for r in recs])[idx + starts] * weights).sum(axis=-1)
 
 
 _INTERPOLATORS = {"linear": _interp_linear, "sinc": _interp_sinc}
 
 
-def _delay_map(el: Vec2, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """Delay |p - el| / c from element ``el`` to each pixel p = (x, y)."""
-    r2 = np.add(np.square(x - el.x), np.square(y - el.y), out=out)
+def _delay_map(ex, ey, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Delay |p - e| / c from an element e = (ex, ey) to each pixel p =
+    (x, y); (B, 1, 1) coordinates give the maps of B elements."""
+    r2 = np.add(np.square(x - ex), np.square(y - ey), out=out)
     return np.divide(np.sqrt(r2, out=r2), SPEED_OF_LIGHT, out=r2)
 
 
@@ -115,10 +141,13 @@ def _carrier_phase(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
     np.bitwise_and(index, _PHASE_STEPS - 1, out=index)
     d = np.subtract(theta, np.multiply(turn, _PHASE_STEP, out=turn), out=theta)
     d2 = np.multiply(d, d, out=turn)
-    # cos d = 1 - d^2/2 + d^4/24 and sin d = d - d^3/6
-    re = np.multiply(d2, 1.0 / 24.0, out=rot.real)
-    np.add(np.multiply(np.subtract(re, 0.5, out=re), d2, out=re), 1.0, out=re)
-    np.multiply(np.subtract(1.0, np.multiply(d2, 1.0 / 6.0, out=d2), out=d2), d, out=rot.imag)
+    # cos d = 1 - d^2/2 + d^4/24 and sin d = d - d^3/6, in the contiguous
+    # halves of ``table`` before they are interleaved into ``rot``
+    re, im = table.reshape(-1).view(float).reshape(2, *d.shape)
+    np.add(np.multiply(np.subtract(np.multiply(d2, 1.0 / 24.0, out=re), 0.5, out=re), d2, out=re),
+           1.0, out=re)
+    np.multiply(np.subtract(1.0, np.multiply(d2, 1.0 / 6.0, out=d2), out=d2), d, out=im)
+    rot.real, rot.imag = re, im
     return np.multiply(np.take(_PHASE_TABLE, index, out=table, mode="clip"), rot, out=out)
 
 
@@ -183,45 +212,62 @@ def pair_images(
     for rec in records:
         l, k, n, m = rec.channel
         if (l, n) not in tx_delay:
-            delay = _delay_map(scenario.terminals[l].tx_elements[n], x, y)
+            delay = _delay_map(*np.asarray(scenario.terminals[l].tx_elements[n]), x, y)
             tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
     pixels = {pair: np.zeros(grid.size, dtype=complex) for pair in pairs}
+    per_block = max(1, _BLOCK_PIXCH // (grid.size[0] * grid.size[1]))
 
     def image_rows(k: int, row0: int, row1: int) -> None:
         rows, shape = slice(row0, row1), (row1 - row0, grid.size[1])
-        # one sum per (Tx terminal, Tx element) without the Tx phase; the
-        # lowest Tx element of each pair sums in the pair's own pixels
-        keys = sorted({(r.channel[0], r.channel[2]) for rs in by_rx[k].values() for r in rs})
+        elements, x_rows = sorted(by_rx[k]), x[rows]
+        ex, ey = np.array([scenario.terminals[k].rx_elements[m] for m in elements]).T[:, :, None, None]
+        # one sum per (Tx terminal, Tx element) key without the Tx phase;
+        # the lowest Tx element of each pair sums in the pair's own pixels
+        keys = sorted({rec.channel[::2] for recs in by_rx[k].values() for rec in recs})
         lowest = {l: n for l, n in reversed(keys)}
         sums = {
             (l, n): pixels[l, k][rows] if lowest[l] == n else np.zeros(shape, dtype=complex)
             for l, n in keys
         }
-        rx_delay, pos = np.empty(shape), np.empty(shape)
-        # complex products never write over an operand: numpy rounds an
-        # in-place product of one element differently from a longer one
-        phase, term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-        work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
-                np.empty(shape, dtype=complex))
-        phase_work = work + (np.empty(shape),)
-        for m in sorted(by_rx[k]):
-            _delay_map(scenario.terminals[k].rx_elements[m], x[rows], y, out=rx_delay)
-            rx_lo, rx_hi = float(rx_delay.min()), float(rx_delay.max())
-            _carrier_phase(np.multiply(rx_delay, omega, out=pos), phase, phase_work)
-            for rec in by_rx[k][m]:
-                l, _, n, _ = rec.channel
-                delay, tx_lo, tx_hi = tx_delay[l, n]
-                np.add(delay[rows], rx_delay, out=pos)
-                # rounding is monotone, so the bound never passes a pixel
-                # the exact check would reject
-                if tx_lo + rx_lo < rec.t0 or tx_hi + rx_hi > rec.t_end:
-                    _check_window(rec, pos, row0)
-                np.multiply(np.subtract(pos, rec.t0, out=pos), rec.fs, out=pos)
-                sums[l, n] += np.multiply(interpolate(rec, pos, work), phase, out=term)
+        tx_rows = {key: tx_delay[key][0][None, rows] for key in keys}
+        # (block, rows, ny) buffers and their first c rows; complex products
+        # never write over an operand: numpy rounds an in-place product of
+        # one element differently from a longer one
+        buffer = functools.partial(np.empty, (per_block, *shape))
+        rx_delay, phase, pos = buffer(), buffer(dtype=complex), buffer()
+        work = (buffer(dtype=np.intp), buffer(dtype=complex), buffer(dtype=complex), buffer())
+        first = functools.cache(lambda c: (pos[:c], tuple(w[:c] for w in work)))
+        for b0 in range(0, len(elements), per_block):
+            block, ms = slice(b0, b0 + per_block), elements[b0:b0 + per_block]
+            delays = _delay_map(ex[block], ey[block], x_rows, y, out=rx_delay[:len(ms)])
+            rx_lo, rx_hi = delays.min(axis=(1, 2)).tolist(), delays.max(axis=(1, 2)).tolist()
+            theta, phase_work = first(len(ms))
+            _carrier_phase(np.multiply(delays, omega, out=theta), phase[:len(ms)], phase_work)
+            # check every channel in kernel order (rounding is monotone, so
+            # the bound never passes a pixel the exact check would reject);
+            # runs (key, first row, records, layout) on consecutive rows
+            runs, last = [], {}
+            for b, m in enumerate(ms):
+                for rec in by_rx[k][m]:
+                    delay, tx_lo, tx_hi = tx_delay[key := rec.channel[::2]]
+                    if tx_lo + rx_lo[b] < rec.t0 or tx_hi + rx_hi[b] > rec.t_end:
+                        _check_window(rec, delay[rows] + delays[b], row0)
+                    run, layout = last.get(key), (rec.t0, rec.fs, len(rec.samples))
+                    if run and run[1] + len(run[2]) == b and run[3] == layout:
+                        run[2].append(rec)
+                    else:
+                        last[key] = run = (key, b, [rec], layout)
+                        runs.append(run)
+            for key, b, recs, _ in runs:
+                at, (p, chain_work) = slice(b, b + len(recs)), first(len(recs))
+                vals = interpolate(recs, np.add(tx_rows[key], delays[at], out=p), chain_work)
+                for row in np.multiply(vals, phase[at], out=chain_work[2]):
+                    sums[key] += row
+        pos, phase, phase_work = pos[0], phase[0], tuple(w[0] for w in work)
         for l, n in keys:
-            np.multiply(tx_delay[l, n][0][rows], omega, out=pos)
-            np.multiply(sums[l, n], _carrier_phase(pos, phase, phase_work), out=term)
+            np.multiply(tx_rows[l, n][0], omega, out=pos)
+            term = np.multiply(sums[l, n], _carrier_phase(pos, phase, phase_work), out=phase_work[2])
             if lowest[l] == n:
                 sums[l, n][...] = term
             else:

@@ -35,7 +35,8 @@ _OBJECTIVES = ("extent-x", "extent-y", "area")
 class OrchestrationPlan:
     """A planned acquisition: observation angles, terminal placements at
     a fixed stand-off range, the pairing to use and the resolution the
-    coverage supports."""
+    coverage supports. Equality is by value, field by field: the pairing
+    and the estimate compare their arrays with ``np.array_equal``."""
 
     angles: tuple[float, ...]
     positions: tuple[Vec2, ...]

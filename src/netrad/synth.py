@@ -11,7 +11,10 @@ clock error between the two terminals involved and beta the scattering
 amplitude. Simultaneous transmitters are assumed ideally orthogonal
 (no cross-talk). Complex white Gaussian noise of variance
 ``noise_power`` is added per sample, with an independent, reproducible
-stream per channel.
+stream per channel. Each element's distance to each target is computed
+once; a pair's delays form one (n_tx, n_rx) array per target and its
+records one (n_tx, n_rx, samples) array, bit for bit the channel-by-
+channel evaluation.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ def default_sample_rate(bandwidth: float) -> float:
     return 4.0 * bandwidth
 
 
+def _distances(scenario: Scenario, points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per terminal, the (elements, points) distances of its Tx and of its
+    Rx elements to ``points``, each computed once with ``scene.distance``."""
+    def table(elements):
+        rows = [[distance(el, p) for p in points] for el in elements]
+        return np.array(rows).reshape(len(elements), len(points))
+
+    return [(table(term.tx_elements), table(term.rx_elements)) for term in scenario.terminals]
+
+
 def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
     """Acquisition window covering, over all active channels, every target
     delay plus the pair's clock error (responses arrive that late) and,
@@ -84,14 +97,13 @@ def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[f
     margin = 6.0 / scenario.bandwidth
     corners = [] if grid is None else [
         Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
+    dist = _distances(scenario, [t.position for t in scenario.targets] + corners)
     lo, hi = math.inf, -math.inf
     for l, k in scenario.pairing.active_pairs():
-        for tx_el in scenario.terminals[l].tx_elements:
-            for rx_el in scenario.terminals[k].rx_elements:
-                dt_sync = scenario.sync_errors[l, k]
-                taus = [bistatic_delay(tx_el, rx_el, t.position) + dt_sync for t in scenario.targets]
-                taus += [bistatic_delay(tx_el, rx_el, p) for p in corners]
-                lo, hi = min([lo, *taus]), max([hi, *taus])
+        taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT
+        taus[..., :len(scenario.targets)] += scenario.sync_errors[l, k]
+        if taus.size:
+            lo, hi = min(lo, float(taus.min())), max(hi, float(taus.max()))
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
     # grid pixel delays can be extreme over corners; margin still applies
@@ -147,32 +159,33 @@ def synthesize(
     sigma2 = scenario.noise_power
 
     records: list[SignalRecord] = []
+    dist = _distances(scenario, [target.position for target in scenario.targets])
     for l, k in selected:
-        dt_sync = scenario.sync_errors[l, k]
-        term_tx, term_rx = scenario.terminals[l], scenario.terminals[k]
-        for n, tx_el in enumerate(term_tx.tx_elements):
-            for m, rx_el in enumerate(term_rx.rx_elements):
-                acc = np.zeros(n_samp, dtype=complex)
-                for target in scenario.targets:
-                    d_tx = distance(tx_el, target.position)
-                    d_rx = distance(target.position, rx_el)
-                    tau = (d_tx + d_rx) / SPEED_OF_LIGHT + dt_sync
-                    if tau - margin < t_min or tau + margin > t_max:
-                        raise ValueError(
-                            f"window ({t_min:g}, {t_max:g}) s truncates the target at "
-                            f"delay {tau:g} s on channel ({l},{k},{n},{m}); "
-                            f"need {margin:g} s margin"
-                        )
-                    beta = apply_rcs(d_tx, d_rx, target.reflectivity)
-                    phase = np.exp(-2j * math.pi * scenario.f0 * tau)
-                    acc += beta * phase * np.sinc(bw * (t - tau))
-                if sigma2 > 0.0:
-                    rng = _channel_rng(scenario.rng_seed, (l, k, n, m))
-                    noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)
-                    acc += math.sqrt(sigma2 / 2.0) * noise
-                records.append(
-                    SignalRecord(channel=(l, k, n, m), t0=t_min, fs=fs, samples=acc)
-                )
+        taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]
+        late = (taus - margin < t_min) | (taus + margin > t_max)
+        if late.any():
+            n, m, j = np.argwhere(late)[0].tolist()
+            raise ValueError(
+                f"window ({t_min:g}, {t_max:g}) s truncates the target at "
+                f"delay {taus[n, m, j]:g} s on channel ({l},{k},{n},{m}); "
+                f"need {margin:g} s margin"
+            )
+        acc = np.zeros((*taus.shape[:2], n_samp), dtype=complex)
+        for j, target in enumerate(scenario.targets):
+            # the shortest paths stand for all of the pair's channels
+            beta = apply_rcs(dist[l][0][:, j].min(), dist[k][1][:, j].min(), target.reflectivity)
+            phase = np.exp(-2j * math.pi * scenario.f0 * taus[..., j])
+            # beta * phase rounded as a scalar product: numpy's array loop
+            # may fuse the multiply-adds
+            scaled = (beta.real * phase.real - beta.imag * phase.imag).astype(complex)
+            scaled.imag = beta.real * phase.imag + beta.imag * phase.real
+            acc += scaled[..., None] * np.sinc(bw * (t - taus[..., j, None]))
+        for n, m in np.ndindex(*acc.shape[:2]):
+            if sigma2 > 0.0:
+                rng = _channel_rng(scenario.rng_seed, (l, k, n, m))
+                noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)
+                acc[n, m] += math.sqrt(sigma2 / 2.0) * noise
+            records.append(SignalRecord(channel=(l, k, n, m), t0=t_min, fs=fs, samples=acc[n, m]))
     return records
 
 

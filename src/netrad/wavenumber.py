@@ -60,13 +60,14 @@ class WavenumberRegion:
         return tuple(WavenumberTile(p, s, self.freqs) for p, s in zip(self.pairs, self.samples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolutionEstimate:
     """Axis-aligned spectral extents and the resolution they support.
 
     ``rho_x``/``rho_y`` are math.inf when the corresponding extent is
     exactly zero (no coverage means no resolution); serialized output
-    uses null instead of infinities.
+    uses null instead of infinities. Equality is by value: equal rho and
+    extents and ``np.array_equal`` band edges, which fix the hull.
     """
 
     rho_x: float
@@ -74,6 +75,13 @@ class ResolutionEstimate:
     dk_x: float
     dk_y: float
     ends: np.ndarray  # band-edge points of every channel
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResolutionEstimate):
+            return NotImplemented
+        return (self.rho_x, self.rho_y, self.dk_x, self.dk_y) == (
+            other.rho_x, other.rho_y, other.dk_x, other.dk_y
+        ) and np.array_equal(self.ends, other.ends)
 
     @cached_property
     def hull(self) -> np.ndarray:  # built on first read: only some callers need it

@@ -15,7 +15,9 @@ from netrad.scene import (
     Scenario,
     Terminal,
     Vec2,
+    distance,
 )
+from netrad.synth import SignalRecord, apply_rcs, bistatic_delay, default_sample_rate
 
 F0 = 28e9
 BW = 500e6
@@ -135,6 +137,64 @@ def brute_force_backprojection(records, scenario: Scenario, grid: ImageGrid) -> 
                 acc += val * cmath.exp(2j * math.pi * scenario.f0 * tau)
             out[i, j] = acc
     return out
+
+
+def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
+    """``synth.suggest_window`` evaluated channel by channel with python
+    scalars: the reference its array form must equal exactly."""
+    margin = 6.0 / scenario.bandwidth
+    corners = [] if grid is None else [
+        Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
+    lo, hi = math.inf, -math.inf
+    for l, k in scenario.pairing.active_pairs():
+        for tx_el in scenario.terminals[l].tx_elements:
+            for rx_el in scenario.terminals[k].rx_elements:
+                dt_sync = scenario.sync_errors[l, k]
+                taus = [bistatic_delay(tx_el, rx_el, t.position) + dt_sync for t in scenario.targets]
+                taus += [bistatic_delay(tx_el, rx_el, p) for p in corners]
+                lo, hi = min([lo, *taus]), max([hi, *taus])
+    if not math.isfinite(lo):
+        raise ValueError("cannot size a window: no active channels or no points")
+    return (lo - margin, hi + margin)
+
+
+def reference_synthesize(scenario: Scenario, window, fs=None, pairs=None) -> list[SignalRecord]:
+    """``synth.synthesize`` evaluated channel by channel and target by
+    target with python scalars: the reference its array form must equal
+    bit for bit, truncation error included."""
+    bw = scenario.bandwidth
+    fs = default_sample_rate(bw) if fs is None else fs
+    t_min, t_max = window
+    active = scenario.pairing.active_pairs()
+    selected = active if pairs is None else [p for p in active if p in set(pairs)]
+    n_samp = int(round((t_max - t_min) * fs)) + 1
+    t = t_min + np.arange(n_samp) / fs
+    margin = 4.0 / bw
+    records = []
+    for l, k in selected:
+        dt_sync = scenario.sync_errors[l, k]
+        for n, tx_el in enumerate(scenario.terminals[l].tx_elements):
+            for m, rx_el in enumerate(scenario.terminals[k].rx_elements):
+                acc = np.zeros(n_samp, dtype=complex)
+                for target in scenario.targets:
+                    d_tx = distance(tx_el, target.position)
+                    d_rx = distance(target.position, rx_el)
+                    tau = (d_tx + d_rx) / SPEED_OF_LIGHT + dt_sync
+                    if tau - margin < t_min or tau + margin > t_max:
+                        raise ValueError(
+                            f"window ({t_min:g}, {t_max:g}) s truncates the target at "
+                            f"delay {tau:g} s on channel ({l},{k},{n},{m}); "
+                            f"need {margin:g} s margin"
+                        )
+                    beta = apply_rcs(d_tx, d_rx, target.reflectivity)
+                    phase = np.exp(-2j * math.pi * scenario.f0 * tau)
+                    acc += beta * phase * np.sinc(bw * (t - tau))
+                if scenario.noise_power > 0.0:
+                    rng = np.random.default_rng([scenario.rng_seed, l, k, n, m])
+                    noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)
+                    acc += math.sqrt(scenario.noise_power / 2.0) * noise
+                records.append(SignalRecord(channel=(l, k, n, m), t0=t_min, fs=fs, samples=acc))
+    return records
 
 
 def column_grid(x: float, y_lo: float, y_hi: float, dy: float) -> ImageGrid:

@@ -218,6 +218,18 @@ class TestBackproject:
         assert abs(snc - 1.0) < abs(lin - 1.0)
         assert lin == pytest.approx(1.0, abs=0.05)
 
+    def test_sinc_rejects_records_shorter_than_its_taps(self):
+        # 9 samples at fs = B around the response: the 16-tap kernel used
+        # to read indices below 0, which wrap to the other end of the data
+        sc = lane_scenario(n_terminals=1, m_rx=2)
+        tau = bistatic_delay(sc.terminals[0].tx_elements[0], sc.terminals[0].rx_elements[0], TARGET)
+        records = synthesize(sc, (tau - 4.2 / BW, tau + 4.2 / BW), fs=BW)
+        assert len(records[0].samples) == 9
+        grid = ImageGrid(Vec2(TARGET.x, TARGET.y), (0.1, 0.1), (1, 1))
+        backproject(records, sc, grid)
+        with pytest.raises(ValueError, match="sinc interpolation needs 16 samples per record, got 9"):
+            backproject(records, sc, grid, interp="sinc")
+
     def test_unknown_interpolation_rejected(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
         window = suggest_window(sc)

@@ -1,10 +1,12 @@
 """Property tests of the back-projection kernel on random small
-acquisitions: 1-3 terminals with 1-2 Tx and 1-3 Rx elements each, a
-random association matrix and records in random order."""
+acquisitions: 1-3 terminals with 1-2 Tx and 1-3 Rx elements each (up to
+6 where blocks of Rx elements are tested), a random association matrix
+and records in random order."""
 
 import cmath
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,16 +14,24 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from netrad.imaging import _carrier_phase, _check_window, _delay_map, backproject, pair_images
+from netrad import imaging
+from netrad.imaging import (
+    _SINC_TAPS,
+    _carrier_phase,
+    _check_window,
+    _delay_map,
+    backproject,
+    pair_images,
+)
 from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
-from netrad.synth import suggest_window, synthesize
+from netrad.synth import SignalRecord, suggest_window, synthesize
 from helpers import BW, F0, brute_force_backprojection
 
 WORKERS = (1, 2, 3, 8)
 
 
 @st.composite
-def acquisitions(draw):
+def acquisitions(draw, max_rx=3):
     offset = st.floats(-0.1, 0.1)
     n_terms = draw(st.integers(1, 3))
     terminals = []
@@ -33,7 +43,7 @@ def acquisitions(draw):
         )
         rx = tuple(
             Vec2(center.x + draw(offset), center.y + draw(offset))
-            for _ in range(draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, max_rx)))
         )
         terminals.append(Terminal(i, center, tx, rx))
     entries = np.array(
@@ -100,6 +110,95 @@ def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, interp, pair_
         assert np.array_equal(alone.pixels, image.pixels)
 
 
+def with_block(per_block, grid):
+    """Set the kernel's pixel-channels per call so that it batches
+    ``per_block`` Rx elements on ``grid``."""
+    pixels = grid.size[0] * grid.size[1]
+    return patch.object(imaging, "_BLOCK_PIXCH", per_block * pixels + pixels - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(acquisitions(max_rx=6), st.sampled_from(["linear", "sinc"]), st.data())
+def test_blocks_keep_each_pixel_sum_in_order(acquisition, interp, data):
+    # blocks of 1, 2, 4 and 5 Rx elements: with up to 6 elements per
+    # terminal the last block is often partial; dropped channels leave
+    # blocks without some (Tx terminal, Tx element) keys, and records
+    # with one more leading sample start one sample earlier
+    sc, grid, records = acquisition
+    flags = st.lists(st.booleans(), min_size=len(records), max_size=len(records))
+    kept, longer = data.draw(flags), data.draw(flags)
+    records = [
+        replace(rec, t0=rec.t0 - 1 / rec.fs, samples=np.append(0j, rec.samples)) if extend else rec
+        for rec, keep, extend in zip(records, kept, longer) if keep or not any(kept)
+    ]
+    with with_block(1, grid):
+        images = pair_images(records, sc, grid, interp=interp)
+    if interp == "linear":
+        for image in images:
+            oracle = brute_force_backprojection(records_of(records, image.provenance), sc, grid)
+            peak = np.abs(oracle).max()
+            np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
+    for per_block in (1, 2, 4, 5):
+        with with_block(per_block, grid):
+            for workers in WORKERS:
+                again = pair_images(records, sc, grid, workers=workers, interp=interp)
+                assert [im.provenance for im in again] == [im.provenance for im in images]
+                for a, b in zip(images, again):
+                    assert np.array_equal(a.pixels, b.pixels), (per_block, workers)
+
+
+def test_block_constant_grids():
+    """Grids sized from the kernel's own constant, on which the 5 Rx
+    elements of one terminal run as blocks of 2, 2 and 1, or one at a
+    time."""
+    terminal = Terminal(0, Vec2(0.0, 0.0), (Vec2(0.0, 0.0),),
+                        tuple(Vec2(0.005 * i - 0.01, 0.0) for i in range(5)))
+    sc = Scenario(terminals=(terminal,), targets=(PointTarget(Vec2(0.02, 10.0)),), f0=F0,
+                  bandwidth=BW, noise_power=0.1, pairing=AssociationMatrix.identity(1))
+    ny = 64
+    for per_block in (2, 1):
+        nx = imaging._BLOCK_PIXCH // (per_block * ny) - (per_block == 1)
+        assert max(1, imaging._BLOCK_PIXCH // (nx * ny)) == per_block
+        grid = ImageGrid(Vec2(-0.3, 9.7), (0.6 / (nx - 1), 0.6 / (ny - 1)), (nx, ny))
+        records = synthesize(sc, suggest_window(sc, grid))
+        (image,) = pair_images(records, sc, grid)
+        oracle = brute_force_backprojection(records, sc, grid)
+        np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
+        with with_block(1, grid):
+            assert np.array_equal(pair_images(records, sc, grid)[0].pixels, image.pixels)
+        for workers in WORKERS[1:]:
+            again = pair_images(records, sc, grid, workers=workers)
+            assert np.array_equal(again[0].pixels, image.pixels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(_SINC_TAPS, 40),
+    st.sampled_from(["linear", "sinc"]),
+    st.integers(0, 99),
+)
+def test_stacked_records_interpolate_as_single_records(count, n, interp, seed):
+    rng = np.random.default_rng(seed)
+    recs = [SignalRecord((0, 0, 0, m), 0.0, 1.0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for m in range(count)]
+    # delays (t0 = 0, fs = 1: sample positions) anywhere in each record,
+    # on its first and last sample and one ulp past the last, where
+    # rounding can put the delay of a window edge
+    tau = np.array([[rng.uniform(0, n - 1, 4).tolist() + [0.0, n - 1, np.nextafter(n - 1, n)]]
+                    for _ in recs])
+    interpolate = imaging._INTERPOLATORS[interp]
+
+    def buffers(shape):
+        return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
+                np.empty(shape, dtype=complex), np.empty(shape))
+
+    stacked = interpolate(recs, tau.copy(), buffers(tau.shape)).copy()
+    for rec, row, value in zip(recs, tau, stacked):
+        alone = interpolate([rec], row[None].copy(), buffers((1, *row.shape)))
+        assert np.array_equal(alone[0], value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=64))
 def test_carrier_phase_matches_cmath(angles):
@@ -116,8 +215,8 @@ def pixel_delays(rec, sc, grid):
     """The kernel's per-pixel delays of ``rec``: Tx map plus Rx map."""
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
     l, k, n, m = rec.channel
-    return (_delay_map(sc.terminals[l].tx_elements[n], x, y)
-            + _delay_map(sc.terminals[k].rx_elements[m], x, y))
+    tx, rx = sc.terminals[l].tx_elements[n], sc.terminals[k].rx_elements[m]
+    return _delay_map(tx.x, tx.y, x, y) + _delay_map(rx.x, rx.y, x, y)
 
 
 def first_window_error(records, sc, grid):

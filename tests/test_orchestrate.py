@@ -97,6 +97,11 @@ class TestTessellatedPlan:
         assert all(a > b for a, b in zip(sines, sines[1:]))
         assert len(p.angles) == 5
 
+    def test_plans_compare_by_value(self):
+        a, b = (tessellated_plan(F0, B100, 4, TARGET, 20.0) for _ in range(2))
+        assert a == b and not a != b
+        assert a != tessellated_plan(F0, B100, 3, TARGET, 20.0)
+
     def test_plan_json_round_trips(self):
         p = tessellated_plan(F0, B100, 3, TARGET, 20.0)
         doc = json.loads(p.to_json())
@@ -171,6 +176,14 @@ class TestGreedyPlan:
         b = plan(sc, TARGET, 3, objective="area")
         assert a.positions == b.positions
         assert a.pairing == b.pairing
+
+    def test_plans_compare_by_value(self):
+        sc = lane_scenario(pairing=AssociationMatrix.full(5))
+        a, b = plan(sc, TARGET, 3), plan(sc, TARGET, 3)
+        assert a.predicted is not b.predicted
+        assert a == b and not a != b
+        assert a != plan(sc, TARGET, 2)
+        assert a != plan(sc, TARGET, 3, objective="extent-x")
 
     def test_tie_breaks_toward_lowest_id(self):
         # mirror-symmetric pair of terminals: identical objective values

@@ -8,7 +8,7 @@ import pytest
 from netrad import cli, orchestrate, wavenumber
 from netrad.imaging import default_grid
 from netrad.orchestrate import plan
-from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, Scenario, Vec2
+from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, Scenario, Vec2, load_scenario
 from netrad.wavenumber import (
     WavenumberRegion,
     aperture_for_cross_range,
@@ -260,6 +260,29 @@ class TestHullIsBuiltOnlyWhereRead:
                          "--n-freq", "2"]) == 0
         assert (tmp_path / "hull.csv").exists() and (tmp_path / "resolution.json").exists()
         assert len(hull_calls) == 1
+
+
+class TestEstimateEquality:
+    def estimate(self):
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "lane_multistatic.json"
+        sc = load_scenario(path.read_text())
+        return predicted_resolution(coverage_region(sc, sc.targets[0].position))
+
+    def test_estimates_of_one_scenario_are_equal(self):
+        a, b = self.estimate(), self.estimate()
+        assert a is not b and a.ends is not b.ends
+        assert a == b and not a != b
+        b.hull  # a built hull does not take part
+        assert a == b
+
+    def test_differing_band_edges_or_extents_are_unequal(self):
+        a = self.estimate()
+        ends = a.ends.copy()
+        ends[-1, 0] = np.nextafter(ends[-1, 0], np.inf)
+        assert a != replace(a, ends=ends)
+        assert a != replace(a, dk_y=np.nextafter(a.dk_y, 0))
+        assert a != replace(a, ends=a.ends[:-1])
+        assert a != (a.rho_x, a.rho_y)
 
 
 class TestConvexHull:
