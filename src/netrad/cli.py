@@ -269,7 +269,8 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError:
             continue
-        rows.append((str(path.relative_to(out)), doc))
+        if isinstance(doc, dict):  # valid JSON that is no object is skipped too
+            rows.append((str(path.relative_to(out)), doc))
     if not rows:
         raise _ValidationFailure(f"no metrics.json found under {out}")
     fields = ["rho_x_m", "rho_y_m", "pslr_db", "islr_db", "peak_snr_db"]

@@ -329,13 +329,13 @@ def default_grid(scenario: Scenario, margin_cells: int = 24) -> ImageGrid:
 # --- exports ----------------------------------------------------------------
 
 def export_image_csv(image: ComplexImage, path) -> None:
-    """Write pixels as (x, y, re, im) rows, x-major."""
-    ys = image.grid.y_coords
+    """Write pixels as (x, y, re, im) rows, x-major; the shared y column is formatted once."""
+    fmt = "".join(f"\0,{yv:.9g},%.9g,%.9g\n" for yv in image.grid.y_coords.tolist())
+    re_im = np.ascontiguousarray(image.pixels).view(float)  # [ix, 2 * iy + (0 re | 1 im)]
     with open(path, "w") as fh:
         fh.write("x_m,y_m,re,im\n")
-        for xv, column in zip(image.grid.x_coords.tolist(), image.pixels):
-            rows = np.column_stack((ys, column.real, column.imag))
-            fh.write(f"{xv:.9g},%.9g,%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist()))
+        for xv, column in zip(image.grid.x_coords.tolist(), re_im):
+            fh.write(fmt.replace("\0", f"{xv:.9g}") % tuple(column.tolist()))
 
 
 def export_image_pgm(image: ComplexImage, path, dynamic_range_db: float) -> None:

@@ -191,7 +191,7 @@ def synthesize(
 
 def export_record_csv(record: SignalRecord, path) -> None:
     """Raw-record dump: (t, re, im) rows, for debugging."""
+    rows = np.column_stack((record.times, record.samples.real, record.samples.imag))
     with open(path, "w") as fh:
         fh.write("t_s,re,im\n")
-        for ti, v in zip(record.times, record.samples):
-            fh.write(f"{ti:.9g},{v.real:.9g},{v.imag:.9g}\n")
+        fh.write("%.9g,%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist()))

@@ -297,13 +297,12 @@ def bistatic_loss(alpha: float) -> float:
 # --- exports ----------------------------------------------------------------
 
 def export_coverage_csv(region: WavenumberRegion, path) -> None:
-    """Write every channel's samples as (pair_id, k_x, k_y, f_hz) rows."""
+    """Write (pair_id, k_x, k_y, f_hz) rows per channel, formatting the shared f_hz column once."""
+    fmt = "".join(f"\0,%.9g,%.9g,{f:.9g}\n" for f in region.freqs.tolist())
     with open(path, "w") as fh:
         fh.write("pair_id,k_x,k_y,f_hz\n")
         for pair, samples in zip(region.pairs, region.samples):
-            fmt = "-".join(str(i) for i in pair) + ",%.9g,%.9g,%.9g\n"
-            rows = np.column_stack((samples, region.freqs))
-            fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
+            fh.write(fmt.replace("\0", "-".join(map(str, pair))) % tuple(samples.ravel().tolist()))
 
 
 def export_hull_csv(estimate: ResolutionEstimate, path) -> None:

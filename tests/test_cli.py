@@ -194,6 +194,18 @@ class TestReport:
         assert table[0].startswith("run,")
         assert len(table) == 3
 
+    def test_skips_metrics_that_are_not_objects(self, tmp_path):
+        # valid JSON that is no object used to exit 3 with a half-written table
+        for name, text in [("run0", '{"rho_x_m": 0.3, "pslr_db": null}'), ("run1", "[1, 2]"),
+                           ("run2", '"text"'), ("run3", "4"), ("run4", "{")]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "metrics.json").write_text(text)
+        assert run_cli(["report", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["n_runs"] == 1
+        table = (tmp_path / "metrics_table.csv").read_text().splitlines()
+        assert table == ["run,rho_x_m,rho_y_m,pslr_db,islr_db,peak_snr_db",
+                         "run0/metrics.json,0.3,,,,"]
+
 
 class TestFailures:
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
