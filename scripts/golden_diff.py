@@ -80,7 +80,9 @@ def _json_units(a, b, scale=None, path="$"):
     """Yield the change in units of every number pair of ``a`` and ``b``."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            raise StructureDiffers(f"{path}: keys differ")
+            sides = [(side, [k for k in x if k not in y]) for side, x, y in (("A", a, b), ("B", b, a))]
+            only = "; ".join(f"only in {side}: {', '.join(keys)}" for side, keys in sides if keys)
+            raise StructureDiffers(f"{path}: keys differ ({only})")
         for key in a:
             yield from _json_units(a[key], b[key], None, f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list):

@@ -274,11 +274,11 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
     if not rows:
         raise _ValidationFailure(f"no metrics.json found under {out}")
     fields = ["rho_x_m", "rho_y_m", "pslr_db", "islr_db", "peak_snr_db"]
-    with open(out / "metrics_table.csv", "w") as fh:
-        fh.write("run," + ",".join(fields) + "\n")
-        for name, doc in rows:
-            cells = [("" if doc.get(f) is None else f"{doc[f]:.9g}") for f in fields]
-            fh.write(f"{name}," + ",".join(cells) + "\n")
+    lines = ["run," + ",".join(fields)]
+    for name, doc in rows:  # null, text, bools and containers give empty cells
+        cells = [f"{doc[f]:.9g}" if type(doc.get(f)) in (int, float) else "" for f in fields]
+        lines.append(f"{name}," + ",".join(cells))
+    (out / "metrics_table.csv").write_text("\n".join(lines) + "\n")
     _write_json(
         {"n_runs": len(rows), "runs": [{"run": n, "metrics": d} for n, d in rows]},
         out / "summary.json",

@@ -10,6 +10,9 @@ Measurement conventions, stated once and used everywhere:
   with semi-axes 1.5x the measured -3 dB widths: wide enough to contain
   the first null of a sinc-like lobe, narrow enough not to swallow the
   first sidelobe or nearby grating lobes.
+* The mainlobe is resolved along an axis when at least 3 contiguous
+  samples of the cut through the peak lie at or above -3 dB; otherwise
+  measuring its resolution raises and ``metrics.json`` holds the error.
 * Peak positions are refined off-grid by a 3-point parabolic fit on
   log magnitude, removing grid-quantization bias from resolution ratios.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +31,7 @@ from .scene import Vec2
 RAYLEIGH_WIDTH_FACTOR = 0.886  # -3 dB width of a sinc mainlobe, in units of 2*pi/dk
 _HALF_POWER_AMPLITUDE = 1.0 / math.sqrt(2.0)
 _MAINLOBE_SEMI_AXES = 1.5  # in units of the measured -3 dB width
-
-
-class _UnresolvedMainlobe(ValueError):
-    """Mainlobe narrower than the grid can resolve (< 3 samples wide)."""
-
-
-class _MainlobeBeyondGrid(ValueError):
-    """Mainlobe -3 dB point falls outside the imaged region."""
+_COVERS_IMAGE = "mainlobe region covers the whole image; enlarge the grid"
 
 
 @dataclass(frozen=True)
@@ -66,88 +63,117 @@ class ImageMetrics:
         }
 
 
-def _peak_index(mag: np.ndarray) -> tuple[int, int]:
-    i, j = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    return int(i), int(j)
-
-
-def _parabolic_vertex(lm: float, c: float, rp: float) -> tuple[float, float]:
-    # vertex of the parabola through (-1, lm), (0, c), (+1, rp)
-    denom = lm - 2.0 * c + rp
-    if denom >= 0.0:  # flat or concave-up: keep the sample
-        return 0.0, c
+def _log_vertex(cut: np.ndarray, k: int, log_c: float) -> tuple[float, float]:
+    # vertex of the parabola through the log magnitudes of ``cut`` at k-1, k, k+1;
+    # (0, log_c) where it is flat or concave-up, a neighbour is zero or k is alone
+    if len(cut) == 1 or not (cut[k - 1] > 0 and cut[k + 1] > 0):
+        return 0.0, log_c
+    lm, rp = math.log(cut[k - 1]), math.log(cut[k + 1])
+    denom = lm - 2.0 * log_c + rp
+    if denom >= 0.0:
+        return 0.0, log_c
     delta = 0.5 * (lm - rp) / denom
-    return delta, c + 0.25 * (lm - rp) * delta
+    return delta, log_c + 0.25 * (lm - rp) * delta
 
 
-def _refine_peak(image: ComplexImage) -> tuple[Vec2, float, tuple[int, int]]:
-    """Sub-pixel peak location and amplitude via log-magnitude parabolas.
-
-    Axes of size 1 are left unrefined; on any other axis a peak on the
-    grid boundary is an error because the mainlobe is clipped.
+class _Mainlobe:
+    """One image's mainlobe, measured once for every figure: magnitude,
+    peak (index, position and amplitude refined by log-magnitude
+    parabolas) and each axis's -3 dB width, or the failure measuring it
+    hit; the ellipse excluded by PSLR/ISLR is built on first use. A peak
+    on the grid boundary is an error (the mainlobe is clipped), except
+    along an axis of size 1, which is left unrefined.
     """
-    mag = image.magnitude
-    i, j = _peak_index(mag)
-    nx, ny = mag.shape
-    if (nx > 1 and i in (0, nx - 1)) or (ny > 1 and j in (0, ny - 1)):
-        raise ValueError(f"image peak lies on the grid boundary at index ({i},{j})")
-    peak = mag[i, j]
-    if peak == 0.0:
-        raise ValueError("image is identically zero")
-    di = dj = 0.0
-    log_amp = math.log(peak)
-    amp_i = amp_j = log_amp
-    with np.errstate(divide="ignore"):
-        if nx > 1 and mag[i - 1, j] > 0 and mag[i + 1, j] > 0:
-            di, amp_i = _parabolic_vertex(
-                math.log(mag[i - 1, j]), log_amp, math.log(mag[i + 1, j])
-            )
-        if ny > 1 and mag[i, j - 1] > 0 and mag[i, j + 1] > 0:
-            dj, amp_j = _parabolic_vertex(
-                math.log(mag[i, j - 1]), log_amp, math.log(mag[i, j + 1])
-            )
-    amp = math.exp(max(amp_i, amp_j))
-    pos = Vec2(
-        image.grid.origin.x + (i + di) * image.grid.spacing[0],
-        image.grid.origin.y + (j + dj) * image.grid.spacing[1],
-    )
-    return pos, amp, (i, j)
 
-
-def _cut_width_3db(image: ComplexImage, axis: str) -> float:
-    """-3 dB full width (meters) of the magnitude cut through the peak."""
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    mag = image.magnitude
-    _, amp, (i, j) = _refine_peak(image)
-    if axis == "x":
-        cut, center, step = mag[:, j], i, image.grid.spacing[0]
-    else:
-        cut, center, step = mag[i, :], j, image.grid.spacing[1]
-    if len(cut) < 3:
-        raise ValueError(f"grid too small to resolve a mainlobe along {axis}")
-    thresh = amp * _HALF_POWER_AMPLITUDE
-
-    def crossing(direction: int) -> float:
-        idx = center
-        while 0 <= idx + direction < len(cut) and cut[idx + direction] >= thresh:
-            idx += direction
-        nxt = idx + direction
-        if nxt < 0 or nxt >= len(cut):
-            raise _MainlobeBeyondGrid(
-                f"mainlobe -3 dB point along {axis} falls outside the grid"
-            )
-        # linear interpolation of the threshold crossing
-        frac = (cut[idx] - thresh) / (cut[idx] - cut[nxt])
-        return (idx + direction * frac) * step
-
-    left, right = crossing(-1), crossing(+1)
-    n_above = int(np.sum(cut >= thresh))
-    if n_above < 3:
-        raise _UnresolvedMainlobe(
-            f"mainlobe unresolved along {axis}: only {n_above} samples above -3 dB"
+    def __init__(self, image: ComplexImage):
+        self.grid = image.grid
+        self.mag = mag = image.magnitude
+        i, j = (int(k) for k in np.unravel_index(int(np.argmax(mag)), mag.shape))
+        nx, ny = mag.shape
+        if (nx > 1 and i in (0, nx - 1)) or (ny > 1 and j in (0, ny - 1)):
+            raise ValueError(f"image peak lies on the grid boundary at index ({i},{j})")
+        peak = mag[i, j]
+        if peak == 0.0:
+            raise ValueError("image is identically zero")
+        cuts = (mag[:, j], i), (mag[i, :], j)
+        log_amp = math.log(peak)
+        (di, amp_i), (dj, amp_j) = (_log_vertex(cut, k, log_amp) for cut, k in cuts)
+        self.index = (i, j)
+        self.amp = math.exp(max(amp_i, amp_j))
+        self.pos = Vec2(
+            self.grid.origin.x + (i + di) * self.grid.spacing[0],
+            self.grid.origin.y + (j + dj) * self.grid.spacing[1],
         )
-    return right - left
+        self.widths = {
+            axis: self._width_3db(axis, cut, k, step)
+            for axis, (cut, k), step in zip("xy", cuts, self.grid.spacing)
+        }
+
+    def _width_3db(self, axis: str, cut: np.ndarray, center: int, step: float):
+        """-3 dB full width of ``cut`` as (meters, "", ""), or as (nan,
+        failure, message) with failure "small", "beyond" or "unresolved"."""
+        if len(cut) < 3:
+            return math.nan, "small", f"grid too small to resolve a mainlobe along {axis}"
+        thresh = self.amp * _HALF_POWER_AMPLITUDE
+        ends, n_above = [], 1  # n_above: the contiguous samples >= thresh around the peak
+        for direction in (-1, +1):
+            idx = center
+            while 0 <= idx + direction < len(cut) and cut[idx + direction] >= thresh:
+                idx += direction
+            n_above += abs(idx - center)
+            nxt = idx + direction
+            if nxt < 0 or nxt >= len(cut):
+                return math.nan, "beyond", f"mainlobe -3 dB point along {axis} falls outside the grid"
+            # linear interpolation of the threshold crossing
+            frac = (cut[idx] - thresh) / (cut[idx] - cut[nxt])
+            ends.append((idx + direction * frac) * step)
+        if n_above < 3:
+            message = f"mainlobe unresolved along {axis}: only {n_above} samples above -3 dB"
+            return math.nan, "unresolved", message
+        return ends[1] - ends[0], "", ""
+
+    def resolution(self, axis: str) -> float:
+        meters, failure, message = self.widths[axis]
+        if failure:
+            raise ValueError(message)
+        return meters / RAYLEIGH_WIDTH_FACTOR
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Mainlobe ellipse, with a two-pixel semi-axis on an axis whose
+        mainlobe is narrower than the grid can resolve (e.g. a single lit
+        pixel), so the sidelobe ratios still have a mainlobe to exclude."""
+        semi = []
+        for (meters, failure, message), spacing in zip(self.widths.values(), self.grid.spacing):
+            if failure == "unresolved":
+                semi.append(2.0 * spacing)
+            elif failure == "beyond":
+                raise ValueError(_COVERS_IMAGE)
+            elif failure:
+                raise ValueError(message)
+            else:
+                semi.append(_MAINLOBE_SEMI_AXES * meters)
+        x, y = self.grid.pixel_coords()
+        mask = ((x - self.pos.x) / semi[0]) ** 2 + ((y - self.pos.y) / semi[1]) ** 2 <= 1.0
+        if mask.all():
+            raise ValueError(_COVERS_IMAGE)
+        return mask
+
+    def pslr(self) -> float:
+        peak_out = float(self.mag[~self.mask].max())
+        if peak_out == 0.0:
+            return -math.inf
+        return 20.0 * math.log10(peak_out / self.amp)
+
+    def islr(self) -> float:
+        power = self.mag ** 2
+        e_in = float(power[self.mask].sum())
+        e_out = float(power[~self.mask].sum())
+        if e_out == 0.0:
+            return -math.inf
+        if e_in == 0.0:
+            raise ValueError("no energy inside the mainlobe region")
+        return 10.0 * math.log10(e_out / e_in)
 
 
 def measure_resolution(image: ComplexImage, axis: str) -> float:
@@ -158,58 +184,22 @@ def measure_resolution(image: ComplexImage, axis: str) -> float:
     comparable with the predicted 2*pi/dk. Requires a unique, interior,
     grid-resolved peak.
     """
-    return _cut_width_3db(image, axis) / RAYLEIGH_WIDTH_FACTOR
-
-
-def _mainlobe_mask(image: ComplexImage) -> tuple[np.ndarray, Vec2, float]:
-    """Boolean mask of the mainlobe ellipse, plus refined peak pos/amp.
-
-    Falls back to a two-pixel semi-axis on an axis whose mainlobe is
-    narrower than the grid can resolve (e.g. a single lit pixel), so the
-    sidelobe ratios still have a defined mainlobe to exclude.
-    """
-    pos, amp, _ = _refine_peak(image)
-    semi = []
-    for axis, spacing in zip(("x", "y"), image.grid.spacing):
-        try:
-            semi.append(_MAINLOBE_SEMI_AXES * _cut_width_3db(image, axis))
-        except _UnresolvedMainlobe:
-            semi.append(2.0 * spacing)
-        except _MainlobeBeyondGrid:
-            raise ValueError(
-                "mainlobe region covers the whole image; enlarge the grid"
-            ) from None
-    x, y = image.grid.pixel_coords()
-    mask = ((x - pos.x) / semi[0]) ** 2 + ((y - pos.y) / semi[1]) ** 2 <= 1.0
-    if mask.all():
-        raise ValueError("mainlobe region covers the whole image; enlarge the grid")
-    return mask, pos, amp
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be 'x' or 'y'")
+    return _Mainlobe(image).resolution(axis)
 
 
 def pslr(image: ComplexImage) -> float:
     """Peak-to-sidelobe ratio in dB (<= 0): strongest magnitude outside
     the mainlobe ellipse over the mainlobe peak. -inf when nothing lies
     outside the mainlobe."""
-    mask, _, amp = _mainlobe_mask(image)
-    outside = image.magnitude[~mask]
-    peak_out = float(outside.max())
-    if peak_out == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(peak_out / amp)
+    return _Mainlobe(image).pslr()
 
 
 def islr(image: ComplexImage) -> float:
     """Integrated sidelobe ratio in dB: energy outside the mainlobe
     ellipse over energy inside. -inf when no energy lies outside."""
-    mask, _, _ = _mainlobe_mask(image)
-    power = image.magnitude ** 2
-    e_in = float(power[mask].sum())
-    e_out = float(power[~mask].sum())
-    if e_out == 0.0:
-        return -math.inf
-    if e_in == 0.0:
-        raise ValueError("no energy inside the mainlobe region")
-    return 10.0 * math.log10(e_out / e_in)
+    return _Mainlobe(image).islr()
 
 
 def peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None = None) -> float:
@@ -222,12 +212,18 @@ def peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None = None) ->
     explicitly for images with an unresolved axis). +inf on a noiseless
     image. Needs at least 100 background pixels.
     """
+    return _peak_snr(noisy, truth_pos, cell, None)
+
+
+def _peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None, lobe: _Mainlobe | None):
+    # an omitted cell is measured on ``lobe``, or on a new one when that is None too
     grid = noisy.grid
     xs, ys = grid.x_coords, grid.y_coords
     if not (xs[0] <= truth_pos.x <= xs[-1] and ys[0] <= truth_pos.y <= ys[-1]):
         raise ValueError("truth position lies outside the image grid")
     if cell is None:
-        cell = max(measure_resolution(noisy, "x"), measure_resolution(noisy, "y"))
+        lobe = lobe or _Mainlobe(noisy)
+        cell = max(lobe.resolution("x"), lobe.resolution("y"))
     i, j = grid.nearest_pixel(truth_pos)
     peak2 = float(np.abs(noisy.pixels[i, j]) ** 2)
     x, y = grid.pixel_coords()
@@ -244,20 +240,19 @@ def peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None = None) ->
 
 
 def compute_metrics(image: ComplexImage, truth_pos: Vec2 | None = None) -> ImageMetrics:
-    """All quality figures of one image in a single record.
+    """All quality figures of one image in a single record, from one
+    measurement of its mainlobe.
 
     ``peak_snr_db`` is filled only when a truth position is given.
     """
-    pos, _, (i, j) = _refine_peak(image)
-    snr = None
-    if truth_pos is not None:
-        snr = peak_snr(image, truth_pos)
+    lobe = _Mainlobe(image)
+    snr = None if truth_pos is None else _peak_snr(image, truth_pos, None, lobe)
     return ImageMetrics(
-        peak_pos=pos,
-        peak_val=complex(image.pixels[i, j]),
-        rho_x_meas=measure_resolution(image, "x"),
-        rho_y_meas=measure_resolution(image, "y"),
-        pslr_db=pslr(image),
-        islr_db=islr(image),
+        peak_pos=lobe.pos,
+        peak_val=complex(image.pixels[lobe.index]),
+        rho_x_meas=lobe.resolution("x"),
+        rho_y_meas=lobe.resolution("y"),
+        pslr_db=lobe.pslr(),
+        islr_db=lobe.islr(),
         peak_snr_db=snr,
     )

@@ -206,6 +206,17 @@ class TestReport:
         assert table == ["run,rho_x_m,rho_y_m,pslr_db,islr_db,peak_snr_db",
                          "run0/metrics.json,0.3,,,,"]
 
+    def test_non_numeric_fields_are_empty_cells(self, tmp_path):
+        # a text field used to exit 3 after writing only the table header
+        (tmp_path / "run0").mkdir()
+        (tmp_path / "run0" / "metrics.json").write_text(
+            '{"rho_x_m": "abc", "rho_y_m": true, "pslr_db": [1], "islr_db": -3, "peak_snr_db": 2.5}'
+        )
+        assert run_cli(["report", "--out", tmp_path]) == 0
+        table = (tmp_path / "metrics_table.csv").read_text().splitlines()
+        assert table == ["run,rho_x_m,rho_y_m,pslr_db,islr_db,peak_snr_db",
+                         "run0/metrics.json,,,,-3,2.5"]
+
 
 class TestFailures:
     def test_missing_scenario_exits_2(self, tmp_path, capsys):

@@ -73,3 +73,13 @@ def test_missing_file_fails(golden_diff, tmp_path, capsys):
     b = write_tree(tmp_path / "b", {k: v for k, v in BASE.items() if k != "run/fused.pgm"})
     assert golden_diff.main([str(a), str(b)]) == 1
     assert "only in" in capsys.readouterr().out
+
+
+def test_differing_keys_are_named(golden_diff, tmp_path, capsys):
+    a = write_tree(tmp_path / "a", BASE)
+    b = write_tree(tmp_path / "b", {**BASE, "run/metrics.json": '{"error": "unresolved"}\n'})
+    assert golden_diff.main([str(a), str(b)]) == 1
+    assert (
+        "run/metrics.json: differs beyond its numbers "
+        "($: keys differ (only in A: peak_val, pslr_db; only in B: error))"
+    ) in capsys.readouterr().out

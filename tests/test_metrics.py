@@ -31,6 +31,24 @@ def sinc2d_image(width, spacing, half_pixels, center_offset=(0.0, 0.0)):
     return ComplexImage(grid=grid, pixels=pixels.astype(complex), provenance=(0, 0))
 
 
+def separable_image(px, py, spacing=0.1):
+    """Image whose magnitude is the outer product of two 1D profiles."""
+    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+    grid = ImageGrid(Vec2(0.0, 0.0), (spacing, spacing), (len(px), len(py)))
+    return ComplexImage(grid=grid, pixels=np.outer(px, py).astype(complex), provenance=(0, 0))
+
+
+def gaussian(n, sigma, center=None):
+    c = (n - 1) / 2 if center is None else center
+    return np.exp(-0.5 * ((np.arange(n) - c) / sigma) ** 2)
+
+
+def spike(n):
+    profile = np.full(n, 0.1)
+    profile[n // 2] = 1.0
+    return profile
+
+
 class TestMeasureResolution:
     def test_exact_sinc_width(self):
         w = 0.30
@@ -65,6 +83,15 @@ class TestMeasureResolution:
         pixels[2, 2] = 1.0
         with pytest.raises(ValueError, match="unresolved|outside the grid"):
             measure_resolution(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)), "x")
+
+    def test_samples_beyond_the_mainlobe_are_not_counted(self):
+        # a one-pixel mainlobe next to a lobe above -3 dB: only the
+        # contiguous samples around the peak make up the mainlobe
+        cut = spike(11)
+        cut[7] = cut[8] = 0.9
+        image = separable_image(cut, gaussian(11, 2.0))
+        with pytest.raises(ValueError, match="unresolved along x: only 1 samples"):
+            measure_resolution(image, "x")
 
 
 class TestPslr:
@@ -188,6 +215,48 @@ class TestComputeMetrics:
         assert m.peak_snr_db is None
         assert m.peak_pos.x == pytest.approx(0.0, abs=1e-3)
         assert abs(m.peak_val) == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "image, truth, message",
+        [
+            # boundary peak before a truth position outside the grid
+            (separable_image(gaussian(21, 2.5, center=0), gaussian(21, 2.5)), Vec2(50, 50),
+             "image peak lies on the grid boundary at index (0,10)"),
+            # the SNR's truth check before an unresolved x
+            (separable_image(spike(21), gaussian(21, 2.5)), Vec2(50, 50),
+             "truth position lies outside the image grid"),
+            # x beyond the grid before an unresolved y
+            (separable_image(gaussian(21, 50.0), spike(21)), None,
+             "mainlobe -3 dB point along x falls outside the grid"),
+            (separable_image(gaussian(21, 2.5), spike(21)), None,
+             "mainlobe unresolved along y: only 1 samples above -3 dB"),
+            # both widths resolved, but their ellipse spans the grid
+            (separable_image(gaussian(11, 3.6), gaussian(11, 3.6)), None,
+             "mainlobe region covers the whole image; enlarge the grid"),
+        ],
+        ids=["boundary", "truth-outside", "x-beyond-grid", "y-unresolved", "mask-covers-image"],
+    )
+    def test_error_precedence(self, image, truth, message):
+        with pytest.raises(ValueError) as err:
+            compute_metrics(image, truth)
+        assert str(err.value) == message
+
+    def test_measures_the_mainlobe_once(self, monkeypatch):
+        image = sinc2d_image(0.30, 0.30 / 4, 4 * 15)
+        reads, masks = [], []
+        magnitude = ComplexImage.magnitude.fget
+        pixel_coords = ImageGrid.pixel_coords
+        monkeypatch.setattr(
+            ComplexImage, "magnitude", property(lambda im: reads.append(1) or magnitude(im))
+        )
+        monkeypatch.setattr(
+            ImageGrid, "pixel_coords", lambda grid: masks.append(1) or pixel_coords(grid)
+        )
+        compute_metrics(image)
+        assert (len(reads), len(masks)) == (1, 1)
+        reads.clear()
+        compute_metrics(image, Vec2(0.0, 0.0))
+        assert len(reads) == 1
 
     def test_serialization_maps_infinities_to_null(self):
         grid = ImageGrid(Vec2(-0.3, -0.3), (0.1, 0.1), (7, 7))
