@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Time back-projection of the 25-pair lane fuse at one and two workers.
 
-    python3 scripts/bp_timing.py [--reps 15] [--sizes 25,49,65,81,101,121] [--block-pixch N]
+    python3 scripts/bp_timing.py [--reps 15] [--sizes 25,49,65,81,101,121] [--block-bytes N]
 
 Synthesizes `scenarios/lane_multistatic.json` once (3350 channels), then
 for each square grid, centred on the target at the default pixel pitch,
 times `imaging.pair_images` with workers 1 and 2 alternating and prints
-the median and quartiles of each in milliseconds, and their ratio.
-``--block-pixch`` replaces the kernel's pixel-channels per numpy call.
+the median and quartiles of each in milliseconds, their ratio, the Rx
+elements each numpy call covers and the process's peak RSS so far.
+``--block-bytes`` replaces the kernel's working-set budget per thread.
 """
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -27,9 +29,10 @@ from netrad.synth import suggest_window, synthesize  # noqa: E402
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--reps", type=int, default=15)
 parser.add_argument("--sizes", default="25,49,65,81,101,121")
-parser.add_argument("--block-pixch", type=int, default=imaging._BLOCK_PIXCH)
+parser.add_argument("--block-bytes", type=int, default=imaging._BLOCK_BYTES)
 args = parser.parse_args()
-imaging._BLOCK_PIXCH = args.block_pixch
+imaging._BLOCK_BYTES = args.block_bytes
+pixch_bytes = imaging._INTERPOLATORS["linear"][1]
 sc = load_scenario((ROOT / "scenarios" / "lane_multistatic.json").read_text())
 step = default_grid(sc).spacing[0]
 target = sc.targets[0].position
@@ -42,7 +45,8 @@ def grid(n):
 
 sizes = [int(s) for s in args.sizes.split(",")]
 records = synthesize(sc, suggest_window(sc, grid(max(sizes))))
-print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}")
+print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}"
+      f" {'elements':>8} {'peak RSS MB':>11}")
 for n in sizes:
     g, times = grid(n), {1: [], 2: []}
     for _ in range(args.reps):
@@ -52,4 +56,7 @@ for n in sizes:
             times[workers].append(1e3 * (time.perf_counter() - start))
     q = {w: statistics.quantiles(t, n=4) for w, t in times.items()}
     cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in (1, 2)]
-    print(f"{n:>4}² {cells[0]:>25} {cells[1]:>26} {q[1][1] / q[2][1]:>6.2f}")
+    per_block = imaging._block_elements(pixch_bytes, n * n)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"{n:>4}² {cells[0]:>25} {cells[1]:>26} {q[1][1] / q[2][1]:>6.2f}"
+          f" {per_block:>8} {rss_mb:>11.1f}")

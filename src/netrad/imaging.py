@@ -16,9 +16,10 @@ per Tx element and one delay map and phase per Rx element serve every
 pair using the element. Each (pair, Tx element) sums its channels without
 the Tx phase, by ascending Rx element and then record order; Tx phases
 are applied last, by ascending Tx element. Rx elements are taken in
-blocks of B = max(1, _BLOCK_PIXCH // grid pixels): each numpy call of a
-channel's op chain covers the block's channels of one (pair, Tx element),
-whose rows are then added one after another. The order is fixed per
+blocks of B = max(1, _BLOCK_BYTES // (interpolator bytes per
+pixel-channel * grid pixels)): each numpy call of a channel's op chain
+covers the block's channels of one (pair, Tx element), whose rows are
+then added one after another. The order is fixed per
 pixel: a pair's image is bit-identical for any worker count, block size
 and co-imaged pairs.
 
@@ -46,11 +47,16 @@ from .synth import SignalRecord, suggest_window, synthesize
 from .wavenumber import coverage_region, predicted_resolution
 
 _SINC_TAPS = 16
-# Pixel-channels per numpy call: 5 Rx elements a block on 49x49, the most
-# within +5% peak memory (~80 B per pixel-channel and thread). Lane fuse,
-# scripts/bp_timing.py, median ms at 1/2 workers on 49x49: 69/101 one
-# element per call, 47/43 here, 49/42 in blocks of 10; one from 101x101 up.
-_BLOCK_PIXCH = 14336
+# Working set of a thread's numpy calls in bytes; divided by the
+# interpolator's bytes per pixel-channel and the grid's pixels it gives the
+# Rx elements of a block: 12 on 49x49 and 2 on 121x121 with linear
+# interpolation, one with sinc. Small grids are bound by the call count.
+_BLOCK_BYTES = 2_200_000
+
+
+def _block_elements(pixch_bytes: int, pixels: int) -> int:
+    """Rx elements per numpy call: the budget's worth, at least one."""
+    return max(1, _BLOCK_BYTES // (pixch_bytes * pixels))
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ def _interp_linear(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarra
     """Two-point interpolation of each ``recs[c]`` at the delays
     ``tau[c]`` (overwritten), into the reused buffers ``work``; the
     records share t0, fs and length."""
-    index, vals, step, floor = work
+    index, vals, step = work
     rec, n = recs[0], len(recs[0].samples)
     samples = np.concatenate([r.samples for r in recs]) if len(recs) > 1 else rec.samples
     # the step to the next sample; a record's last sample repeats its last step
@@ -91,11 +97,12 @@ def _interp_linear(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarra
     steps[n - 1::n] = steps[n - 2::n]
     pos = np.multiply(np.subtract(tau, rec.t0, out=tau), rec.fs, out=tau)
     # 0 <= pos < n inside the record window: truncation is the floor and
-    # every index below is in range
-    np.copyto(index, np.trunc(pos, out=floor), casting="unsafe")
-    np.subtract(pos, floor, out=pos)
+    # every index below is in range; the floor lives in ``vals``, written last
+    floor = vals.reshape(-1).view(float)[:pos.size].reshape(pos.shape)
+    np.subtract(pos, np.trunc(pos, out=floor), out=pos)
     if len(recs) > 1:
-        np.add(index, np.arange(0, len(samples), n).reshape(-1, 1, 1), out=index)
+        np.add(floor, np.arange(0.0, len(samples), n).reshape(-1, 1, 1), out=floor)
+    np.copyto(index, floor, casting="unsafe")
     np.multiply(np.take(steps, index, out=step, mode="wrap"), pos, out=vals)
     return np.add(vals, np.take(samples, index, out=step, mode="wrap"), out=vals)
 
@@ -114,7 +121,9 @@ def _interp_sinc(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarray:
     return (np.concatenate([r.samples for r in recs])[idx + starts] * weights).sum(axis=-1)
 
 
-_INTERPOLATORS = {"linear": _interp_linear, "sinc": _interp_sinc}
+# interpolator and its bytes per pixel-channel, kernel buffers included, as
+# tracemalloc measures them (tests/test_imaging.py checks the budget)
+_INTERPOLATORS = {"linear": (_interp_linear, 72), "sinc": (_interp_sinc, 800)}
 
 
 def _delay_map(ex, ey, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -135,7 +144,9 @@ def _carrier_phase(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
     """exp(j*theta) into ``out`` (``theta`` is overwritten): the nearest
     table entry exp(2*pi*j*k/T) times exp(j*d) in the residual |d| <= pi/T,
     whose series is cut where its terms fall below 1e-17."""
-    index, rot, table, turn = work
+    index, rot, table = work
+    # the turns live in ``rot``, written last
+    turn = rot.reshape(-1).view(float)[:theta.size].reshape(theta.shape)
     np.rint(np.multiply(theta, 1.0 / _PHASE_STEP, out=turn), out=turn)
     np.copyto(index, turn, casting="unsafe")
     np.bitwise_and(index, _PHASE_STEPS - 1, out=index)
@@ -197,7 +208,7 @@ def pair_images(
     terminals than workers; the result does not depend on their number.
     """
     try:
-        interpolate = _INTERPOLATORS[interp]
+        interpolate, pixch_bytes = _INTERPOLATORS[interp]
     except KeyError:
         raise ValueError(f"unknown interpolation {interp!r}; use 'linear' or 'sinc'") from None
     pairs = list(dict.fromkeys(rec.channel[:2] for rec in records))
@@ -216,7 +227,7 @@ def pair_images(
             tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
     pixels = {pair: np.zeros(grid.size, dtype=complex) for pair in pairs}
-    per_block = max(1, _BLOCK_PIXCH // (grid.size[0] * grid.size[1]))
+    per_block = _block_elements(pixch_bytes, grid.size[0] * grid.size[1])
 
     def image_rows(k: int, row0: int, row1: int) -> None:
         rows, shape = slice(row0, row1), (row1 - row0, grid.size[1])
@@ -234,9 +245,9 @@ def pair_images(
         # (block, rows, ny) buffers and their first c rows; complex products
         # never write over an operand: numpy rounds an in-place product of
         # one element differently from a longer one
-        buffer = functools.partial(np.empty, (per_block, *shape))
+        buffer = functools.partial(np.empty, (min(per_block, len(elements)), *shape))
         rx_delay, phase, pos = buffer(), buffer(dtype=complex), buffer()
-        work = (buffer(dtype=np.intp), buffer(dtype=complex), buffer(dtype=complex), buffer())
+        work = (buffer(dtype=np.intp), buffer(dtype=complex), buffer(dtype=complex))
         first = functools.cache(lambda c: (pos[:c], tuple(w[:c] for w in work)))
         for b0 in range(0, len(elements), per_block):
             block, ms = slice(b0, b0 + per_block), elements[b0:b0 + per_block]

@@ -1,10 +1,14 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from netrad import imaging
 from netrad.scene import (
     AssociationMatrix,
     ImageGrid,
@@ -12,6 +16,7 @@ from netrad.scene import (
     Scenario,
     Terminal,
     Vec2,
+    load_scenario,
 )
 from netrad.imaging import (
     ComplexImage,
@@ -237,6 +242,40 @@ class TestBackproject:
         grid = ImageGrid(Vec2(0, 19.9), (0.1, 0.1), (2, 2))
         with pytest.raises(ValueError, match="interpolation"):
             backproject(records, sc, grid, interp="cubic")
+
+
+def traced_peak(records, sc, grid, interp):
+    tracemalloc.start()
+    try:
+        pair_images(records, sc, grid, workers=1, interp=interp)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("interp", ["linear", "sinc"])
+def test_working_set_stays_within_budget(interp):
+    """One pair of the lane (134 channels) at 49x49 and 121x121: beyond
+    the pair image and Tx map, a call holds its blocks within the byte
+    budget, or one element where that alone exceeds it. Not counted:
+    the same blocks on a one-pixel grid (the grouping and samples of the
+    records) and one numpy iterator buffer of complex values."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "lane_multistatic.json"
+    sc = load_scenario(path.read_text())
+    step, target = default_grid(sc).spacing[0], sc.targets[0].position
+
+    def grid(n):
+        half = step * (n - 1) / 2
+        return ImageGrid(Vec2(target.x - half, target.y - half), (step, step), (n, n))
+
+    records = [r for r in synthesize(sc, suggest_window(sc, grid(121))) if r.channel[:2] == (0, 0)]
+    budget, pixch_bytes = imaging._BLOCK_BYTES, imaging._INTERPOLATORS[interp][1]
+    for n in (49, 121):
+        per_block = imaging._block_elements(pixch_bytes, n * n)
+        with patch.object(imaging, "_BLOCK_BYTES", per_block * pixch_bytes):
+            fixed = traced_peak(records, sc, grid(1), interp) + np.getbufsize() * 16
+        used = traced_peak(records, sc, grid(n), interp) - (16 + 8) * n * n - fixed
+        assert used <= max(budget, pixch_bytes * n * n), (n, per_block, used)
 
 
 class TestPointSpread:

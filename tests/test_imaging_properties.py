@@ -110,11 +110,11 @@ def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, interp, pair_
         assert np.array_equal(alone.pixels, image.pixels)
 
 
-def with_block(per_block, grid):
-    """Set the kernel's pixel-channels per call so that it batches
-    ``per_block`` Rx elements on ``grid``."""
-    pixels = grid.size[0] * grid.size[1]
-    return patch.object(imaging, "_BLOCK_PIXCH", per_block * pixels + pixels - 1)
+def with_block(per_block, grid, interp):
+    """Set the kernel's byte budget so that it batches ``per_block`` Rx
+    elements on ``grid`` with ``interp``."""
+    element = imaging._INTERPOLATORS[interp][1] * grid.size[0] * grid.size[1]
+    return patch.object(imaging, "_BLOCK_BYTES", per_block * element + element - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +131,7 @@ def test_blocks_keep_each_pixel_sum_in_order(acquisition, interp, data):
         replace(rec, t0=rec.t0 - 1 / rec.fs, samples=np.append(0j, rec.samples)) if extend else rec
         for rec, keep, extend in zip(records, kept, longer) if keep or not any(kept)
     ]
-    with with_block(1, grid):
+    with with_block(1, grid, interp):
         images = pair_images(records, sc, grid, interp=interp)
     if interp == "linear":
         for image in images:
@@ -139,7 +139,7 @@ def test_blocks_keep_each_pixel_sum_in_order(acquisition, interp, data):
             peak = np.abs(oracle).max()
             np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
     for per_block in (1, 2, 4, 5):
-        with with_block(per_block, grid):
+        with with_block(per_block, grid, interp):
             for workers in WORKERS:
                 again = pair_images(records, sc, grid, workers=workers, interp=interp)
                 assert [im.provenance for im in again] == [im.provenance for im in images]
@@ -148,23 +148,23 @@ def test_blocks_keep_each_pixel_sum_in_order(acquisition, interp, data):
 
 
 def test_block_constant_grids():
-    """Grids sized from the kernel's own constant, on which the 5 Rx
+    """Grids sized from the kernel's own byte budget, on which the 5 Rx
     elements of one terminal run as blocks of 2, 2 and 1, or one at a
     time."""
     terminal = Terminal(0, Vec2(0.0, 0.0), (Vec2(0.0, 0.0),),
                         tuple(Vec2(0.005 * i - 0.01, 0.0) for i in range(5)))
     sc = Scenario(terminals=(terminal,), targets=(PointTarget(Vec2(0.02, 10.0)),), f0=F0,
                   bandwidth=BW, noise_power=0.1, pairing=AssociationMatrix.identity(1))
-    ny = 64
+    ny, budget, pixch_bytes = 64, imaging._BLOCK_BYTES, imaging._INTERPOLATORS["linear"][1]
     for per_block in (2, 1):
-        nx = imaging._BLOCK_PIXCH // (per_block * ny) - (per_block == 1)
-        assert max(1, imaging._BLOCK_PIXCH // (nx * ny)) == per_block
+        nx = budget // (pixch_bytes * per_block * ny) - (per_block == 1)
+        assert imaging._block_elements(pixch_bytes, nx * ny) == per_block
         grid = ImageGrid(Vec2(-0.3, 9.7), (0.6 / (nx - 1), 0.6 / (ny - 1)), (nx, ny))
         records = synthesize(sc, suggest_window(sc, grid))
         (image,) = pair_images(records, sc, grid)
         oracle = brute_force_backprojection(records, sc, grid)
         np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
-        with with_block(1, grid):
+        with with_block(1, grid, "linear"):
             assert np.array_equal(pair_images(records, sc, grid)[0].pixels, image.pixels)
         for workers in WORKERS[1:]:
             again = pair_images(records, sc, grid, workers=workers)
@@ -187,11 +187,11 @@ def test_stacked_records_interpolate_as_single_records(count, n, interp, seed):
     # rounding can put the delay of a window edge
     tau = np.array([[rng.uniform(0, n - 1, 4).tolist() + [0.0, n - 1, np.nextafter(n - 1, n)]]
                     for _ in recs])
-    interpolate = imaging._INTERPOLATORS[interp]
+    interpolate = imaging._INTERPOLATORS[interp][0]
 
     def buffers(shape):
         return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
-                np.empty(shape, dtype=complex), np.empty(shape))
+                np.empty(shape, dtype=complex))
 
     stacked = interpolate(recs, tau.copy(), buffers(tau.shape)).copy()
     for rec, row, value in zip(recs, tau, stacked):
@@ -205,7 +205,7 @@ def test_carrier_phase_matches_cmath(angles):
     theta = np.array(angles)
     shape = theta.shape
     work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
-            np.empty(shape, dtype=complex), np.empty(shape))
+            np.empty(shape, dtype=complex))
     phase = _carrier_phase(theta.copy(), np.empty(shape, dtype=complex), work)
     for t, z in zip(angles, phase.tolist()):
         assert abs(z - cmath.exp(1j * t)) <= 4 * np.spacing(abs(t)) + 1e-15, t
