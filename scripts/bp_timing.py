@@ -32,7 +32,6 @@ parser.add_argument("--sizes", default="25,49,65,81,101,121")
 parser.add_argument("--block-bytes", type=int, default=imaging._BLOCK_BYTES)
 args = parser.parse_args()
 imaging._BLOCK_BYTES = args.block_bytes
-pixch_bytes = imaging._INTERPOLATORS["linear"][1]
 sc = load_scenario((ROOT / "scenarios" / "lane_multistatic.json").read_text())
 step = default_grid(sc).spacing[0]
 target = sc.targets[0].position
@@ -54,9 +53,10 @@ for n in sizes:
             start = time.perf_counter()
             pair_images(records, sc, g, workers=workers)
             times[workers].append(1e3 * (time.perf_counter() - start))
-    q = {w: statistics.quantiles(t, n=4) for w, t in times.items()}
+    # one rep is its own quartiles
+    q = {w: statistics.quantiles(t, n=4) if len(t) > 1 else t * 3 for w, t in times.items()}
     cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in (1, 2)]
-    per_block = imaging._block_elements(pixch_bytes, n * n)
+    per_block = imaging._block_elements(n * n)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{n:>4}² {cells[0]:>25} {cells[1]:>26} {q[1][1] / q[2][1]:>6.2f}"
           f" {per_block:>8} {rss_mb:>11.1f}")

@@ -1,8 +1,8 @@
 """Image formation by time-domain back-projection.
 
-For each pixel x and each measurement channel, the record is interpolated
-at the pixel's bistatic delay tau(x), rotated by exp(+j*2*pi*f0*tau(x))
-to undo the carrier phase, and accumulated:
+For each pixel x and each measurement channel, the record is linearly
+interpolated at the pixel's bistatic delay tau(x), rotated by
+exp(+j*2*pi*f0*tau(x)) to undo the carrier phase, and accumulated:
 
     I(x) = sum_n sum_m y_nm(t = tau_nm(x)) * exp(j*2*pi*f0*tau_nm(x))
 
@@ -16,12 +16,11 @@ per Tx element and one delay map and phase per Rx element serve every
 pair using the element. Each (pair, Tx element) sums its channels without
 the Tx phase, by ascending Rx element and then record order; Tx phases
 are applied last, by ascending Tx element. Rx elements are taken in
-blocks of B = max(1, _BLOCK_BYTES // (interpolator bytes per
-pixel-channel * grid pixels)): each numpy call of a channel's op chain
-covers the block's channels of one (pair, Tx element), whose rows are
-then added one after another. The order is fixed per
-pixel: a pair's image is bit-identical for any worker count, block size
-and co-imaged pairs.
+blocks of B = max(1, _BLOCK_BYTES // (_PIXCH_BYTES * grid pixels)): each
+numpy call of a channel's op chain covers the block's channels of one
+(pair, Tx element), whose rows are then added one after another. The
+order is fixed per pixel: a pair's image is bit-identical for any worker
+count, block size and co-imaged pairs.
 
 A delay map is r/c with r the square root of the broadcast squared x and
 y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
@@ -46,17 +45,18 @@ from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2
 from .synth import SignalRecord, suggest_window, synthesize
 from .wavenumber import coverage_region, predicted_resolution
 
-_SINC_TAPS = 16
-# Working set of a thread's numpy calls in bytes; divided by the
-# interpolator's bytes per pixel-channel and the grid's pixels it gives the
-# Rx elements of a block: 12 on 49x49 and 2 on 121x121 with linear
-# interpolation, one with sinc. Small grids are bound by the call count.
+# bytes per pixel-channel of a block's op chain, kernel buffers included,
+# as tracemalloc measures them (tests/test_imaging.py checks the budget)
+_PIXCH_BYTES = 72
+# Working set of a thread's numpy calls in bytes; divided by _PIXCH_BYTES
+# and the grid's pixels it gives the Rx elements of a block: 12 on 49x49
+# and 2 on 121x121. Small grids are bound by the call count.
 _BLOCK_BYTES = 2_200_000
 
 
-def _block_elements(pixch_bytes: int, pixels: int) -> int:
+def _block_elements(pixels: int) -> int:
     """Rx elements per numpy call: the budget's worth, at least one."""
-    return max(1, _BLOCK_BYTES // (pixch_bytes * pixels))
+    return max(1, _BLOCK_BYTES // (_PIXCH_BYTES * pixels))
 
 
 @dataclass(frozen=True)
@@ -105,25 +105,6 @@ def _interp_linear(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarra
     np.copyto(index, floor, casting="unsafe")
     np.multiply(np.take(steps, index, out=step, mode="wrap"), pos, out=vals)
     return np.add(vals, np.take(samples, index, out=step, mode="wrap"), out=vals)
-
-
-def _interp_sinc(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarray:
-    """Windowed-sinc interpolation of each ``recs[c]`` at ``tau[c]``; the
-    records share t0, fs and length, and ``work`` is not needed."""
-    rec, n = recs[0], len(recs[0].samples)
-    if n < _SINC_TAPS:
-        raise ValueError(f"sinc interpolation needs {_SINC_TAPS} samples per record, got {n}")
-    pos = (tau - rec.t0) * rec.fs
-    base = np.clip(np.round(pos).astype(int) - _SINC_TAPS // 2, 0, n - _SINC_TAPS)
-    idx = base[..., None] + np.arange(_SINC_TAPS)
-    weights = np.sinc(pos[..., None] - idx)
-    starts = np.arange(0, len(recs) * n, n).reshape(-1, 1, 1, 1)
-    return (np.concatenate([r.samples for r in recs])[idx + starts] * weights).sum(axis=-1)
-
-
-# interpolator and its bytes per pixel-channel, kernel buffers included, as
-# tracemalloc measures them (tests/test_imaging.py checks the budget)
-_INTERPOLATORS = {"linear": (_interp_linear, 72), "sinc": (_interp_sinc, 800)}
 
 
 def _delay_map(ex, ey, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -179,7 +160,6 @@ def backproject(
     scenario: Scenario,
     grid: ImageGrid,
     workers: int = 1,
-    interp: str = "linear",
 ) -> ComplexImage:
     """Form the complex image of the one Tx-Rx pair of ``records``; see ``pair_images``."""
     if not records:
@@ -187,7 +167,7 @@ def backproject(
     pairs = sorted({rec.channel[:2] for rec in records})
     if len(pairs) > 1:
         raise ValueError(f"records mix pairs {pairs}; back-project one pair at a time")
-    return pair_images(records, scenario, grid, workers=workers, interp=interp)[0]
+    return pair_images(records, scenario, grid, workers=workers)[0]
 
 
 def pair_images(
@@ -195,22 +175,17 @@ def pair_images(
     scenario: Scenario,
     grid: ImageGrid,
     workers: int = 1,
-    interp: str = "linear",
 ) -> list[ComplexImage]:
     """Back-project each Tx-Rx pair present in ``records`` separately,
     preserving first-appearance pair order.
 
     Every pair must be active and every pixel's bistatic delay must fall
-    inside each record's time window. Linear interpolation is the
-    default; ``interp="sinc"`` selects a windowed sinc kernel for higher
-    amplitude fidelity at off-sample delays. ``workers`` threads split
-    the receive terminals, and the pixel rows when there are fewer
-    terminals than workers; the result does not depend on their number.
+    inside each record's time window. Records are interpolated linearly
+    between samples; ``synth.default_sample_rate`` states the error bound.
+    ``workers`` threads split the receive terminals, and the pixel rows
+    when there are fewer terminals than workers; the result does not
+    depend on their number.
     """
-    try:
-        interpolate, pixch_bytes = _INTERPOLATORS[interp]
-    except KeyError:
-        raise ValueError(f"unknown interpolation {interp!r}; use 'linear' or 'sinc'") from None
     pairs = list(dict.fromkeys(rec.channel[:2] for rec in records))
     for pair in pairs:
         if not scenario.pairing.is_active(*pair):
@@ -227,7 +202,7 @@ def pair_images(
             tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
     pixels = {pair: np.zeros(grid.size, dtype=complex) for pair in pairs}
-    per_block = _block_elements(pixch_bytes, grid.size[0] * grid.size[1])
+    per_block = _block_elements(grid.size[0] * grid.size[1])
 
     def image_rows(k: int, row0: int, row1: int) -> None:
         rows, shape = slice(row0, row1), (row1 - row0, grid.size[1])
@@ -272,7 +247,7 @@ def pair_images(
                         runs.append(run)
             for key, b, recs, _ in runs:
                 at, (p, chain_work) = slice(b, b + len(recs)), first(len(recs))
-                vals = interpolate(recs, np.add(tx_rows[key], delays[at], out=p), chain_work)
+                vals = _interp_linear(recs, np.add(tx_rows[key], delays[at], out=p), chain_work)
                 for row in np.multiply(vals, phase[at], out=chain_work[2]):
                     sums[key] += row
         pos, phase, phase_work = pos[0], phase[0], tuple(w[0] for w in work)

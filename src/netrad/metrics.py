@@ -73,7 +73,7 @@ def _log_vertex(cut: np.ndarray, k: int, log_c: float) -> tuple[float, float]:
     if denom >= 0.0:
         return 0.0, log_c
     delta = 0.5 * (lm - rp) / denom
-    return delta, log_c + 0.25 * (lm - rp) * delta
+    return delta, log_c + 0.25 * (rp - lm) * delta
 
 
 class _Mainlobe:
@@ -99,7 +99,8 @@ class _Mainlobe:
         log_amp = math.log(peak)
         (di, amp_i), (dj, amp_j) = (_log_vertex(cut, k, log_amp) for cut, k in cuts)
         self.index = (i, j)
-        self.amp = math.exp(max(amp_i, amp_j))
+        # each axis adds its own correction to the centre sample
+        self.amp = math.exp(amp_i + amp_j - log_amp)
         self.pos = Vec2(
             self.grid.origin.x + (i + di) * self.grid.spacing[0],
             self.grid.origin.y + (j + dj) * self.grid.spacing[1],

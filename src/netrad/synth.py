@@ -72,9 +72,11 @@ def apply_rcs(path_tx: float, path_rx: float, reflectivity: complex,
 
 
 def default_sample_rate(bandwidth: float) -> float:
-    """Complex sampling rate used when none is given: 4B. That 4x
-    oversampling keeps linear-interpolation amplitude errors in the
-    back-projector below about half a percent at the mainlobe."""
+    """Complex sampling rate used when none is given: 4B. The
+    back-projector interpolates records linearly, whose error on a
+    target's response beta * sinc(B*t) is at most
+    pi^2 * (B/fs)^2 / 24 * |beta|: 2.6% at 4B, against 2.55% measured for a
+    peak half-way between samples."""
     return 4.0 * bandwidth
 
 

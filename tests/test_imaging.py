@@ -210,7 +210,7 @@ class TestBackproject:
         with pytest.raises(ValueError, match="no records"):
             backproject([], sc, grid)
 
-    def test_sinc_interpolation_improves_off_sample_amplitude(self):
+    def test_linear_interpolation_off_sample_amplitude(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
         tau = bistatic_delay(sc.terminals[0].tx_elements[0],
                              sc.terminals[0].rx_elements[0], TARGET)
@@ -218,43 +218,20 @@ class TestBackproject:
         t0 = tau - (40 + 0.5) / fs  # peak half-way between samples
         records = synthesize(sc, (t0, t0 + 81 / fs), fs=fs)
         grid = ImageGrid(Vec2(TARGET.x, TARGET.y), (0.1, 0.1), (1, 1))
-        lin = abs(backproject(records, sc, grid, interp="linear").pixels[0, 0])
-        snc = abs(backproject(records, sc, grid, interp="sinc").pixels[0, 0])
-        assert abs(snc - 1.0) < abs(lin - 1.0)
+        lin = abs(backproject(records, sc, grid).pixels[0, 0])
         assert lin == pytest.approx(1.0, abs=0.05)
 
-    def test_sinc_rejects_records_shorter_than_its_taps(self):
-        # 9 samples at fs = B around the response: the 16-tap kernel used
-        # to read indices below 0, which wrap to the other end of the data
-        sc = lane_scenario(n_terminals=1, m_rx=2)
-        tau = bistatic_delay(sc.terminals[0].tx_elements[0], sc.terminals[0].rx_elements[0], TARGET)
-        records = synthesize(sc, (tau - 4.2 / BW, tau + 4.2 / BW), fs=BW)
-        assert len(records[0].samples) == 9
-        grid = ImageGrid(Vec2(TARGET.x, TARGET.y), (0.1, 0.1), (1, 1))
-        backproject(records, sc, grid)
-        with pytest.raises(ValueError, match="sinc interpolation needs 16 samples per record, got 9"):
-            backproject(records, sc, grid, interp="sinc")
 
-    def test_unknown_interpolation_rejected(self):
-        sc = lane_scenario(n_terminals=1, m_rx=1)
-        window = suggest_window(sc)
-        records = synthesize(sc, window)
-        grid = ImageGrid(Vec2(0, 19.9), (0.1, 0.1), (2, 2))
-        with pytest.raises(ValueError, match="interpolation"):
-            backproject(records, sc, grid, interp="cubic")
-
-
-def traced_peak(records, sc, grid, interp):
+def traced_peak(records, sc, grid):
     tracemalloc.start()
     try:
-        pair_images(records, sc, grid, workers=1, interp=interp)
+        pair_images(records, sc, grid, workers=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("interp", ["linear", "sinc"])
-def test_working_set_stays_within_budget(interp):
+def test_working_set_stays_within_budget():
     """One pair of the lane (134 channels) at 49x49 and 121x121: beyond
     the pair image and Tx map, a call holds its blocks within the byte
     budget, or one element where that alone exceeds it. Not counted:
@@ -269,12 +246,12 @@ def test_working_set_stays_within_budget(interp):
         return ImageGrid(Vec2(target.x - half, target.y - half), (step, step), (n, n))
 
     records = [r for r in synthesize(sc, suggest_window(sc, grid(121))) if r.channel[:2] == (0, 0)]
-    budget, pixch_bytes = imaging._BLOCK_BYTES, imaging._INTERPOLATORS[interp][1]
+    budget, pixch_bytes = imaging._BLOCK_BYTES, imaging._PIXCH_BYTES
     for n in (49, 121):
-        per_block = imaging._block_elements(pixch_bytes, n * n)
+        per_block = imaging._block_elements(n * n)
         with patch.object(imaging, "_BLOCK_BYTES", per_block * pixch_bytes):
-            fixed = traced_peak(records, sc, grid(1), interp) + np.getbufsize() * 16
-        used = traced_peak(records, sc, grid(n), interp) - (16 + 8) * n * n - fixed
+            fixed = traced_peak(records, sc, grid(1)) + np.getbufsize() * 16
+        used = traced_peak(records, sc, grid(n)) - (16 + 8) * n * n - fixed
         assert used <= max(budget, pixch_bytes * n * n), (n, per_block, used)
 
 

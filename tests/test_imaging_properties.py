@@ -4,6 +4,7 @@ acquisitions: 1-3 terminals with 1-2 Tx and 1-3 Rx elements each (up to
 and records in random order."""
 
 import cmath
+import math
 import re
 from dataclasses import replace
 from unittest.mock import patch
@@ -16,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from netrad import imaging
 from netrad.imaging import (
-    _SINC_TAPS,
     _carrier_phase,
     _check_window,
     _delay_map,
@@ -24,7 +24,7 @@ from netrad.imaging import (
     pair_images,
 )
 from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
-from netrad.synth import SignalRecord, suggest_window, synthesize
+from netrad.synth import SignalRecord, bistatic_delay, suggest_window, synthesize
 from helpers import BW, F0, brute_force_backprojection
 
 WORKERS = (1, 2, 3, 8)
@@ -87,39 +87,33 @@ def test_each_pair_matches_oracle(acquisition):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    acquisitions(),
-    st.sampled_from(["linear", "sinc"]),
-    st.sampled_from(WORKERS),
-)
-def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, interp, pair_workers):
+@given(acquisitions(), st.sampled_from(WORKERS))
+def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, pair_workers):
     sc, grid, records = acquisition
-    images = pair_images(records, sc, grid, interp=interp)
+    images = pair_images(records, sc, grid)
     # first-appearance pair order
     assert [im.provenance for im in images] == list(dict.fromkeys(r.channel[:2] for r in records))
     for workers in WORKERS[1:]:
-        again = pair_images(records, sc, grid, workers=workers, interp=interp)
+        again = pair_images(records, sc, grid, workers=workers)
         assert [im.provenance for im in again] == [im.provenance for im in images]
         for a, b in zip(images, again):
             assert np.array_equal(a.pixels, b.pixels)
     # a pair imaged alone, with its own thread count, gives the same bits
     for image in images:
-        alone = backproject(
-            records_of(records, image.provenance), sc, grid, workers=pair_workers, interp=interp
-        )
+        alone = backproject(records_of(records, image.provenance), sc, grid, workers=pair_workers)
         assert np.array_equal(alone.pixels, image.pixels)
 
 
-def with_block(per_block, grid, interp):
+def with_block(per_block, grid):
     """Set the kernel's byte budget so that it batches ``per_block`` Rx
-    elements on ``grid`` with ``interp``."""
-    element = imaging._INTERPOLATORS[interp][1] * grid.size[0] * grid.size[1]
+    elements on ``grid``."""
+    element = imaging._PIXCH_BYTES * grid.size[0] * grid.size[1]
     return patch.object(imaging, "_BLOCK_BYTES", per_block * element + element - 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(acquisitions(max_rx=6), st.sampled_from(["linear", "sinc"]), st.data())
-def test_blocks_keep_each_pixel_sum_in_order(acquisition, interp, data):
+@given(acquisitions(max_rx=6), st.data())
+def test_blocks_keep_each_pixel_sum_in_order(acquisition, data):
     # blocks of 1, 2, 4 and 5 Rx elements: with up to 6 elements per
     # terminal the last block is often partial; dropped channels leave
     # blocks without some (Tx terminal, Tx element) keys, and records
@@ -131,17 +125,16 @@ def test_blocks_keep_each_pixel_sum_in_order(acquisition, interp, data):
         replace(rec, t0=rec.t0 - 1 / rec.fs, samples=np.append(0j, rec.samples)) if extend else rec
         for rec, keep, extend in zip(records, kept, longer) if keep or not any(kept)
     ]
-    with with_block(1, grid, interp):
-        images = pair_images(records, sc, grid, interp=interp)
-    if interp == "linear":
-        for image in images:
-            oracle = brute_force_backprojection(records_of(records, image.provenance), sc, grid)
-            peak = np.abs(oracle).max()
-            np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
+    with with_block(1, grid):
+        images = pair_images(records, sc, grid)
+    for image in images:
+        oracle = brute_force_backprojection(records_of(records, image.provenance), sc, grid)
+        peak = np.abs(oracle).max()
+        np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
     for per_block in (1, 2, 4, 5):
-        with with_block(per_block, grid, interp):
+        with with_block(per_block, grid):
             for workers in WORKERS:
-                again = pair_images(records, sc, grid, workers=workers, interp=interp)
+                again = pair_images(records, sc, grid, workers=workers)
                 assert [im.provenance for im in again] == [im.provenance for im in images]
                 for a, b in zip(images, again):
                     assert np.array_equal(a.pixels, b.pixels), (per_block, workers)
@@ -155,16 +148,16 @@ def test_block_constant_grids():
                         tuple(Vec2(0.005 * i - 0.01, 0.0) for i in range(5)))
     sc = Scenario(terminals=(terminal,), targets=(PointTarget(Vec2(0.02, 10.0)),), f0=F0,
                   bandwidth=BW, noise_power=0.1, pairing=AssociationMatrix.identity(1))
-    ny, budget, pixch_bytes = 64, imaging._BLOCK_BYTES, imaging._INTERPOLATORS["linear"][1]
+    ny, budget, pixch_bytes = 64, imaging._BLOCK_BYTES, imaging._PIXCH_BYTES
     for per_block in (2, 1):
         nx = budget // (pixch_bytes * per_block * ny) - (per_block == 1)
-        assert imaging._block_elements(pixch_bytes, nx * ny) == per_block
+        assert imaging._block_elements(nx * ny) == per_block
         grid = ImageGrid(Vec2(-0.3, 9.7), (0.6 / (nx - 1), 0.6 / (ny - 1)), (nx, ny))
         records = synthesize(sc, suggest_window(sc, grid))
         (image,) = pair_images(records, sc, grid)
         oracle = brute_force_backprojection(records, sc, grid)
         np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
-        with with_block(1, grid, "linear"):
+        with with_block(1, grid):
             assert np.array_equal(pair_images(records, sc, grid)[0].pixels, image.pixels)
         for workers in WORKERS[1:]:
             again = pair_images(records, sc, grid, workers=workers)
@@ -172,13 +165,8 @@ def test_block_constant_grids():
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(2, 4),
-    st.integers(_SINC_TAPS, 40),
-    st.sampled_from(["linear", "sinc"]),
-    st.integers(0, 99),
-)
-def test_stacked_records_interpolate_as_single_records(count, n, interp, seed):
+@given(st.integers(2, 4), st.integers(2, 40), st.integers(0, 99))
+def test_stacked_records_interpolate_as_single_records(count, n, seed):
     rng = np.random.default_rng(seed)
     recs = [SignalRecord((0, 0, 0, m), 0.0, 1.0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             for m in range(count)]
@@ -187,16 +175,56 @@ def test_stacked_records_interpolate_as_single_records(count, n, interp, seed):
     # rounding can put the delay of a window edge
     tau = np.array([[rng.uniform(0, n - 1, 4).tolist() + [0.0, n - 1, np.nextafter(n - 1, n)]]
                     for _ in recs])
-    interpolate = imaging._INTERPOLATORS[interp][0]
 
     def buffers(shape):
         return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
                 np.empty(shape, dtype=complex))
 
-    stacked = interpolate(recs, tau.copy(), buffers(tau.shape)).copy()
+    stacked = imaging._interp_linear(recs, tau.copy(), buffers(tau.shape)).copy()
     for rec, row, value in zip(recs, tau, stacked):
-        alone = interpolate([rec], row[None].copy(), buffers((1, *row.shape)))
+        alone = imaging._interp_linear([rec], row[None].copy(), buffers((1, *row.shape)))
         assert np.array_equal(alone[0], value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 8]),
+    st.floats(-0.5, 0.5),
+    st.floats(8.0, 12.0),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+    st.floats(-2e-9, 2e-9),
+    st.integers(0, 99),
+)
+def test_linear_kernel_meets_its_error_bound(oversample, x, y, beta, sync, seed):
+    """Against the analytic record of a noiseless target,
+    beta * exp(-j*2*pi*f0*(tau + dt)) * sinc(B*(t - tau - dt)), the
+    kernel's error anywhere in the window stays within h^2/8 * max|g''|
+    = pi^2 * (B/fs)^2 / 24 * |beta| of linear interpolation at step
+    h = 1/fs: the brute-force oracle interpolates the same way and cannot
+    see this error."""
+    fs, target = oversample * BW, Vec2(x, y)
+    terminals = tuple(
+        Terminal(i, Vec2(0.7 * i, 0.0), (Vec2(0.7 * i, 0.0),),
+                 tuple(Vec2(0.7 * i + 0.005 * m, 0.0) for m in range(2)))
+        for i in range(2)
+    )
+    sc = Scenario(terminals=terminals, targets=(PointTarget(target, beta),), f0=F0, bandwidth=BW,
+                  noise_power=0.0, pairing=AssociationMatrix.full(2),
+                  sync_errors=np.array([[0.0, sync], [-sync, 0.0]]))
+    rng = np.random.default_rng(seed)
+    bound = math.pi**2 * (BW / fs) ** 2 / 24 * abs(beta) + 1e-12
+    for rec in synthesize(sc, suggest_window(sc), fs=fs):
+        l, k, n, m = rec.channel
+        tau = (bistatic_delay(terminals[l].tx_elements[n], terminals[k].rx_elements[m], target)
+               + sc.sync_errors[l, k])
+        # anywhere in the window, and within two samples of the peak
+        t = np.concatenate((rng.uniform(rec.t0, rec.t_end, 200), tau + rng.uniform(-2, 2, 200) / fs))
+        shape = (1, 1, t.size)
+        work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
+                np.empty(shape, dtype=complex))
+        vals = imaging._interp_linear([rec], t.reshape(shape).copy(), work)[0, 0]
+        exact = beta * np.exp(-2j * math.pi * F0 * tau) * np.sinc(BW * (t - tau))
+        assert np.abs(vals - exact).max() <= bound, rec.channel
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ from netrad.scene import ImageGrid, Vec2
 from netrad.imaging import ComplexImage, pair_images
 from netrad.fusion import fuse_incoherent
 from netrad.metrics import (
+    _Mainlobe,
     compute_metrics,
     islr,
     measure_resolution,
@@ -92,6 +93,14 @@ class TestMeasureResolution:
         image = separable_image(cut, gaussian(11, 2.0))
         with pytest.raises(ValueError, match="unresolved along x: only 1 samples"):
             measure_resolution(image, "x")
+
+    def test_off_grid_peak_amplitude_is_refined(self):
+        # a Gaussian is a parabola in log magnitude, so each axis's vertex
+        # is exact: peak 1.0 half a pixel (0.05 m) off both axes, sampled
+        # at 0.973, sigma 0.3 m on a 0.1 m grid
+        profile = gaussian(41, 3.0, center=20.5)
+        lobe = _Mainlobe(separable_image(profile, profile))
+        assert lobe.amp == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPslr:
