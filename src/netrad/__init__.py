@@ -48,7 +48,7 @@ from .imaging import (
     pair_images,
     point_spread,
 )
-from .fusion import FusionWeights, fuse_coherent, fuse_incoherent, select_pairs
+from .fusion import FusionWeights, fuse_coherent, fuse_incoherent
 from .metrics import (
     ImageMetrics,
     compute_metrics,

@@ -145,8 +145,7 @@ def _reference_target(scenario: scene.Scenario) -> scene.Vec2:
     return scenario.targets[0].position
 
 
-def _make_grid(config: RunConfig, scenario: scene.Scenario,
-               pairs: list[tuple[int, int]]) -> scene.ImageGrid:
+def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
     ref = _reference_target(scenario)  # either grid is placed around a target
     if config.grid_spacing is not None:
         s = config.grid_spacing
@@ -154,15 +153,14 @@ def _make_grid(config: RunConfig, scenario: scene.Scenario,
         n = 2 * half + 1
         origin = scene.Vec2(ref.x - half * s, ref.y - half * s)
         return scene.ImageGrid(origin=origin, spacing=(s, s), size=(n, n))
-    # the default grid resolves the selected pairs; incoherent fusion adds
+    # the default grid resolves the scenario's pairs; incoherent fusion adds
     # no coverage, so it resolves the finest single pair
-    n = scenario.n_terminals
-    groups = [[pair] for pair in pairs] if config.mode == "incoherent" else [pairs]
-    grids = []
-    for group in groups:
-        pairing = scene.AssociationMatrix([[(l, k) in group for k in range(n)] for l in range(n)])
-        grids.append(imaging.default_grid(replace(scenario, pairing=pairing),
-                                          margin_cells=config.grid_margin_cells))
+    scopes = [scenario.pairing]
+    if config.mode == "incoherent":
+        scopes = [scene.AssociationMatrix.from_pairs(scenario.n_terminals, [pair])
+                  for pair in scenario.pairing.active_pairs()]
+    grids = [imaging.default_grid(replace(scenario, pairing=pairing),
+                                  margin_cells=config.grid_margin_cells) for pairing in scopes]
     return min(grids, key=lambda grid: grid.spacing[0])
 
 
@@ -172,9 +170,12 @@ def _imaging_pipeline(config: RunConfig, scenario: scene.Scenario) -> list[imagi
         pairs = [(l, k) for l, k in pairs if l == k]
     if not pairs:
         raise _ValidationFailure("no active pairs left after pair selection")
-    grid = _make_grid(config, scenario, pairs)
+    # every later stage sees only the selected pairs
+    pairing = scene.AssociationMatrix.from_pairs(scenario.n_terminals, pairs)
+    scenario = replace(scenario, pairing=pairing)
+    grid = _make_grid(config, scenario)
     window = synth.suggest_window(scenario, grid)
-    records = synth.synthesize(scenario, window, fs=config.fs, pairs=pairs)
+    records = synth.synthesize(scenario, window, fs=config.fs)
     return imaging.pair_images(records, scenario, grid, workers=config.workers)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging import ComplexImage
-from .scene import AssociationMatrix
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,3 @@ def fuse_coherent(images: list[ComplexImage], weights: FusionWeights | None = No
     _check_common_grid(images)
     return _weighted_sum(images, weights, lambda pixels: pixels, "fused:coh")
 
-
-def select_pairs(pairing: AssociationMatrix, images: list[ComplexImage]) -> list[ComplexImage]:
-    """Keep the images whose provenance pair the association matrix admits."""
-    return [
-        im
-        for im in images
-        if isinstance(im.provenance, tuple) and pairing.is_active(*im.provenance)
-    ]

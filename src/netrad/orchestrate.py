@@ -18,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .scene import AssociationMatrix, PointTarget, Scenario, Terminal, Vec2, distance
 from .wavenumber import (
     ResolutionEstimate,
@@ -92,13 +90,6 @@ def _observation_angle(position: Vec2, target: Vec2) -> float:
     return math.atan2(target.y - position.y, target.x - position.x)
 
 
-def _masked_pairing(pairing: AssociationMatrix, selected: list[int], n: int) -> AssociationMatrix:
-    mask = np.zeros((n, n), dtype=int)
-    idx = np.array(selected, dtype=int)
-    mask[np.ix_(idx, idx)] = 1
-    return AssociationMatrix(pairing.entries * mask)
-
-
 def _objective_value(estimate: ResolutionEstimate, objective: str) -> float:
     if objective == "extent-x":
         return estimate.dk_x
@@ -133,7 +124,8 @@ def plan(
         best_id, best_val = None, -math.inf
         for cand in remaining:
             trial = sorted(selected + [cand])
-            pairing = _masked_pairing(scenario.pairing, trial, n)
+            pairing = AssociationMatrix.from_pairs(n, [
+                (l, k) for l, k in scenario.pairing.active_pairs() if l in trial and k in trial])
             if not pairing.active_pairs():
                 continue
             est = predicted_resolution(coverage_region(replace(scenario, pairing=pairing), target))
@@ -221,7 +213,7 @@ def scenario_from_plan(
 ) -> Scenario:
     """Concrete scenario executing a plan with the base scenario's
     carrier, targets, noise and seed."""
-    return plan_scenario_prototype(
+    return replace(plan_scenario_prototype(
         plan_.positions,
         plan_.pairing,
         base.f0,
@@ -229,7 +221,7 @@ def scenario_from_plan(
         base.targets[0].position if base.targets else Vec2(0.0, 0.0),
         noise_power=base.noise_power,
         rng_seed=base.rng_seed,
-    )
+    ), targets=base.targets)
 
 
 def default_stand_off(scenario: Scenario, target: Vec2) -> float:

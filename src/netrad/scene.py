@@ -124,6 +124,14 @@ class AssociationMatrix:
         """All terminals transmit and receive: up to L^2 pairs."""
         return cls(np.ones((n_terminals, n_terminals), dtype=int))
 
+    @classmethod
+    def from_pairs(cls, n_terminals: int, pairs) -> "AssociationMatrix":
+        """The pairing whose active (tx, rx) pairs are exactly ``pairs``."""
+        entries = np.zeros((n_terminals, n_terminals), dtype=int)
+        for l, k in pairs:
+            entries[l, k] = 1
+        return cls(entries)
+
     def is_active(self, tx: int, rx: int) -> bool:
         return bool(self.entries[tx, rx])
 

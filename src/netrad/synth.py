@@ -122,16 +122,15 @@ def synthesize(
     scenario: Scenario,
     window: tuple[float, float],
     fs: float | None = None,
-    pairs: list[tuple[int, int]] | None = None,
 ) -> list[SignalRecord]:
     """Simulate the received signal of every active measurement channel.
 
     ``window`` is (t_min, t_max) in seconds and must cover each target
     delay with at least 4/B margin so no response is truncated. ``fs``
-    defaults to 4*B. ``pairs`` restricts synthesis to the given terminal
-    pairs; requesting a pair the association matrix does not admit is an
-    error. Records come out in (tx terminal, rx terminal, tx element,
-    rx element) row-major order.
+    defaults to 4*B. The scenario's association matrix is the pair
+    selection: to synthesize fewer pairs, scope it with
+    ``AssociationMatrix.from_pairs``. Records come out in (tx terminal,
+    rx terminal, tx element, rx element) row-major order.
     """
     bw = scenario.bandwidth
     if bw <= 0:
@@ -144,15 +143,6 @@ def synthesize(
     if t_max <= t_min:
         raise ValueError("empty acquisition window")
 
-    active = scenario.pairing.active_pairs()
-    if pairs is None:
-        selected = active
-    else:
-        for p in pairs:
-            if p not in active:
-                raise ValueError(f"pair {p} is not active in the association matrix")
-        selected = [p for p in active if p in set(pairs)]
-
     n_samp = int(round((t_max - t_min) * fs)) + 1
     if n_samp < 2:
         raise ValueError("window shorter than two samples")
@@ -162,7 +152,7 @@ def synthesize(
 
     records: list[SignalRecord] = []
     dist = _distances(scenario, [target.position for target in scenario.targets])
-    for l, k in selected:
+    for l, k in scenario.pairing.active_pairs():
         taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]
         late = (taus - margin < t_min) | (taus + margin > t_max)
         if late.any():

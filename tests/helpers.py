@@ -158,20 +158,18 @@ def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple
     return (lo - margin, hi + margin)
 
 
-def reference_synthesize(scenario: Scenario, window, fs=None, pairs=None) -> list[SignalRecord]:
+def reference_synthesize(scenario: Scenario, window, fs=None) -> list[SignalRecord]:
     """``synth.synthesize`` evaluated channel by channel and target by
     target with python scalars: the reference its array form must equal
     bit for bit, truncation error included."""
     bw = scenario.bandwidth
     fs = default_sample_rate(bw) if fs is None else fs
     t_min, t_max = window
-    active = scenario.pairing.active_pairs()
-    selected = active if pairs is None else [p for p in active if p in set(pairs)]
     n_samp = int(round((t_max - t_min) * fs)) + 1
     t = t_min + np.arange(n_samp) / fs
     margin = 4.0 / bw
     records = []
-    for l, k in selected:
+    for l, k in scenario.pairing.active_pairs():
         dt_sync = scenario.sync_errors[l, k]
         for n, tx_el in enumerate(scenario.terminals[l].tx_elements):
             for m, rx_el in enumerate(scenario.terminals[k].rx_elements):

@@ -62,9 +62,9 @@ def criterion(number, title):
     print(f"PASS criterion {number:2d}: {title}")
 
 
-def fused_image(scenario, grid, pairs=None, weights=None):
+def fused_image(scenario, grid, weights=None):
     window = suggest_window(scenario, grid)
-    records = synthesize(scenario, window, pairs=pairs)
+    records = synthesize(scenario, window)
     return fuse_coherent(pair_images(records, scenario, grid), weights)
 
 

@@ -140,6 +140,32 @@ class TestImageAndFuse:
         assert len(xs) == 49
         assert np.diff(xs).mean() == pytest.approx(0.0703, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--grid-spacing", "0.05"], ["--mode", "incoherent"]],
+        ids=["default-grid", "explicit-grid", "incoherent"],
+    )
+    def test_mono_flag_matches_diagonal_pairing(self, tmp_path, extra):
+        # the bistatic pairs hold the shortest and the longest delays, so a
+        # window sized from pairs that are not imaged would show
+        doc = {
+            "terminals": [
+                {"tx_elements": [[0.0, 0.0]], "rx_elements": [[6.0, 0.0], [6.01, 0.0]]},
+                {"tx_elements": [[6.0, 0.2]], "rx_elements": [[0.0, 0.2], [0.01, 0.2]]},
+            ],
+            "targets": [{"position": [0.5, 20.0]}],
+            "f0_hz": 28e9,
+            "bandwidth_hz": 500e6,
+            "pairing": [[1, 1], [1, 1]],
+        }
+        full, diagonal = tmp_path / "full.json", tmp_path / "diagonal.json"
+        full.write_text(json.dumps(doc))
+        diagonal.write_text(json.dumps({**doc, "pairing": [[1, 0], [0, 1]]}))
+        assert run_cli(["fuse", "--pairs", "mono", "--scenario", full,
+                        "--out", tmp_path / "flag", *extra]) == 0
+        assert run_cli(["fuse", "--scenario", diagonal, "--out", tmp_path / "matrix", *extra]) == 0
+        for name in ("fused.csv", "fused.pgm", "metrics.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "matrix" / name).read_bytes()
+
     def test_sync_error_defocuses_instead_of_failing(self, tmp_path):
         # a uniform 15 ns clock error delays every target response; the
         # window must still cover the unsynchronized pixel delays

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netrad.scene import AssociationMatrix, ImageGrid, Vec2
+from netrad.scene import ImageGrid, Vec2
 from netrad.imaging import ComplexImage, pair_images
-from netrad.fusion import FusionWeights, fuse_coherent, fuse_incoherent, select_pairs
+from netrad.fusion import FusionWeights, fuse_coherent, fuse_incoherent
 from netrad.metrics import peak_snr
 from netrad.synth import suggest_window, synthesize
 from helpers import TARGET, column_grid, lane_scenario
@@ -142,32 +142,6 @@ class TestCoherent:
         images = [random_image(rng, (0, 0)), random_image(rng, (1, 1))]
         with pytest.raises(ValueError, match="no weight"):
             fuse_coherent(images, FusionWeights({(0, 0): 1.0}))
-
-
-class TestSelectPairs:
-    def test_identity_keeps_monostatic_only(self):
-        rng = np.random.default_rng(11)
-        images = [random_image(rng, (l, k)) for l in range(2) for k in range(2)]
-        kept = select_pairs(AssociationMatrix.identity(2), images)
-        assert [im.provenance for im in kept] == [(0, 0), (1, 1)]
-
-    def test_full_keeps_all(self):
-        rng = np.random.default_rng(12)
-        images = [random_image(rng, (l, k)) for l in range(2) for k in range(2)]
-        assert len(select_pairs(AssociationMatrix.full(2), images)) == 4
-
-    def test_single_entry(self):
-        rng = np.random.default_rng(13)
-        images = [random_image(rng, (l, k)) for l in range(2) for k in range(2)]
-        gate = AssociationMatrix(np.array([[0, 1], [0, 0]]))
-        kept = select_pairs(gate, images)
-        assert [im.provenance for im in kept] == [(0, 1)]
-
-    def test_fused_images_are_dropped(self):
-        rng = np.random.default_rng(14)
-        images = [random_image(rng, (0, 0)), random_image(rng, "fused:coh")]
-        kept = select_pairs(AssociationMatrix.full(1), images)
-        assert [im.provenance for im in kept] == [(0, 0)]
 
 
 class TestWeights:

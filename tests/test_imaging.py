@@ -105,7 +105,7 @@ class TestBackproject:
         sc = lane_scenario(n_terminals=2, m_rx=2, pairing=AssociationMatrix.full(2))
         grid = ImageGrid(Vec2(-0.6, 19.4), (0.075, 0.075), (16, 16))
         window = suggest_window(sc, grid)
-        records = synthesize(sc, window, pairs=[(0, 1)])
+        records = synthesize(replace(sc, pairing=AssociationMatrix.from_pairs(2, [(0, 1)])), window)
         image = backproject(records, sc, grid)
         oracle = brute_force_backprojection(records, sc, grid)
         peak = np.abs(oracle).max()
@@ -163,8 +163,9 @@ class TestBackproject:
         )
         moved_grid = ImageGrid(grid.origin + shift, grid.spacing, grid.size)
         window = suggest_window(sc, grid)
-        a = backproject(synthesize(sc, window, pairs=[(0, 0)]), sc, grid)
-        b = backproject(synthesize(moved, window, pairs=[(0, 0)]), moved, moved_grid)
+        mono = AssociationMatrix.from_pairs(2, [(0, 0)])
+        a = backproject(synthesize(replace(sc, pairing=mono), window), sc, grid)
+        b = backproject(synthesize(replace(moved, pairing=mono), window), moved, moved_grid)
         np.testing.assert_allclose(
             np.abs(a.pixels), np.abs(b.pixels), rtol=1e-6, atol=1e-9
         )

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netrad.scene import AssociationMatrix, Scenario, Vec2
+from netrad.scene import AssociationMatrix, PointTarget, Scenario, Vec2
 from netrad.orchestrate import (
     angles_to_positions,
     default_stand_off,
@@ -121,6 +122,12 @@ class TestTessellatedPlan:
         assert validate(sc) == []
         assert sc.n_terminals == 4
         assert sc.bandwidth == B100
+
+    def test_scenario_from_plan_keeps_base_targets(self):
+        base = replace(lane_scenario(n_terminals=1, m_rx=1, bandwidth=B100), targets=(
+            PointTarget(Vec2(0.0, 20.0), 0.5j), PointTarget(Vec2(0.3, 20.4), 1.0)))
+        sc = scenario_from_plan(base, tessellated_plan(F0, B100, 4, TARGET, 20.0))
+        assert sc.targets == base.targets
 
 
 class TestGreedyPlan:

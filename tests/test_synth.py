@@ -177,11 +177,6 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="truncates"):
             synthesize(sc, (tau - 1e-9, tau + 1e-9))
 
-    def test_inactive_pair_request_raises(self):
-        sc = lane_scenario(n_terminals=2, m_rx=1)  # identity pairing
-        with pytest.raises(ValueError, match="not active"):
-            synthesize(sc, (1.1e-7, 1.7e-7), pairs=[(0, 1)])
-
     def test_sub_nyquist_rate_raises(self):
         sc = single_terminal_scenario()
         with pytest.raises(ValueError, match="Nyquist"):
