@@ -87,4 +87,3 @@ def fuse_coherent(images: list[ComplexImage], weights: FusionWeights | None = No
     """Weighted pixel-wise complex sum of images on a common grid."""
     _check_common_grid(images)
     return _weighted_sum(images, weights, lambda pixels: pixels, "fused:coh")
-
