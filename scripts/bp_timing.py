@@ -7,8 +7,10 @@ Synthesizes `scenarios/lane_multistatic.json` once (3350 channels), then
 for each square grid, centred on the target at the default pixel pitch,
 times `imaging.pair_images` with workers 1 and 2 alternating and prints
 the median and quartiles of each in milliseconds, their ratio, the Rx
-elements each numpy call covers and the process's peak RSS so far.
-``--block-bytes`` replaces the kernel's working-set budget per thread.
+elements each numpy call covers in one band, and the peak RSS so far of
+this process and of its largest forked band (``RUSAGE_CHILDREN``, which
+counts the pages a child shares with this process).
+``--block-bytes`` replaces the kernel's working-set budget per band.
 """
 
 import argparse
@@ -45,7 +47,7 @@ def grid(n):
 sizes = [int(s) for s in args.sizes.split(",")]
 records = synthesize(sc, suggest_window(sc, grid(max(sizes))))
 print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}"
-      f" {'elements':>8} {'peak RSS MB':>11}")
+      f" {'elements':>8} {'peak RSS MB':>11} {'bands MB':>8}")
 for n in sizes:
     g, times = grid(n), {1: [], 2: []}
     for _ in range(args.reps):
@@ -57,6 +59,7 @@ for n in sizes:
     q = {w: statistics.quantiles(t, n=4) if len(t) > 1 else t * 3 for w, t in times.items()}
     cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in (1, 2)]
     per_block = imaging._block_elements(n * n)
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    rss_mb = [resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     print(f"{n:>4}² {cells[0]:>25} {cells[1]:>26} {q[1][1] / q[2][1]:>6.2f}"
-          f" {per_block:>8} {rss_mb:>11.1f}")
+          f" {per_block:>8} {rss_mb[0]:>11.1f} {rss_mb[1]:>8.1f}")

@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE", type=float,
                         help=f"raster dynamic range in dB (default {RunConfig.dynamic_range_db:g})")
     common.add_argument("--workers", type=int,
-                        help="back-projection threads (results do not depend on it)")
+                        help="most back-projection processes (results do not depend on it)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid-spacing", type=float,

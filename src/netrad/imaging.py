@@ -15,12 +15,14 @@ The carrier phase factors into a Tx and an Rx part, so one delay map
 per Tx element and one delay map and phase per Rx element serve every
 pair using the element. Each (pair, Tx element) sums its channels without
 the Tx phase, by ascending Rx element and then record order; Tx phases
-are applied last, by ascending Tx element. Rx elements are taken in
-blocks of B = max(1, _BLOCK_BYTES // (_PIXCH_BYTES * grid pixels)): each
-numpy call of a channel's op chain covers the block's channels of one
-(pair, Tx element), whose rows are then added one after another. The
-order is fixed per pixel: a pair's image is bit-identical for any worker
-count, block size and co-imaged pairs.
+are applied last, by ascending Tx element. Workers split the x rows into
+equal bands, each imaged by a forked process into one shared mapping.
+A band takes Rx elements in blocks of B = max(1, _BLOCK_BYTES //
+(_PIXCH_BYTES * band pixels)): each numpy call of a channel's op chain
+covers the block's channels of one (pair, Tx element), whose rows are
+then added one after another. The order is fixed per pixel: a pair's
+image is bit-identical for any worker count, block size and co-imaged
+pairs.
 
 A delay map is r/c with r the square root of the broadcast squared x and
 y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
@@ -36,7 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,9 +51,9 @@ from .wavenumber import coverage_region, predicted_resolution
 # bytes per pixel-channel of a block's op chain, kernel buffers included,
 # as tracemalloc measures them (tests/test_imaging.py checks the budget)
 _PIXCH_BYTES = 72
-# Working set of a thread's numpy calls in bytes; divided by _PIXCH_BYTES
-# and the grid's pixels it gives the Rx elements of a block: 12 on 49x49
-# and 2 on 121x121. Small grids are bound by the call count.
+# Working set of a band's numpy calls in bytes; divided by _PIXCH_BYTES
+# and the band's pixels it gives the Rx elements of a block: 12 on 49x49
+# and 2 on 121x121 in one band. Small grids are bound by the call count.
 _BLOCK_BYTES = 2_200_000
 
 
@@ -182,9 +185,9 @@ def pair_images(
     Every pair must be active and every pixel's bistatic delay must fall
     inside each record's time window. Records are interpolated linearly
     between samples; ``synth.default_sample_rate`` states the error bound.
-    ``workers`` threads split the receive terminals, and the pixel rows
-    when there are fewer terminals than workers; the result does not
-    depend on their number.
+    Up to ``workers`` processes (at most one per CPU, one where
+    ``os.fork`` is missing) image equal bands of x rows; the images and
+    any error do not depend on their number.
     """
     pairs = list(dict.fromkeys(rec.channel[:2] for rec in records))
     for pair in pairs:
@@ -201,11 +204,14 @@ def pair_images(
             delay = _delay_map(*np.asarray(scenario.terminals[l].tx_elements[n]), x, y)
             tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
-    pixels = {pair: np.zeros(grid.size, dtype=complex) for pair in pairs}
-    per_block = _block_elements(grid.size[0] * grid.size[1])
+    # the pair images in an anonymous shared mapping that forked bands write
+    nx, ny = grid.size
+    stack = np.frombuffer(mmap.mmap(-1, 16 * len(pairs) * nx * ny or 1), complex, len(pairs) * nx * ny)
+    pixels = dict(zip(pairs, stack.reshape(len(pairs), nx, ny)))
 
     def image_rows(k: int, row0: int, row1: int) -> None:
-        rows, shape = slice(row0, row1), (row1 - row0, grid.size[1])
+        rows, shape = slice(row0, row1), (row1 - row0, ny)
+        per_block = _block_elements((row1 - row0) * ny)
         elements, x_rows = sorted(by_rx[k]), x[rows]
         ex, ey = np.array([scenario.terminals[k].rx_elements[m] for m in elements]).T[:, :, None, None]
         # one sum per (Tx terminal, Tx element) key without the Tx phase;
@@ -259,16 +265,30 @@ def pair_images(
             else:
                 pixels[l, k][rows] += term
 
-    nx = grid.size[0]
-    blocks = max(1, min(nx, math.ceil(workers / max(len(by_rx), 1))))
-    bounds = np.linspace(0, nx, blocks + 1).astype(int)
-    tasks = [(k, int(r0), int(r1)) for k in by_rx for r0, r1 in zip(bounds[:-1], bounds[1:])]
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda task: image_rows(*task), tasks))
-    else:
-        for task in tasks:
-            image_rows(*task)
+    def image_band(row0: int, row1: int) -> None:
+        for k in by_rx:
+            image_rows(k, row0, row1)
+
+    bands = max(1, min(nx, workers, os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    bounds = np.linspace(0, nx, bands + 1).astype(int).tolist()
+    pids, error = [], None
+    try:
+        for row0, row1 in zip(bounds[1:-1], bounds[2:]):
+            if (pid := os.fork()) == 0:  # the child images its band and leaves
+                try:
+                    image_band(row0, row1)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        image_band(0, bounds[1])
+    except ValueError as err:
+        error = err
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if error or any(codes):
+        image_band(0, nx)  # the serial run raises the message one worker gives
+        raise error or RuntimeError(f"back-projection bands exited with codes {codes}")
     return [ComplexImage(grid=grid, pixels=pixels[pair], provenance=pair) for pair in pairs]
 
 

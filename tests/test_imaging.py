@@ -1,6 +1,8 @@
 import math
-import sys
+import os
+import re
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -121,19 +123,15 @@ class TestBackproject:
             par = backproject(records, sc, grid, workers=workers)
             assert np.array_equal(base.pixels, par.pixels)
 
-    def test_threads_under_frequent_switching_match_serial(self):
-        # more threads than cores and a short switch interval interleave the
-        # tasks, which split both receive terminals and pixel rows
+    def test_bands_capped_at_the_cpu_count_match_serial(self):
+        # on a host taken to have three CPUs, 2 and 3 bands and 8 workers
+        # capped at 3; each band images the rows of every receive terminal
         sc = lane_scenario(n_terminals=3, m_rx=4, pairing=AssociationMatrix.full(3))
         grid = ImageGrid(Vec2(-0.6, 19.4), (0.05, 0.05), (25, 25))
         records = synthesize(sc, suggest_window(sc, grid))
         base = pair_images(records, sc, grid, workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = {w: pair_images(records, sc, grid, workers=w) for w in (2, 4, 8)}
-        finally:
-            sys.setswitchinterval(interval)
+        with patch.object(os, "cpu_count", return_value=3):
+            runs = {w: pair_images(records, sc, grid, workers=w) for w in (2, 3, 8)}
         for images in runs.values():
             for a, b in zip(base, images):
                 assert a.provenance == b.provenance
@@ -196,6 +194,81 @@ class TestBackproject:
         records = synthesize(sc, window)
         with pytest.raises(ValueError, match=r"channel \(0, 0, 0, 0\)"):
             backproject(records, sc, grid)
+
+    def test_window_error_does_not_depend_on_workers(self):
+        # pair (0,0) of the lane on its default grid, the window's end cut
+        # by 30%: each band count reports the pixel one worker reports
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "lane_multistatic.json"
+        sc = load_scenario(path.read_text())
+        sc = replace(sc, pairing=AssociationMatrix.from_pairs(len(sc.terminals), [(0, 0)]))
+        grid = default_grid(sc)
+        t0, t1 = suggest_window(sc, grid)
+        records = synthesize(sc, (t0, t1 - 0.3 * (t1 - t0)))
+        with pytest.raises(ValueError, match=r"^pixel \(48,48\) ") as serial:
+            pair_images(records, sc, grid, workers=1)
+        with patch.object(os, "cpu_count", return_value=3):
+            for workers in (2, 3):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(serial.value))}$"):
+                    pair_images(records, sc, grid, workers=workers)
+
+    def test_no_process_is_left_behind(self):
+        # two bands, x rows 0-9 here and 10-19 in a forked child: a run
+        # that succeeds, one whose child's rows leave every record window
+        # and one whose own rows do
+        sc = lane_scenario(n_terminals=1, m_rx=2)
+        term = sc.terminals[0]
+        grid = ImageGrid(Vec2(0.0, 20.0), (1.0, 1.0), (20, 1))
+        records = synthesize(sc, suggest_window(sc, grid))
+
+        def cut(rec):  # the delay half-way between rows 9 and 10
+            _, _, n, m = rec.channel
+            return bistatic_delay(term.tx_elements[n], term.rx_elements[m], Vec2(9.5, 20.0))
+
+        cases = [
+            (records, None),
+            ([replace(r, t0=r.t0 + cut(r) - r.t_end) for r in records], r"^pixel \(19,0\) "),
+            ([replace(r, t0=cut(r)) for r in records], r"^pixel \(0,0\) "),
+        ]
+        with patch.object(os, "cpu_count", return_value=2):
+            for recs, message in cases:
+                with pytest.raises(ValueError, match=message) if message else nullcontext():
+                    pair_images(recs, sc, grid, workers=2)
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+
+    def test_band_dying_without_a_window_error_raises(self):
+        # a child fails where the serial run does not: its exit code is named
+        sc = lane_scenario(n_terminals=1, m_rx=2)
+        grid = ImageGrid(Vec2(-0.2, 19.8), (0.05, 0.05), (9, 9))
+        records = synthesize(sc, suggest_window(sc, grid))
+        parent, interp = os.getpid(), imaging._interp_linear
+
+        def fails_in_children(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return interp(*args)
+
+        with patch.object(os, "cpu_count", return_value=2), \
+                patch.object(imaging, "_interp_linear", fails_in_children):
+            with pytest.raises(RuntimeError, match=r"exited with codes \[1\]$"):
+                pair_images(records, sc, grid, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forks_are_capped_by_rows_and_cpus(self):
+        sc = lane_scenario(n_terminals=1, m_rx=2)
+        grid = ImageGrid(Vec2(-0.2, 19.8), (0.05, 0.05), (9, 9))
+        records = synthesize(sc, suggest_window(sc, grid))
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        with patch.object(os, "fork", counted_fork):
+            (image,) = pair_images(records, sc, grid, workers=64)
+        assert len(forks) == min(9, os.cpu_count() or 1) - 1
+        assert np.array_equal(image.pixels, pair_images(records, sc, grid)[0].pixels)
 
     def test_mixed_pairs_rejected(self):
         sc = lane_scenario(n_terminals=2, m_rx=1, pairing=AssociationMatrix.full(2))

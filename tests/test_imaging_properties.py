@@ -5,6 +5,7 @@ and records in random order."""
 
 import cmath
 import math
+import os
 import re
 from dataclasses import replace
 from unittest.mock import patch
@@ -28,6 +29,14 @@ from netrad.synth import SignalRecord, bistatic_delay, suggest_window, synthesiz
 from helpers import BW, F0, brute_force_backprojection
 
 WORKERS = (1, 2, 3, 8)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def three_cpus():
+    """Three CPUs whatever the host has, so that WORKERS image in 1, 2,
+    3 and 3 row bands."""
+    with patch.object(os, "cpu_count", return_value=3):
+        yield
 
 
 @st.composite
@@ -98,7 +107,7 @@ def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, pair_workers)
         assert [im.provenance for im in again] == [im.provenance for im in images]
         for a, b in zip(images, again):
             assert np.array_equal(a.pixels, b.pixels)
-    # a pair imaged alone, with its own thread count, gives the same bits
+    # a pair imaged alone, with its own worker count, gives the same bits
     for image in images:
         alone = backproject(records_of(records, image.provenance), sc, grid, workers=pair_workers)
         assert np.array_equal(alone.pixels, image.pixels)
@@ -284,14 +293,9 @@ def test_window_bound_raises_exactly_when_exact_check_does(acquisition, data):
             rec = replace(rec, t0=edge - (len(rec.samples) - 1) / rec.fs)
         moved.append(rec)
     expected = first_window_error(moved, sc, grid)
-    if expected is None:
-        pair_images(moved, sc, grid)
-    else:
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            pair_images(moved, sc, grid)
-    for workers in WORKERS[1:]:
+    for workers in WORKERS:
         if expected is None:
             pair_images(moved, sc, grid, workers=workers)
         else:
-            with pytest.raises(ValueError, match="outside record window"):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 pair_images(moved, sc, grid, workers=workers)
