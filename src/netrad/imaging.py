@@ -28,10 +28,11 @@ A delay map is r/c with r the square root of the broadcast squared x and
 y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
 Phases exp(j*theta) come from a table of exp(2*pi*j*k/T) times a short
 Taylor series in the residual angle, within a few units of the last
-place of theta of the exact value. Each channel's window is checked
-against the sum of its maps' minima and maxima; rounding is monotone, so
-that bound passes no pixel the exact per-pixel check would reject, and
-the exact check runs, with its message, only when the bound fails.
+place of theta of the exact value. Every channel's window is checked
+once, in kernel order, before any band runs, against the sum of its
+maps' minima and maxima; rounding is monotone, so that bound passes no
+pixel the exact per-pixel check would reject, and the exact check runs,
+with its message, only when the bound fails.
 """
 
 from __future__ import annotations
@@ -117,6 +118,16 @@ def _delay_map(ex, ey, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return np.divide(np.sqrt(r2, out=r2), SPEED_OF_LIGHT, out=r2)
 
 
+def _delay_range(ex, ey, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least and greatest value of ``_delay_map(ex, ey, x, y)``, or of
+    each of its B maps, in a (2,) or (2, B) array, without the maps: each
+    of its ops rounds monotonically, so the least and greatest squared x
+    and y offsets give both exactly."""
+    dx, dy = np.square(x - ex), np.square(y - ey)
+    r2 = np.add([dx.min((-2, -1)), dx.max((-2, -1))], [dy.min((-2, -1)), dy.max((-2, -1))])
+    return np.divide(np.sqrt(r2), SPEED_OF_LIGHT)
+
+
 _PHASE_STEPS = 4096
 _PHASE_STEP = 2.0 * math.pi / _PHASE_STEPS
 # exp(2*pi*j*k/T) from its first quadrant, whose rotations by j are exact
@@ -146,14 +157,14 @@ def _carrier_phase(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
     return np.multiply(np.take(_PHASE_TABLE, index, out=table, mode="clip"), rot, out=out)
 
 
-def _check_window(rec: SignalRecord, tau: np.ndarray, row0: int) -> None:
+def _check_window(rec: SignalRecord, tau: np.ndarray) -> None:
     lo, hi = float(tau.min()), float(tau.max())
     if lo < rec.t0 or hi > rec.t_end:
         flat = int(np.argmin(tau) if lo < rec.t0 else np.argmax(tau))
         i, j = np.unravel_index(flat, tau.shape)
         bad = lo if lo < rec.t0 else hi
         raise ValueError(
-            f"pixel ({int(i) + row0},{int(j)}) delay {bad:g} s outside record window "
+            f"pixel ({int(i)},{int(j)}) delay {bad:g} s outside record window "
             f"[{rec.t0:g}, {rec.t_end:g}] s of channel {rec.channel}"
         )
 
@@ -185,9 +196,10 @@ def pair_images(
     Every pair must be active and every pixel's bistatic delay must fall
     inside each record's time window. Records are interpolated linearly
     between samples; ``synth.default_sample_rate`` states the error bound.
-    Up to ``workers`` processes (at most one per CPU, one where
-    ``os.fork`` is missing) image equal bands of x rows; the images and
-    any error do not depend on their number.
+    Every window is checked once, before any band runs. Up to
+    ``workers`` processes (at most one per CPU, one where ``os.fork`` is
+    missing) then image equal bands of x rows; the images and any error
+    do not depend on their number.
     """
     pairs = list(dict.fromkeys(rec.channel[:2] for rec in records))
     for pair in pairs:
@@ -204,6 +216,17 @@ def pair_images(
             delay = _delay_map(*np.asarray(scenario.terminals[l].tx_elements[n]), x, y)
             tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
+    # every window in kernel order (receive terminal, Rx element, record),
+    # by its maps' extremes and, where that bound fails, pixel by pixel
+    rx_xy = {}  # per receive terminal, its ascending Rx elements' (B, 1, 1) coordinates
+    for k, by_m in by_rx.items():
+        elements, rx = sorted(by_m), scenario.terminals[k].rx_elements
+        ex, ey = rx_xy[k] = np.array([rx[m] for m in elements]).T[..., None, None]
+        for m, exy, rx_lo, rx_hi in zip(elements, zip(ex, ey), *_delay_range(ex, ey, x, y).tolist()):
+            for rec in by_m[m]:
+                delay, tx_lo, tx_hi = tx_delay[rec.channel[::2]]
+                if tx_lo + rx_lo < rec.t0 or tx_hi + rx_hi > rec.t_end:
+                    _check_window(rec, delay + _delay_map(*exy, x, y))
     # the pair images in an anonymous shared mapping that forked bands write
     nx, ny = grid.size
     stack = np.frombuffer(mmap.mmap(-1, 16 * len(pairs) * nx * ny or 1), complex, len(pairs) * nx * ny)
@@ -212,8 +235,7 @@ def pair_images(
     def image_rows(k: int, row0: int, row1: int) -> None:
         rows, shape = slice(row0, row1), (row1 - row0, ny)
         per_block = _block_elements((row1 - row0) * ny)
-        elements, x_rows = sorted(by_rx[k]), x[rows]
-        ex, ey = np.array([scenario.terminals[k].rx_elements[m] for m in elements]).T[:, :, None, None]
+        elements, x_rows, (ex, ey) = sorted(by_rx[k]), x[rows], rx_xy[k]
         # one sum per (Tx terminal, Tx element) key without the Tx phase;
         # the lowest Tx element of each pair sums in the pair's own pixels
         keys = sorted({rec.channel[::2] for recs in by_rx[k].values() for rec in recs})
@@ -233,19 +255,13 @@ def pair_images(
         for b0 in range(0, len(elements), per_block):
             block, ms = slice(b0, b0 + per_block), elements[b0:b0 + per_block]
             delays = _delay_map(ex[block], ey[block], x_rows, y, out=rx_delay[:len(ms)])
-            rx_lo, rx_hi = delays.min(axis=(1, 2)).tolist(), delays.max(axis=(1, 2)).tolist()
             theta, phase_work = first(len(ms))
             _carrier_phase(np.multiply(delays, omega, out=theta), phase[:len(ms)], phase_work)
-            # check every channel in kernel order (rounding is monotone, so
-            # the bound never passes a pixel the exact check would reject);
             # runs (key, first row, records, layout) on consecutive rows
             runs, last = [], {}
             for b, m in enumerate(ms):
                 for rec in by_rx[k][m]:
-                    delay, tx_lo, tx_hi = tx_delay[key := rec.channel[::2]]
-                    if tx_lo + rx_lo[b] < rec.t0 or tx_hi + rx_hi[b] > rec.t_end:
-                        _check_window(rec, delay[rows] + delays[b], row0)
-                    run, layout = last.get(key), (rec.t0, rec.fs, len(rec.samples))
+                    run, layout = last.get(key := rec.channel[::2]), (rec.t0, rec.fs, len(rec.samples))
                     if run and run[1] + len(run[2]) == b and run[3] == layout:
                         run[2].append(rec)
                     else:
@@ -271,7 +287,7 @@ def pair_images(
 
     bands = max(1, min(nx, workers, os.cpu_count() or 1)) if hasattr(os, "fork") else 1
     bounds = np.linspace(0, nx, bands + 1).astype(int).tolist()
-    pids, error = [], None
+    pids = []
     try:
         for row0, row1 in zip(bounds[1:-1], bounds[2:]):
             if (pid := os.fork()) == 0:  # the child images its band and leaves
@@ -282,13 +298,10 @@ def pair_images(
                     os._exit(1)
             pids.append(pid)
         image_band(0, bounds[1])
-    except ValueError as err:
-        error = err
     finally:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if error or any(codes):
-        image_band(0, nx)  # the serial run raises the message one worker gives
-        raise error or RuntimeError(f"back-projection bands exited with codes {codes}")
+    if any(codes):
+        raise RuntimeError(f"back-projection bands exited with codes {codes}")
     return [ComplexImage(grid=grid, pixels=pixels[pair], provenance=pair) for pair in pairs]
 
 

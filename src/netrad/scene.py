@@ -427,15 +427,12 @@ def scenario_from_doc(doc) -> Scenario:
     f0 = _require_number(doc["f0_hz"], "f0_hz")
     bandwidth = _require_number(doc["bandwidth_hz"], "bandwidth_hz")
     noise_power = _require_number(doc.get("noise_power", 0.0), "noise_power")
-    sync = (
-        _require_matrix(doc["sync_errors_s"], n, "sync_errors_s")
-        if "sync_errors_s" in doc
-        else np.zeros((n, n))
-    )
+    # absent matrices are left to Scenario's defaults
+    sync = _require_matrix(doc["sync_errors_s"], n, "sync_errors_s") if "sync_errors_s" in doc else None
     pairing = (
         AssociationMatrix(_require_matrix(doc["pairing"], n, "pairing").astype(int))
         if "pairing" in doc
-        else AssociationMatrix.identity(n)
+        else None
     )
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

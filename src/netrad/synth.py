@@ -55,20 +55,13 @@ def bistatic_delay(tx_el: Vec2, rx_el: Vec2, target: Vec2) -> float:
     return (distance(tx_el, target) + distance(target, rx_el)) / SPEED_OF_LIGHT
 
 
-def apply_rcs(path_tx: float, path_rx: float, reflectivity: complex,
-              include_spreading: bool = False) -> complex:
-    """Scattering amplitude beta for a target of the given reflectivity.
-
-    The default keeps the lossless convention (geometrical energy losses
-    neglected): beta equals the reflectivity. With ``include_spreading``
-    the two-way spreading 1/(path_tx*path_rx) is applied instead.
-    """
+def apply_rcs(path_tx: float, path_rx: float, reflectivity: complex) -> complex:
+    """Scattering amplitude beta for a target of the given reflectivity,
+    in the lossless convention (geometrical energy losses neglected):
+    beta equals the reflectivity. The paths must be positive."""
     if path_tx <= 0 or path_rx <= 0:
         raise ValueError("propagation paths must be positive")
-    beta = complex(reflectivity)
-    if include_spreading:
-        beta /= path_tx * path_rx
-    return beta
+    return complex(reflectivity)
 
 
 def default_sample_rate(bandwidth: float) -> float:

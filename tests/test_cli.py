@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from netrad import cli
+from netrad.scene import load_scenario
+from netrad.wavenumber import coverage_region
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -52,6 +54,21 @@ class TestCoverage:
             ) == 0
         for name in ("coverage.csv", "hull.csv", "resolution.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_baseband_tiles_match_coverage_region(self, tmp_path):
+        path = SCENARIOS / "lane_single_terminal.json"
+        assert run_cli(
+            ["coverage", "--scenario", path, "--out", tmp_path, "--baseband", "--n-freq", "5"]
+        ) == 0
+        sc = load_scenario(path.read_text())
+        region = coverage_region(sc, sc.targets[0].position, n_freq=5, baseband=True)
+        expected = [
+            ["-".join(map(str, pair)), f"{kx:.9g}", f"{ky:.9g}", f"{f:.9g}"]
+            for pair, samples in zip(region.pairs, region.samples.tolist())
+            for (kx, ky), f in zip(samples, region.freqs.tolist())
+        ]
+        lines = (tmp_path / "coverage.csv").read_text().splitlines()
+        assert [line.split(",") for line in lines[1:]] == expected
 
 
 class TestSimulate:

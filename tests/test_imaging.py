@@ -2,7 +2,6 @@ import math
 import os
 import re
 import tracemalloc
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -211,47 +210,64 @@ class TestBackproject:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(serial.value))}$"):
                     pair_images(records, sc, grid, workers=workers)
 
+    def test_window_error_forks_no_process(self):
+        # every window is checked before the bands fork
+        sc = lane_scenario(n_terminals=1, m_rx=1)
+        grid = ImageGrid(Vec2(-0.5, 35.0), (0.5, 0.5), (3, 11))  # far outside window
+        records = synthesize(sc, suggest_window(sc))
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        with patch.object(os, "cpu_count", return_value=2), patch.object(os, "fork", counted_fork):
+            with pytest.raises(ValueError, match=r"^pixel \(0,10\) .* channel \(0, 0, 0, 0\)$"):
+                pair_images(records, sc, grid, workers=2)
+        assert forks == []
+
     def test_no_process_is_left_behind(self):
         # two bands, x rows 0-9 here and 10-19 in a forked child: a run
-        # that succeeds, one whose child's rows leave every record window
-        # and one whose own rows do
+        # that succeeds and one whose own band fails after the fork
         sc = lane_scenario(n_terminals=1, m_rx=2)
-        term = sc.terminals[0]
         grid = ImageGrid(Vec2(0.0, 20.0), (1.0, 1.0), (20, 1))
         records = synthesize(sc, suggest_window(sc, grid))
+        parent, interp = os.getpid(), imaging._interp_linear
 
-        def cut(rec):  # the delay half-way between rows 9 and 10
-            _, _, n, m = rec.channel
-            return bistatic_delay(term.tx_elements[n], term.rx_elements[m], Vec2(9.5, 20.0))
+        def fails_in_parent(*args):
+            if os.getpid() == parent:
+                raise MemoryError
+            return interp(*args)
 
-        cases = [
-            (records, None),
-            ([replace(r, t0=r.t0 + cut(r) - r.t_end) for r in records], r"^pixel \(19,0\) "),
-            ([replace(r, t0=cut(r)) for r in records], r"^pixel \(0,0\) "),
-        ]
         with patch.object(os, "cpu_count", return_value=2):
-            for recs, message in cases:
-                with pytest.raises(ValueError, match=message) if message else nullcontext():
-                    pair_images(recs, sc, grid, workers=2)
-                with pytest.raises(ChildProcessError):
-                    os.waitpid(-1, os.WNOHANG)
+            pair_images(records, sc, grid, workers=2)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            with patch.object(imaging, "_interp_linear", fails_in_parent), \
+                    pytest.raises(MemoryError):
+                pair_images(records, sc, grid, workers=2)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     def test_band_dying_without_a_window_error_raises(self):
-        # a child fails where the serial run does not: its exit code is named
+        # a child fails for an outside reason: its exit code is named, and
+        # the parent images only its own band, in one run of both records
         sc = lane_scenario(n_terminals=1, m_rx=2)
         grid = ImageGrid(Vec2(-0.2, 19.8), (0.05, 0.05), (9, 9))
         records = synthesize(sc, suggest_window(sc, grid))
-        parent, interp = os.getpid(), imaging._interp_linear
+        parent, interp, calls = os.getpid(), imaging._interp_linear, []
 
         def fails_in_children(*args):
             if os.getpid() != parent:
                 raise MemoryError
+            calls.append(None)
             return interp(*args)
 
         with patch.object(os, "cpu_count", return_value=2), \
                 patch.object(imaging, "_interp_linear", fails_in_children):
             with pytest.raises(RuntimeError, match=r"exited with codes \[1\]$"):
                 pair_images(records, sc, grid, workers=2)
+        assert len(calls) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

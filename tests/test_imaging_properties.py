@@ -21,6 +21,7 @@ from netrad.imaging import (
     _carrier_phase,
     _check_window,
     _delay_map,
+    _delay_range,
     backproject,
     pair_images,
 )
@@ -248,6 +249,21 @@ def test_carrier_phase_matches_cmath(angles):
         assert abs(z - cmath.exp(1j * t)) <= 4 * np.spacing(abs(t)) + 1e-15, t
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.floats(-30, 30), st.floats(-30, 30),
+       st.floats(1e-3, 0.5), st.floats(1e-3, 0.5),
+       st.lists(st.tuples(st.floats(-1, 2), st.floats(-1, 2)), min_size=1, max_size=4))
+def test_delay_range_equals_map_extremes(nx, ny, x0, y0, sx, sy, spans):
+    # an element sits inside the grid's span where both fractions are in [0, 1]
+    grid = ImageGrid(Vec2(x0, y0), (sx, sy), (nx, ny))
+    x, y = grid.x_coords[:, None], grid.y_coords[None, :]
+    ex, ey = np.array([(x0 + u * sx * (nx - 1), y0 + v * sy * (ny - 1)) for u, v in spans]).T
+    maps = [_delay_map(a, b, x, y) for a, b in zip(ex.tolist(), ey.tolist())]
+    expected = [[d.min() for d in maps], [d.max() for d in maps]]
+    assert _delay_range(ex[:, None, None], ey[:, None, None], x, y).tolist() == expected
+    assert _delay_range(ex[0], ey[0], x, y).tolist() == [row[0] for row in expected]
+
+
 def pixel_delays(rec, sc, grid):
     """The kernel's per-pixel delays of ``rec``: Tx map plus Rx map."""
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
@@ -266,7 +282,7 @@ def first_window_error(records, sc, grid):
     for recs in by_rx.values():
         for rec in sorted(recs, key=lambda r: r.channel[3]):
             try:
-                _check_window(rec, pixel_delays(rec, sc, grid), 0)
+                _check_window(rec, pixel_delays(rec, sc, grid))
             except ValueError as err:
                 return str(err)
     return None

@@ -53,11 +53,6 @@ class TestApplyRcs:
     def test_lossless_default(self):
         assert apply_rcs(20.0, 20.0, 1 + 0j) == 1 + 0j
 
-    def test_spreading_mode(self):
-        assert apply_rcs(20.0, 20.0, 1 + 0j, include_spreading=True) == pytest.approx(
-            2.5e-3
-        )
-
     def test_null_target(self):
         assert apply_rcs(20.0, 20.0, 0j) == 0j
 
