@@ -43,7 +43,6 @@ from .synth import (
 )
 from .imaging import (
     ComplexImage,
-    backproject,
     default_grid,
     pair_images,
     point_spread,

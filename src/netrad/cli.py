@@ -52,7 +52,6 @@ class RunConfig:
     scenario_path: str | None = None
     overrides: list[tuple[str, float]] = field(default_factory=list)
     dynamic_range_db: float = 40.0
-    seed: int | None = None
     workers: int = 1
     n_freq: int = 64
     grid_spacing: float | None = None
@@ -127,8 +126,6 @@ def _load_scenario(config: RunConfig) -> scene.Scenario:
                 raise _ValidationFailure(f"--set seed must be an integer, got {value:g}")
             value = int(value)
         doc[key] = value
-    if config.seed is not None:
-        doc["seed"] = config.seed
     try:
         scenario = scene.scenario_from_doc(doc)
     except scene.SchemaError as err:
@@ -146,21 +143,15 @@ def _reference_target(scenario: scene.Scenario) -> scene.Vec2:
 
 
 def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
-    ref = _reference_target(scenario)  # either grid is placed around a target
-    if config.grid_spacing is not None:
-        s = config.grid_spacing
-        half = config.grid_margin_cells
-        n = 2 * half + 1
-        origin = scene.Vec2(ref.x - half * s, ref.y - half * s)
-        return scene.ImageGrid(origin=origin, spacing=(s, s), size=(n, n))
-    # the default grid resolves the scenario's pairs; incoherent fusion adds
+    _reference_target(scenario)  # no targets is a validation failure here
+    # the default pitch resolves the scenario's pairs; incoherent fusion adds
     # no coverage, so it resolves the finest single pair
     scopes = [scenario.pairing]
-    if config.mode == "incoherent":
+    if config.mode == "incoherent" and config.grid_spacing is None:
         scopes = [scene.AssociationMatrix.from_pairs(scenario.n_terminals, [pair])
                   for pair in scenario.pairing.active_pairs()]
-    grids = [imaging.default_grid(replace(scenario, pairing=pairing),
-                                  margin_cells=config.grid_margin_cells) for pairing in scopes]
+    grids = [imaging.default_grid(replace(scenario, pairing=pairing), config.grid_margin_cells,
+                                  config.grid_spacing) for pairing in scopes]
     return min(grids, key=lambda grid: grid.spacing[0])
 
 
@@ -349,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", dest="overrides", metavar="KEY=VALUE",
                         type=_parse_set, action="append",
                         help="override a scenario key (f0_hz, bandwidth_hz, noise_power, seed)")
-    common.add_argument("--seed", type=int, help="override the scenario RNG seed")
     common.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE", type=float,
                         help=f"raster dynamic range in dB (default {RunConfig.dynamic_range_db:g})")
     common.add_argument("--workers", type=int,

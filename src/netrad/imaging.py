@@ -169,21 +169,6 @@ def _check_window(rec: SignalRecord, tau: np.ndarray) -> None:
         )
 
 
-def backproject(
-    records: list[SignalRecord],
-    scenario: Scenario,
-    grid: ImageGrid,
-    workers: int = 1,
-) -> ComplexImage:
-    """Form the complex image of the one Tx-Rx pair of ``records``; see ``pair_images``."""
-    if not records:
-        raise ValueError("no records to back-project")
-    pairs = sorted({rec.channel[:2] for rec in records})
-    if len(pairs) > 1:
-        raise ValueError(f"records mix pairs {pairs}; back-project one pair at a time")
-    return pair_images(records, scenario, grid, workers=workers)[0]
-
-
 def pair_images(
     records: list[SignalRecord],
     scenario: Scenario,
@@ -324,21 +309,23 @@ def point_spread(scenario: Scenario, target: Vec2, grid: ImageGrid) -> ComplexIm
     return fuse_coherent(pair_images(records, probe, grid))
 
 
-def default_grid(scenario: Scenario, margin_cells: int = 24) -> ImageGrid:
-    """Grid sized from the predicted resolution: spacing is the finest
-    finite predicted rho / 4, centered on the target bounding box padded
-    by ``margin_cells`` pixels per side."""
+def default_grid(scenario: Scenario, margin_cells: int = 24,
+                 spacing: float | None = None) -> ImageGrid:
+    """Square-pixel grid centered on the target bounding box padded by
+    ``margin_cells`` pixels per side. The pixel ``spacing`` defaults to
+    the finest finite predicted rho / 4."""
     if not scenario.targets:
         raise ValueError("cannot size a default grid without targets")
     xs = [t.position.x for t in scenario.targets]
     ys = [t.position.y for t in scenario.targets]
     lo, hi = Vec2(min(xs), min(ys)), Vec2(max(xs), max(ys))
     ref = Vec2((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0)
-    est = predicted_resolution(coverage_region(scenario, ref))
-    rho = min(est.rho_x, est.rho_y)
-    if math.isinf(rho):
-        raise ValueError("acquisition has no finite predicted resolution; pass an explicit grid")
-    s = rho / 4
+    s = spacing
+    if s is None:
+        est = predicted_resolution(coverage_region(scenario, ref))
+        s = min(est.rho_x, est.rho_y) / 4
+        if math.isinf(s):
+            raise ValueError("acquisition has no finite predicted resolution; pass an explicit grid")
     nx = int(math.ceil((hi.x - lo.x) / s)) + 2 * margin_cells + 1
     ny = int(math.ceil((hi.y - lo.y) / s)) + 2 * margin_cells + 1
     origin = Vec2(ref.x - s * (nx - 1) / 2.0, ref.y - s * (ny - 1) / 2.0)

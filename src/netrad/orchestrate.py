@@ -14,7 +14,6 @@ same per-terminal bandwidth.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -48,9 +47,6 @@ class OrchestrationPlan:
             "pairing": self.pairing.entries.tolist(),
             "predicted": self.predicted.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def tessellation_angles(psi_0: float, f0: float, bandwidth: float, count: int) -> list[float]:

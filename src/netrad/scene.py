@@ -429,11 +429,13 @@ def scenario_from_doc(doc) -> Scenario:
     noise_power = _require_number(doc.get("noise_power", 0.0), "noise_power")
     # absent matrices are left to Scenario's defaults
     sync = _require_matrix(doc["sync_errors_s"], n, "sync_errors_s") if "sync_errors_s" in doc else None
-    pairing = (
-        AssociationMatrix(_require_matrix(doc["pairing"], n, "pairing").astype(int))
-        if "pairing" in doc
-        else None
-    )
+    pairing = None
+    if "pairing" in doc:
+        pairing = _require_matrix(doc["pairing"], n, "pairing")
+        if len(bad := np.argwhere((pairing != 0) & (pairing != 1))):
+            i, j = bad[0].tolist()
+            raise SchemaError(f"expected 0 or 1, got {pairing[i, j]:g}", f"pairing[{i}][{j}]")
+        pairing = AssociationMatrix(pairing)
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError("expected an integer", "seed")

@@ -23,7 +23,7 @@ from netrad.scene import (
     Terminal,
     Vec2,
 )
-from netrad.imaging import backproject, pair_images, point_spread
+from netrad.imaging import pair_images, point_spread
 from netrad.fusion import FusionWeights, fuse_coherent, fuse_incoherent
 from netrad.metrics import measure_resolution, peak_snr, pslr
 from netrad.orchestrate import (
@@ -288,13 +288,13 @@ def test_criterion_09_backprojection_oracle():
         records = synthesize(sc, window)
         assert len(records) == 8
 
-        image = backproject(records, sc, grid)
+        (image,) = pair_images(records, sc, grid)
         oracle = brute_force_backprojection(records, sc, grid)
         peak = np.abs(oracle).max()
         np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
 
         for workers in (2, 8):
-            again = backproject(records, sc, grid, workers=workers)
+            (again,) = pair_images(records, sc, grid, workers=workers)
             assert np.array_equal(image.pixels, again.pixels)
 
 

@@ -75,7 +75,7 @@ class TestSimulate:
     def test_writes_per_channel_records(self, tmp_path):
         code = run_cli(
             ["simulate", "--scenario", SCENARIOS / "lane_base_100mhz.json",
-             "--out", tmp_path, "--seed", "3"]
+             "--out", tmp_path, "--set", "seed=3"]
         )
         assert code == 0
         files = sorted((tmp_path / "records").glob("ch_*.csv"))
@@ -88,7 +88,7 @@ class TestSimulate:
         for out in (a, b):
             assert run_cli(
                 ["simulate", "--scenario", SCENARIOS / "lane_base_100mhz.json",
-                 "--out", out, "--set", "noise_power=0.5", "--seed", "9"]
+                 "--out", out, "--set", "noise_power=0.5", "--set", "seed=9"]
             ) == 0
         assert (a / "records" / "ch_0-0-0-0.csv").read_bytes() == (
             b / "records" / "ch_0-0-0-0.csv"
@@ -182,6 +182,18 @@ class TestImageAndFuse:
         assert run_cli(["fuse", "--scenario", diagonal, "--out", tmp_path / "matrix", *extra]) == 0
         for name in ("fused.csv", "fused.pgm", "metrics.json"):
             assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "matrix" / name).read_bytes()
+
+    def test_explicit_spacing_grid_spans_every_target(self, tmp_path):
+        # the grid used to be placed around the first target only
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["targets"] = [{"position": [0.0, 20.0]}, {"position": [1.0, 20.0]}]
+        path = tmp_path / "two_targets.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli(["image", "--scenario", path, "--out", out,
+                        "--grid-spacing", "0.1", "--grid-margin-cells", "3"]) == 0
+        xs = np.unique(read_image_csv(out / "image_0-0.csv")[:, 0])
+        np.testing.assert_allclose(xs, np.linspace(-0.3, 1.3, 17), atol=1e-9)
 
     def test_sync_error_defocuses_instead_of_failing(self, tmp_path):
         # a uniform 15 ns clock error delays every target response; the
@@ -320,7 +332,7 @@ class TestFailures:
         assert err["error"]["violations"] == [f"{key} must be finite, got inf"]
 
     @pytest.mark.parametrize("args", [
-        ["--seed", "-1"], ["--set", "seed=-1"], ["--set", "seed=nan"], ["--set", "seed=1.5"],
+        ["--set", "seed=-1"], ["--set", "seed=nan"], ["--set", "seed=1.5"],
     ])
     def test_bad_seed_exits_2(self, tmp_path, capsys, args):
         # negative and NaN seeds used to exit 3 and 1.5 to run with seed 1
@@ -342,6 +354,17 @@ class TestFailures:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert any("sync_errors" in v for v in err["error"]["violations"])
+
+    def test_pairing_entry_not_0_or_1_exits_2(self, tmp_path, capsys):
+        # 1.7 used to load as 1 and exit 0
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["pairing"] = [[1.7]]
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["coverage", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert "pairing[0][0]: expected 0 or 1" in err["message"]
 
     @pytest.mark.parametrize("grid_args", [[], ["--grid-spacing", "0.1"]])
     def test_fuse_without_targets_exits_2(self, tmp_path, capsys, grid_args):

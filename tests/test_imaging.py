@@ -21,7 +21,6 @@ from netrad.scene import (
 )
 from netrad.imaging import (
     ComplexImage,
-    backproject,
     default_grid,
     export_image_csv,
     export_image_pgm,
@@ -62,7 +61,7 @@ class TestBackproject:
         records = synthesize(sc, (t0, t0 + 80 / fs), fs=fs)
         assert len(records) == 64
         grid = ImageGrid(Vec2(-0.2, 19.8), (0.1, 0.1), (5, 5))  # node (2,2) on target
-        image = backproject(records, sc, grid)
+        (image,) = pair_images(records, sc, grid)
         peak = image.pixels[2, 2]
         assert abs(abs(peak) - 64.0) < 1e-6
         assert abs(np.angle(peak)) < 1e-6
@@ -76,7 +75,7 @@ class TestBackproject:
             samples=np.zeros(200, dtype=complex),
         )
         grid = ImageGrid(Vec2(-0.5, 19.5), (0.25, 0.25), (5, 5))
-        image = backproject([rec], sc, grid)
+        (image,) = pair_images([rec], sc, grid)
         assert np.all(image.pixels == 0)
 
     def test_single_channel_cut_matches_model(self):
@@ -85,7 +84,7 @@ class TestBackproject:
         grid = column_grid(0.0, 18.5, 21.5, 0.02)
         window = suggest_window(sc, grid)
         (rec,) = synthesize(sc, window)
-        image = backproject([rec], sc, grid)
+        (image,) = pair_images([rec], sc, grid)
         # direct evaluation of the model on the same cut
         ys = grid.y_coords
         expect = np.empty(len(ys), dtype=complex)
@@ -107,7 +106,7 @@ class TestBackproject:
         grid = ImageGrid(Vec2(-0.6, 19.4), (0.075, 0.075), (16, 16))
         window = suggest_window(sc, grid)
         records = synthesize(replace(sc, pairing=AssociationMatrix.from_pairs(2, [(0, 1)])), window)
-        image = backproject(records, sc, grid)
+        (image,) = pair_images(records, sc, grid)
         oracle = brute_force_backprojection(records, sc, grid)
         peak = np.abs(oracle).max()
         np.testing.assert_allclose(image.pixels, oracle, rtol=1e-9, atol=1e-9 * peak)
@@ -117,9 +116,9 @@ class TestBackproject:
         grid = ImageGrid(Vec2(-1.0, 19.0), (0.05, 0.05), (41, 41))
         window = suggest_window(sc, grid)
         records = synthesize(sc, window)
-        base = backproject(records, sc, grid, workers=1)
+        (base,) = pair_images(records, sc, grid, workers=1)
         for workers in (2, 8):
-            par = backproject(records, sc, grid, workers=workers)
+            (par,) = pair_images(records, sc, grid, workers=workers)
             assert np.array_equal(base.pixels, par.pixels)
 
     def test_bands_capped_at_the_cpu_count_match_serial(self):
@@ -161,8 +160,8 @@ class TestBackproject:
         moved_grid = ImageGrid(grid.origin + shift, grid.spacing, grid.size)
         window = suggest_window(sc, grid)
         mono = AssociationMatrix.from_pairs(2, [(0, 0)])
-        a = backproject(synthesize(replace(sc, pairing=mono), window), sc, grid)
-        b = backproject(synthesize(replace(moved, pairing=mono), window), moved, moved_grid)
+        (a,) = pair_images(synthesize(replace(sc, pairing=mono), window), sc, grid)
+        (b,) = pair_images(synthesize(replace(moved, pairing=mono), window), moved, moved_grid)
         np.testing.assert_allclose(
             np.abs(a.pixels), np.abs(b.pixels), rtol=1e-6, atol=1e-9
         )
@@ -192,7 +191,7 @@ class TestBackproject:
         window = suggest_window(sc)  # targets only, no grid padding
         records = synthesize(sc, window)
         with pytest.raises(ValueError, match=r"channel \(0, 0, 0, 0\)"):
-            backproject(records, sc, grid)
+            pair_images(records, sc, grid)
 
     def test_window_error_does_not_depend_on_workers(self):
         # pair (0,0) of the lane on its default grid, the window's end cut
@@ -286,20 +285,6 @@ class TestBackproject:
         assert len(forks) == min(9, os.cpu_count() or 1) - 1
         assert np.array_equal(image.pixels, pair_images(records, sc, grid)[0].pixels)
 
-    def test_mixed_pairs_rejected(self):
-        sc = lane_scenario(n_terminals=2, m_rx=1, pairing=AssociationMatrix.full(2))
-        window = suggest_window(sc)
-        records = synthesize(sc, window)
-        grid = ImageGrid(Vec2(0, 19.9), (0.1, 0.1), (2, 2))
-        with pytest.raises(ValueError, match="mix pairs"):
-            backproject(records, sc, grid)
-
-    def test_empty_records_rejected(self):
-        sc = lane_scenario(n_terminals=1, m_rx=1)
-        grid = ImageGrid(Vec2(0, 19.9), (0.1, 0.1), (2, 2))
-        with pytest.raises(ValueError, match="no records"):
-            backproject([], sc, grid)
-
     def test_linear_interpolation_off_sample_amplitude(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
         tau = bistatic_delay(sc.terminals[0].tx_elements[0],
@@ -308,7 +293,8 @@ class TestBackproject:
         t0 = tau - (40 + 0.5) / fs  # peak half-way between samples
         records = synthesize(sc, (t0, t0 + 81 / fs), fs=fs)
         grid = ImageGrid(Vec2(TARGET.x, TARGET.y), (0.1, 0.1), (1, 1))
-        lin = abs(backproject(records, sc, grid).pixels[0, 0])
+        (image,) = pair_images(records, sc, grid)
+        lin = abs(image.pixels[0, 0])
         assert lin == pytest.approx(1.0, abs=0.05)
 
 
@@ -378,6 +364,14 @@ class TestDefaultGrid:
         assert xs[0] <= TARGET.x <= xs[-1]
         assert ys[0] <= TARGET.y <= ys[-1]
 
+    def test_explicit_spacing_centres_on_the_target_box_without_prediction(self):
+        sc = replace(lane_scenario(n_terminals=1, m_rx=1),
+                     targets=(PointTarget(TARGET), PointTarget(Vec2(1.0, 20.5))))
+        with patch.object(imaging, "predicted_resolution", side_effect=AssertionError):
+            grid = default_grid(sc, margin_cells=3, spacing=0.1)
+        assert grid.spacing == (0.1, 0.1) and grid.size == (17, 12)
+        assert grid.origin.x == pytest.approx(-0.3) and grid.origin.y == pytest.approx(19.7)
+
     def test_unbounded_resolution_rejected(self):
         # exact forward scatter: k* = 0 at every frequency, no coverage at all
         tx = Terminal(0, Vec2(0, 0), (Vec2(0, 0),), ())
@@ -398,7 +392,7 @@ class TestExports:
         sc = lane_scenario(n_terminals=1, m_rx=2)
         grid = ImageGrid(Vec2(-0.3, 19.7), (0.1, 0.1), (7, 7))
         window = suggest_window(sc, grid)
-        image = backproject(synthesize(sc, window), sc, grid)
+        (image,) = pair_images(synthesize(sc, window), sc, grid)
         csv = tmp_path / "im.csv"
         pgm = tmp_path / "im.pgm"
         export_image_csv(image, csv)

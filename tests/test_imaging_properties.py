@@ -22,7 +22,6 @@ from netrad.imaging import (
     _check_window,
     _delay_map,
     _delay_range,
-    backproject,
     pair_images,
 )
 from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
@@ -110,7 +109,7 @@ def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, pair_workers)
             assert np.array_equal(a.pixels, b.pixels)
     # a pair imaged alone, with its own worker count, gives the same bits
     for image in images:
-        alone = backproject(records_of(records, image.provenance), sc, grid, workers=pair_workers)
+        (alone,) = pair_images(records_of(records, image.provenance), sc, grid, workers=pair_workers)
         assert np.array_equal(alone.pixels, image.pixels)
 
 

@@ -105,7 +105,7 @@ class TestTessellatedPlan:
 
     def test_plan_json_round_trips(self):
         p = tessellated_plan(F0, B100, 3, TARGET, 20.0)
-        doc = json.loads(p.to_json())
+        doc = json.loads(json.dumps(p.to_dict()))
         assert len(doc["angles_deg"]) == 3
         assert doc["angles_deg"][0] == pytest.approx(90.0)
         assert np.asarray(doc["pairing"]).shape == (3, 3)

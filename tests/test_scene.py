@@ -185,6 +185,16 @@ def test_validate_reports_negative_seed():
     assert validate(scenario_from_doc(doc)) == ["seed must be non-negative, got -1"]
 
 
+@pytest.mark.parametrize("value", [0.5, 1.7, math.nan])
+def test_pairing_entry_not_0_or_1_names_entry(value):
+    # 0.5 and 1.7 used to load as 0 and 1, and NaN as a huge negative integer
+    doc = lane_doc()
+    doc["pairing"] = [[1] * 5 for _ in range(5)]
+    doc["pairing"][2][3] = value
+    with pytest.raises(SchemaError, match=r"pairing\[2\]\[3\]: expected 0 or 1"):
+        scenario_from_doc(doc)
+
+
 @pytest.mark.parametrize("field, value", [("f0", math.inf), ("bandwidth", math.inf),
                                           ("bandwidth", math.nan)])
 def test_validate_reports_non_finite_band(field, value):
