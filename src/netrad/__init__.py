@@ -48,14 +48,7 @@ from .imaging import (
     point_spread,
 )
 from .fusion import FusionWeights, fuse_coherent, fuse_incoherent
-from .metrics import (
-    ImageMetrics,
-    compute_metrics,
-    islr,
-    measure_resolution,
-    peak_snr,
-    pslr,
-)
+from .metrics import ImageMetrics, compute_metrics, peak_snr
 from .orchestrate import (
     OrchestrationPlan,
     angles_to_positions,

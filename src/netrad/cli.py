@@ -220,12 +220,12 @@ def _fuse_and_report(config: RunConfig, scenario: scene.Scenario,
         fused = fusion.fuse_coherent(images)
     imaging.export_image_csv(fused, out / "fused.csv")
     imaging.export_image_pgm(fused, out / "fused.pgm", config.dynamic_range_db)
-    truth = scenario.targets[0].position if scenario.targets else None
+    targets = [t.position for t in scenario.targets]
+    truth = targets[0] if scenario.noise_power > 0 else None
     try:
-        m = metrics.compute_metrics(fused, truth_pos=truth if scenario.noise_power > 0 else None)
-        doc = m.to_dict()
+        doc = metrics.compute_metrics(fused, truth_pos=truth, targets=targets).to_dict()
     except ValueError as err:
-        # metrics need a resolved interior peak; report what failed instead
+        # a peak on the grid boundary or an all-zero image measures nothing
         doc = {"error": str(err)}
     doc["provenance"] = fused.provenance
     doc["n_images_fused"] = len(images)

@@ -9,10 +9,13 @@ Measurement conventions, stated once and used everywhere:
 * The mainlobe region used by PSLR/ISLR is the ellipse around the peak
   with semi-axes 1.5x the measured -3 dB widths: wide enough to contain
   the first null of a sinc-like lobe, narrow enough not to swallow the
-  first sidelobe or nearby grating lobes.
+  first sidelobe or nearby grating lobes. The same ellipse around every
+  other target of the scene is left out of the sidelobes too.
 * The mainlobe is resolved along an axis when at least 3 contiguous
-  samples of the cut through the peak lie at or above -3 dB; otherwise
-  measuring its resolution raises and ``metrics.json`` holds the error.
+  samples of the cut through the peak lie at or above -3 dB. Each figure
+  is measured on its own: one that fails (an unresolved axis, say) is
+  NaN, ``null`` in ``metrics.json``, and the first failure's message is
+  the record's ``error``.
 * Peak positions are refined off-grid by a 3-point parabolic fit on
   log magnitude, removing grid-quantization bias from resolution ratios.
 """
@@ -21,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .imaging import ComplexImage
-from .scene import Vec2
+from .scene import Vec2, distance
 
 RAYLEIGH_WIDTH_FACTOR = 0.886  # -3 dB width of a sinc mainlobe, in units of 2*pi/dk
 _HALF_POWER_AMPLITUDE = 1.0 / math.sqrt(2.0)
@@ -37,8 +39,9 @@ _COVERS_IMAGE = "mainlobe region covers the whole image; enlarge the grid"
 @dataclass(frozen=True)
 class ImageMetrics:
     """Measured quality figures of one image. dB values are relative to
-    the mainlobe peak; ``peak_snr_db`` is None unless measured against a
-    known target position on a noisy image."""
+    the mainlobe peak. A figure that could not be measured is NaN and
+    ``error`` holds the first failure; ``peak_snr_db`` is None unless
+    measured against a known target position on a noisy image."""
 
     peak_pos: Vec2
     peak_val: complex
@@ -47,12 +50,13 @@ class ImageMetrics:
     pslr_db: float
     islr_db: float
     peak_snr_db: float | None = None
+    error: str | None = None
 
     def to_dict(self) -> dict:
         def num(v):
-            return None if v is None or math.isinf(v) else v
+            return None if v is None or not math.isfinite(v) else v
 
-        return {
+        doc = {
             "peak_pos_m": [self.peak_pos.x, self.peak_pos.y],
             "peak_val": [self.peak_val.real, self.peak_val.imag],
             "rho_x_m": num(self.rho_x_meas),
@@ -61,6 +65,9 @@ class ImageMetrics:
             "islr_db": num(self.islr_db),
             "peak_snr_db": num(self.peak_snr_db),
         }
+        if self.error is not None:
+            doc["error"] = self.error
+        return doc
 
 
 def _log_vertex(cut: np.ndarray, k: int, log_c: float) -> tuple[float, float]:
@@ -80,9 +87,8 @@ class _Mainlobe:
     """One image's mainlobe, measured once for every figure: magnitude,
     peak (index, position and amplitude refined by log-magnitude
     parabolas) and each axis's -3 dB width, or the failure measuring it
-    hit; the ellipse excluded by PSLR/ISLR is built on first use. A peak
-    on the grid boundary is an error (the mainlobe is clipped), except
-    along an axis of size 1, which is left unrefined.
+    hit. A peak on the grid boundary is an error (the mainlobe is
+    clipped), except along an axis of size 1, which is left unrefined.
     """
 
     def __init__(self, image: ComplexImage):
@@ -133,17 +139,15 @@ class _Mainlobe:
             return math.nan, "unresolved", message
         return ends[1] - ends[0], "", ""
 
-    def resolution(self, axis: str) -> float:
-        meters, failure, message = self.widths[axis]
-        if failure:
-            raise ValueError(message)
-        return meters / RAYLEIGH_WIDTH_FACTOR
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Mainlobe ellipse, with a two-pixel semi-axis on an axis whose
-        mainlobe is narrower than the grid can resolve (e.g. a single lit
-        pixel), so the sidelobe ratios still have a mainlobe to exclude."""
+    def sidelobe_ratios(self, targets) -> tuple[float, float]:
+        """(PSLR, ISLR) in dB: the strongest sidelobe magnitude over the
+        peak, and the sidelobe energy over the mainlobe's; each is -inf
+        when the sidelobes are all zero. The mainlobe is an ellipse, with
+        a two-pixel semi-axis on an axis whose mainlobe is narrower than
+        the grid can resolve (e.g. a single lit pixel), so the ratios
+        still have a mainlobe to exclude. The sidelobes are the rest of
+        the image less the same ellipse around each of ``targets`` but the
+        one nearest the peak."""
         semi = []
         for (meters, failure, message), spacing in zip(self.widths.values(), self.grid.spacing):
             if failure == "unresolved":
@@ -155,76 +159,41 @@ class _Mainlobe:
             else:
                 semi.append(_MAINLOBE_SEMI_AXES * meters)
         x, y = self.grid.pixel_coords()
-        mask = ((x - self.pos.x) / semi[0]) ** 2 + ((y - self.pos.y) / semi[1]) ** 2 <= 1.0
-        if mask.all():
+
+        def ellipse(centre: Vec2) -> np.ndarray:
+            return ((x - centre.x) / semi[0]) ** 2 + ((y - centre.y) / semi[1]) ** 2 <= 1.0
+
+        mainlobe = ellipse(self.pos)
+        sidelobes = ~mainlobe
+        for target in sorted(targets, key=lambda t: distance(t, self.pos))[1:]:
+            sidelobes &= ~ellipse(target)
+        if not sidelobes.any():
             raise ValueError(_COVERS_IMAGE)
-        return mask
-
-    def pslr(self) -> float:
-        peak_out = float(self.mag[~self.mask].max())
-        if peak_out == 0.0:
-            return -math.inf
-        return 20.0 * math.log10(peak_out / self.amp)
-
-    def islr(self) -> float:
+        peak_out = float(self.mag[sidelobes].max())
         power = self.mag ** 2
-        e_in = float(power[self.mask].sum())
-        e_out = float(power[~self.mask].sum())
-        if e_out == 0.0:
-            return -math.inf
+        e_in = float(power[mainlobe].sum())
+        e_out = float(power[sidelobes].sum())
         if e_in == 0.0:
             raise ValueError("no energy inside the mainlobe region")
-        return 10.0 * math.log10(e_out / e_in)
+        return (20.0 * math.log10(peak_out / self.amp) if peak_out > 0.0 else -math.inf,
+                10.0 * math.log10(e_out / e_in) if e_out > 0.0 else -math.inf)
 
 
-def measure_resolution(image: ComplexImage, axis: str) -> float:
-    """Measured resolution along one axis, Rayleigh convention.
-
-    The -3 dB full width of the cut through the peak, via linear
-    interpolation between samples, divided by 0.886 so the value is
-    comparable with the predicted 2*pi/dk. Requires a unique, interior,
-    grid-resolved peak.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    return _Mainlobe(image).resolution(axis)
-
-
-def pslr(image: ComplexImage) -> float:
-    """Peak-to-sidelobe ratio in dB (<= 0): strongest magnitude outside
-    the mainlobe ellipse over the mainlobe peak. -inf when nothing lies
-    outside the mainlobe."""
-    return _Mainlobe(image).pslr()
-
-
-def islr(image: ComplexImage) -> float:
-    """Integrated sidelobe ratio in dB: energy outside the mainlobe
-    ellipse over energy inside. -inf when no energy lies outside."""
-    return _Mainlobe(image).islr()
-
-
-def peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None = None) -> float:
+def peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float) -> float:
     """Peak SNR in dB: |I| squared at the pixel nearest the true target
     over the variance of background pixels farther than 10 resolution
-    cells from it.
+    cells of ``cell`` meters from it.
 
-    ``cell`` sets the resolution cell size in meters; when omitted it is
-    the larger measured resolution of the image itself (pass it
-    explicitly for images with an unresolved axis). +inf on a noiseless
-    image. Needs at least 100 background pixels.
+    +inf on a noiseless image; NaN when ``cell`` is NaN (a resolution
+    that could not be measured). Needs the truth position on the grid and
+    at least 100 background pixels.
     """
-    return _peak_snr(noisy, truth_pos, cell, None)
-
-
-def _peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None, lobe: _Mainlobe | None):
-    # an omitted cell is measured on ``lobe``, or on a new one when that is None too
     grid = noisy.grid
     xs, ys = grid.x_coords, grid.y_coords
     if not (xs[0] <= truth_pos.x <= xs[-1] and ys[0] <= truth_pos.y <= ys[-1]):
         raise ValueError("truth position lies outside the image grid")
-    if cell is None:
-        lobe = lobe or _Mainlobe(noisy)
-        cell = max(lobe.resolution("x"), lobe.resolution("y"))
+    if math.isnan(cell):
+        return math.nan
     i, j = grid.nearest_pixel(truth_pos)
     peak2 = float(np.abs(noisy.pixels[i, j]) ** 2)
     x, y = grid.pixel_coords()
@@ -240,20 +209,42 @@ def _peak_snr(noisy: ComplexImage, truth_pos: Vec2, cell: float | None, lobe: _M
     return 10.0 * math.log10(peak2 / var)
 
 
-def compute_metrics(image: ComplexImage, truth_pos: Vec2 | None = None) -> ImageMetrics:
+def compute_metrics(image: ComplexImage, truth_pos: Vec2 | None = None,
+                    targets=()) -> ImageMetrics:
     """All quality figures of one image in a single record, from one
     measurement of its mainlobe.
 
-    ``peak_snr_db`` is filled only when a truth position is given.
+    Each figure is measured on its own, and one that fails is NaN;
+    ``error`` holds the first failure in the order peak SNR, rho_x, rho_y,
+    sidelobe ratios. ``peak_snr_db`` is measured only when a truth
+    position is given, with the larger measured resolution as the cell.
+    ``targets`` are the scene's target positions, whose mainlobes are not
+    sidelobes. A peak on the grid boundary or an all-zero image raises
+    ValueError.
     """
     lobe = _Mainlobe(image)
-    snr = None if truth_pos is None else _peak_snr(image, truth_pos, None, lobe)
+    (rho_x, x_failure), (rho_y, y_failure) = (
+        (meters / RAYLEIGH_WIDTH_FACTOR, message) for meters, _, message in lobe.widths.values()
+    )
+    snr, snr_failure = None, ""
+    if truth_pos is not None:
+        try:  # np.maximum keeps a NaN of either axis, which peak_snr returns
+            snr = peak_snr(image, truth_pos, float(np.maximum(rho_x, rho_y)))
+        except ValueError as err:
+            snr, snr_failure = math.nan, str(err)
+    try:
+        (pslr_db, islr_db), lobe_failure = lobe.sidelobe_ratios(targets), ""
+    except ValueError as err:
+        pslr_db = islr_db = math.nan
+        lobe_failure = str(err)
+    failures = (snr_failure, x_failure, y_failure, lobe_failure)
     return ImageMetrics(
         peak_pos=lobe.pos,
         peak_val=complex(image.pixels[lobe.index]),
-        rho_x_meas=lobe.resolution("x"),
-        rho_y_meas=lobe.resolution("y"),
-        pslr_db=lobe.pslr(),
-        islr_db=lobe.islr(),
+        rho_x_meas=rho_x,
+        rho_y_meas=rho_y,
+        pslr_db=pslr_db,
+        islr_db=islr_db,
         peak_snr_db=snr,
+        error=next((failure for failure in failures if failure), None),
     )

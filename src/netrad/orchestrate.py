@@ -171,14 +171,16 @@ def tessellated_plan(
     )
 
 
+def _point_terminals(positions) -> tuple[Terminal, ...]:
+    return tuple(Terminal(i, p, tx_elements=(p,), rx_elements=(p,)) for i, p in enumerate(positions))
+
+
 def plan_scenario_prototype(
     positions,
     pairing: AssociationMatrix,
     f0: float,
     bandwidth: float,
     target: Vec2,
-    noise_power: float = 0.0,
-    rng_seed: int = 0,
 ) -> Scenario:
     """Single-element-terminal scenario realizing a plan's placements.
 
@@ -187,18 +189,12 @@ def plan_scenario_prototype(
     separately with aperture_for_cross_range and substituted by the
     caller if needed.
     """
-    terminals = tuple(
-        Terminal(id=i, phase_center=p, tx_elements=(p,), rx_elements=(p,))
-        for i, p in enumerate(positions)
-    )
     return Scenario(
-        terminals=terminals,
+        terminals=_point_terminals(positions),
         targets=(PointTarget(position=target, reflectivity=1.0 + 0.0j),),
         f0=f0,
         bandwidth=bandwidth,
-        noise_power=noise_power,
         pairing=pairing,
-        rng_seed=rng_seed,
     )
 
 
@@ -208,16 +204,15 @@ def scenario_from_plan(
     bandwidth: float | None = None,
 ) -> Scenario:
     """Concrete scenario executing a plan with the base scenario's
-    carrier, targets, noise and seed."""
-    return replace(plan_scenario_prototype(
-        plan_.positions,
-        plan_.pairing,
-        base.f0,
-        bandwidth if bandwidth is not None else base.bandwidth,
-        base.targets[0].position if base.targets else Vec2(0.0, 0.0),
-        noise_power=base.noise_power,
-        rng_seed=base.rng_seed,
-    ), targets=base.targets)
+    carrier, targets, noise and seed: point terminals at the planned
+    positions, synchronized, with the plan's pairing."""
+    return replace(
+        base,
+        terminals=_point_terminals(plan_.positions),
+        pairing=plan_.pairing,
+        bandwidth=bandwidth if bandwidth is not None else base.bandwidth,
+        sync_errors=None,
+    )
 
 
 def default_stand_off(scenario: Scenario, target: Vec2) -> float:

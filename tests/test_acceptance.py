@@ -25,7 +25,7 @@ from netrad.scene import (
 )
 from netrad.imaging import pair_images, point_spread
 from netrad.fusion import FusionWeights, fuse_coherent, fuse_incoherent
-from netrad.metrics import measure_resolution, peak_snr, pslr
+from netrad.metrics import compute_metrics, peak_snr
 from netrad.orchestrate import (
     plan_scenario_prototype,
     tessellated_plan,
@@ -85,8 +85,8 @@ def test_criterion_01_range_resolution():
         sc = lane_scenario(n_terminals=1)
         grid = ImageGrid(Vec2(-1.05, 18.95), (0.075, 0.075), (29, 29))
         psf = point_spread(sc, TARGET, grid)
-        rho_r = measure_resolution(psf, "y")
-        rho_xr = measure_resolution(psf, "x")
+        m = compute_metrics(psf)
+        rho_r, rho_xr = m.rho_y_meas, m.rho_x_meas
         assert rho_r == pytest.approx(0.30, rel=0.15)
         assert rho_xr == pytest.approx(0.30, rel=0.15)
 
@@ -109,7 +109,7 @@ def test_criterion_02_cross_range_sizing():
         )
         grid = ImageGrid(Vec2(-1.0, 19.0), (0.05, 0.05), (41, 41))
         image = fused_image(sc, grid)
-        assert measure_resolution(image, "x") == pytest.approx(0.30, rel=0.15)
+        assert compute_metrics(image).rho_x_meas == pytest.approx(0.30, rel=0.15)
 
 
 def test_criterion_03_coverage_area_formula():
@@ -147,13 +147,14 @@ def test_criterion_05_cooperation_ladder():
         # (a) coherent monostatic fusion narrows the mainlobe below every
         # single-terminal mainlobe
         fused_mono = fuse_coherent(mono)
-        width_mono = measure_resolution(fused_mono, "x")
+        m_mono = compute_metrics(fused_mono)
+        width_mono = m_mono.rho_x_meas
         for im in mono:
-            assert width_mono < measure_resolution(im, "x")
+            assert width_mono < compute_metrics(im).rho_x_meas
 
         # (b) but the gaps between the five coverage patches leave grating
         # lobes above -10 dB
-        pslr_mono = pslr(fused_mono)
+        pslr_mono = m_mono.pslr_db
         assert pslr_mono > -10.0
 
         # (c) full multistatic fusion fills the gaps: the highest lobe
@@ -183,8 +184,8 @@ def test_criterion_05_cooperation_ladder():
             }
         )
         fused_multi = fuse_coherent(images, weights)
-        pslr_multi = pslr(fused_multi)
-        width_multi = measure_resolution(fused_multi, "x")
+        m_multi = compute_metrics(fused_multi)
+        pslr_multi, width_multi = m_multi.pslr_db, m_multi.rho_x_meas
         assert pslr_multi <= pslr_mono - 3.0
         assert width_multi <= 1.10 * width_mono
 
@@ -206,8 +207,8 @@ def test_criterion_06_orchestration_4x():
         tessellated = plan_scenario_prototype(
             plan.positions, AssociationMatrix.identity(4), F0, band, TARGET
         )
-        rho_single = measure_resolution(fused_image(single, grid), "y")
-        rho_fused = measure_resolution(fused_image(tessellated, grid), "y")
+        rho_single = compute_metrics(fused_image(single, grid)).rho_y_meas
+        rho_fused = compute_metrics(fused_image(tessellated, grid)).rho_y_meas
         assert rho_fused == pytest.approx(rho_single / 4.0, rel=0.25)
 
 
@@ -215,7 +216,7 @@ def test_criterion_07_bistatic_loss_law():
     with criterion(7, "bistatic resolution loss 1/cos(alpha/2) at 60 and 90 deg +-20%"):
         grid = column_grid(0.0, 18.0, 22.0, 0.02)
         sc0 = lane_scenario(n_terminals=1, m_rx=1)
-        rho0 = measure_resolution(fused_image(sc0, grid), "y")
+        rho0 = compute_metrics(fused_image(sc0, grid)).rho_y_meas
 
         for alpha_deg in (60.0, 90.0):
             alpha = math.radians(alpha_deg)
@@ -237,7 +238,7 @@ def test_criterion_07_bistatic_loss_law():
                 bandwidth=BW,
                 pairing=AssociationMatrix(np.array([[0, 1], [0, 0]])),
             )
-            rho = measure_resolution(fused_image(sc, grid), "y")
+            rho = compute_metrics(fused_image(sc, grid)).rho_y_meas
             assert rho / rho0 == pytest.approx(1.0 / math.cos(alpha / 2), rel=0.20)
 
 

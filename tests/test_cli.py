@@ -195,6 +195,19 @@ class TestImageAndFuse:
         xs = np.unique(read_image_csv(out / "image_0-0.csv")[:, 0])
         np.testing.assert_allclose(xs, np.linspace(-0.3, 1.3, 17), atol=1e-9)
 
+    def test_other_targets_are_not_sidelobes(self, tmp_path):
+        # the second target's mainlobe used to be the "sidelobe", at -0.19 dB
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["targets"] = [{"position": [0.0, 20.0]}, {"position": [1.0, 20.0]}]
+        path = tmp_path / "two_targets.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli(["fuse", "--scenario", path, "--out", out,
+                        "--grid-spacing", "0.1", "--grid-margin-cells", "3"]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert "error" not in metrics
+        assert metrics["pslr_db"] < -10.0
+
     def test_sync_error_defocuses_instead_of_failing(self, tmp_path):
         # a uniform 15 ns clock error delays every target response; the
         # window must still cover the unsynchronized pixel delays
@@ -224,6 +237,23 @@ class TestOrchestrate:
         assert plan["angles_deg"][0] == pytest.approx(90.0)
         assert (tmp_path / "fused.csv").exists()
         assert (tmp_path / "metrics.json").exists()
+
+    def test_each_axis_is_reported_on_its_own(self, tmp_path):
+        # on the default grid x resolves and y does not; one failed axis
+        # used to leave metrics.json with the error alone
+        out = tmp_path / "run"
+        assert run_cli(["orchestrate", "--L", "4", "--B", "100e6",
+                        "--scenario", SCENARIOS / "lane_base_100mhz.json", "--out", out]) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        assert doc["rho_x_m"] == pytest.approx(0.0407, abs=1e-4)
+        assert doc["rho_y_m"] is None
+        assert "along y" in doc["error"]
+        assert run_cli(["report", "--out", tmp_path]) == 0
+        table = (tmp_path / "metrics_table.csv").read_text().splitlines()
+        run, rho_x, rho_y = table[1].split(",")[:3]
+        assert run == "run/metrics.json"
+        assert float(rho_x) == pytest.approx(0.0407, abs=1e-4)
+        assert rho_y == ""
 
     def test_plan_json_keys_are_sorted(self, tmp_path):
         assert run_cli(

@@ -27,7 +27,7 @@ from netrad.imaging import (
     pair_images,
     point_spread,
 )
-from netrad.metrics import measure_resolution
+from netrad.metrics import compute_metrics
 from netrad.synth import SignalRecord, bistatic_delay, suggest_window, synthesize
 from netrad.wavenumber import coverage_region, predicted_resolution
 from helpers import (
@@ -339,8 +339,9 @@ class TestPointSpread:
         psf = point_spread(sc, TARGET, grid)
         assert psf.provenance == "fused:coh"
         # -3 dB measurement agrees with the spectral-extent prediction
-        assert measure_resolution(psf, "x") == pytest.approx(est.rho_x, rel=0.10)
-        assert measure_resolution(psf, "y") == pytest.approx(est.rho_y, rel=0.10)
+        m = compute_metrics(psf)
+        assert m.rho_x_meas == pytest.approx(est.rho_x, rel=0.10)
+        assert m.rho_y_meas == pytest.approx(est.rho_y, rel=0.10)
 
     def test_probe_replaces_scene_content(self):
         sc = lane_scenario(n_terminals=1, m_rx=1, noise_power=0.5, seed=9)

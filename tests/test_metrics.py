@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,14 +8,7 @@ import pytest
 from netrad.scene import ImageGrid, Vec2
 from netrad.imaging import ComplexImage, pair_images
 from netrad.fusion import fuse_incoherent
-from netrad.metrics import (
-    _Mainlobe,
-    compute_metrics,
-    islr,
-    measure_resolution,
-    peak_snr,
-    pslr,
-)
+from netrad.metrics import _Mainlobe, compute_metrics, peak_snr
 from netrad.synth import suggest_window, synthesize
 from helpers import TARGET, column_grid, lane_scenario
 
@@ -54,45 +48,47 @@ class TestMeasureResolution:
     def test_exact_sinc_width(self):
         w = 0.30
         image = sinc2d_image(w, w / 10, 40)
-        assert measure_resolution(image, "x") == pytest.approx(w, rel=0.02)
-        assert measure_resolution(image, "y") == pytest.approx(w, rel=0.02)
+        m = compute_metrics(image)
+        assert m.rho_x_meas == pytest.approx(w, rel=0.02)
+        assert m.rho_y_meas == pytest.approx(w, rel=0.02)
 
     def test_converges_with_grid_refinement(self):
         w = 0.30
         errors = []
         for divider in (4, 8, 16):
             image = sinc2d_image(w, w / divider, 4 * divider)
-            errors.append(abs(measure_resolution(image, "x") - w))
+            errors.append(abs(compute_metrics(image).rho_x_meas - w))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 0.01 * w
 
     def test_off_grid_peak_is_refined(self):
         w = 0.30
         image = sinc2d_image(w, w / 8, 32, center_offset=(0.013, -0.007))
-        assert measure_resolution(image, "x") == pytest.approx(w, rel=0.03)
+        assert compute_metrics(image).rho_x_meas == pytest.approx(w, rel=0.03)
 
     def test_boundary_peak_rejected(self):
         grid = ImageGrid(Vec2(0, 0), (0.1, 0.1), (5, 5))
         pixels = np.zeros((5, 5), dtype=complex)
         pixels[0, 2] = 1.0
         with pytest.raises(ValueError, match="boundary"):
-            measure_resolution(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)), "x")
+            compute_metrics(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)))
 
     def test_unresolved_mainlobe_rejected(self):
         grid = ImageGrid(Vec2(0, 0), (0.1, 0.1), (5, 5))
         pixels = np.zeros((5, 5), dtype=complex)
         pixels[2, 2] = 1.0
-        with pytest.raises(ValueError, match="unresolved|outside the grid"):
-            measure_resolution(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)), "x")
+        m = compute_metrics(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)))
+        assert math.isnan(m.rho_x_meas)
+        assert re.search("unresolved|outside the grid", m.error)
 
     def test_samples_beyond_the_mainlobe_are_not_counted(self):
         # a one-pixel mainlobe next to a lobe above -3 dB: only the
         # contiguous samples around the peak make up the mainlobe
         cut = spike(11)
         cut[7] = cut[8] = 0.9
-        image = separable_image(cut, gaussian(11, 2.0))
-        with pytest.raises(ValueError, match="unresolved along x: only 1 samples"):
-            measure_resolution(image, "x")
+        m = compute_metrics(separable_image(cut, gaussian(11, 2.0)))
+        assert math.isnan(m.rho_x_meas)
+        assert re.search("unresolved along x: only 1 samples", m.error)
 
     def test_off_grid_peak_amplitude_is_refined(self):
         # a Gaussian is a parabola in log magnitude, so each axis's vertex
@@ -107,13 +103,14 @@ class TestPslr:
     def test_sinc_first_sidelobe(self):
         # first sidelobe of a sinc: 20*log10(0.21723) = -13.26 dB
         image = sinc2d_image(0.30, 0.30 / 16, 16 * 5)
-        assert pslr(image) == pytest.approx(-13.26, abs=0.2)
+        assert compute_metrics(image).pslr_db == pytest.approx(-13.26, abs=0.2)
 
     def test_single_pixel_no_sidelobes(self):
         grid = ImageGrid(Vec2(0, 0), (0.1, 0.1), (7, 7))
         pixels = np.zeros((7, 7), dtype=complex)
         pixels[3, 3] = 2.0
-        assert pslr(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0))) == -math.inf
+        m = compute_metrics(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)))
+        assert m.pslr_db == -math.inf
 
     def test_injected_sidelobe_sets_level_exactly(self):
         image = sinc2d_image(0.30, 0.30 / 16, 16 * 5)
@@ -122,20 +119,21 @@ class TestPslr:
         replaced = abs(pixels[10, 10]) ** 2
         pixels[10, 10] = spike  # far from the mainlobe
         spiked = ComplexImage(grid=image.grid, pixels=pixels, provenance=(0, 0))
-        assert pslr(spiked) == pytest.approx(-8.0, abs=1e-9)
+        assert compute_metrics(spiked).pslr_db == pytest.approx(-8.0, abs=1e-9)
         # and ISLR rises by exactly the injected energy:
-        # islr = 10 log10(E_out / E_in) with E_out gaining spike^2 - replaced
-        ratio = 10 ** (islr(image) / 10)
+        # ISLR = 10 log10(E_out / E_in) with E_out gaining spike^2 - replaced
+        ratio = 10 ** (compute_metrics(image).islr_db / 10)
         mag2 = np.abs(image.pixels) ** 2
         e_in = mag2.sum() / (1 + ratio)
         e_out = mag2.sum() - e_in
         expect = 10 * math.log10((e_out + spike ** 2 - replaced) / e_in)
-        assert islr(spiked) == pytest.approx(expect, abs=1e-9)
+        assert compute_metrics(spiked).islr_db == pytest.approx(expect, abs=1e-9)
 
     def test_mainlobe_covering_whole_image_rejected(self):
         image = sinc2d_image(0.30, 0.30 / 10, 4)  # grid ends inside the mainlobe
-        with pytest.raises(ValueError):
-            pslr(image)
+        m = compute_metrics(image)
+        assert math.isnan(m.pslr_db) and math.isnan(m.islr_db)
+        assert m.error is not None
 
 
 class TestIslr:
@@ -143,7 +141,8 @@ class TestIslr:
         grid = ImageGrid(Vec2(0, 0), (0.1, 0.1), (7, 7))
         pixels = np.zeros((7, 7), dtype=complex)
         pixels[3, 3] = 2.0
-        assert islr(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0))) == -math.inf
+        m = compute_metrics(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0)))
+        assert m.islr_db == -math.inf
 
     def test_uniform_background_grows_with_area(self):
         # near-uniform magnitude: the out-of-lobe energy scales with area
@@ -153,14 +152,15 @@ class TestIslr:
             pixels = np.full(grid.size, 1.0, dtype=complex)
             x, y = grid.pixel_coords()
             pixels += np.exp(-(x ** 2 + y ** 2) / (2 * 0.2 ** 2))  # resolved peak
-            values.append(islr(ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0))))
+            image = ComplexImage(grid=grid, pixels=pixels, provenance=(0, 0))
+            values.append(compute_metrics(image).islr_db)
         assert values[0] > 0
         assert values[1] > values[0]
 
     def test_sinc_islr_is_negative(self):
         # most energy of a 2D sinc sits in the mainlobe
         image = sinc2d_image(0.30, 0.30 / 16, 16 * 5)
-        assert islr(image) < -5.0
+        assert compute_metrics(image).islr_db < -5.0
 
 
 class TestScaleInvariance:
@@ -170,11 +170,10 @@ class TestScaleInvariance:
         scaled = ComplexImage(
             grid=image.grid, pixels=scale * image.pixels, provenance=(0, 0)
         )
-        assert measure_resolution(scaled, "x") == pytest.approx(
-            measure_resolution(image, "x"), rel=1e-9
-        )
-        assert pslr(scaled) == pytest.approx(pslr(image), abs=1e-9)
-        assert islr(scaled) == pytest.approx(islr(image), abs=1e-9)
+        m, m_scaled = compute_metrics(image), compute_metrics(scaled)
+        assert m_scaled.rho_x_meas == pytest.approx(m.rho_x_meas, rel=1e-9)
+        assert m_scaled.pslr_db == pytest.approx(m.pslr_db, abs=1e-9)
+        assert m_scaled.islr_db == pytest.approx(m.islr_db, abs=1e-9)
 
 
 class TestPeakSnr:
@@ -226,29 +225,55 @@ class TestComputeMetrics:
         assert abs(m.peak_val) == pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "image, truth, message",
+        "image, truth, message, measured",
         [
-            # boundary peak before a truth position outside the grid
+            # boundary peak before a truth position outside the grid; it
+            # measures nothing and raises
             (separable_image(gaussian(21, 2.5, center=0), gaussian(21, 2.5)), Vec2(50, 50),
-             "image peak lies on the grid boundary at index (0,10)"),
+             "image peak lies on the grid boundary at index (0,10)", None),
             # the SNR's truth check before an unresolved x
             (separable_image(spike(21), gaussian(21, 2.5)), Vec2(50, 50),
-             "truth position lies outside the image grid"),
+             "truth position lies outside the image grid", {"rho_y_m", "pslr_db", "islr_db"}),
             # x beyond the grid before an unresolved y
             (separable_image(gaussian(21, 50.0), spike(21)), None,
-             "mainlobe -3 dB point along x falls outside the grid"),
+             "mainlobe -3 dB point along x falls outside the grid", set()),
             (separable_image(gaussian(21, 2.5), spike(21)), None,
-             "mainlobe unresolved along y: only 1 samples above -3 dB"),
+             "mainlobe unresolved along y: only 1 samples above -3 dB", {"rho_x_m", "pslr_db", "islr_db"}),
             # both widths resolved, but their ellipse spans the grid
             (separable_image(gaussian(11, 3.6), gaussian(11, 3.6)), None,
-             "mainlobe region covers the whole image; enlarge the grid"),
+             "mainlobe region covers the whole image; enlarge the grid", {"rho_x_m", "rho_y_m"}),
         ],
         ids=["boundary", "truth-outside", "x-beyond-grid", "y-unresolved", "mask-covers-image"],
     )
-    def test_error_precedence(self, image, truth, message):
-        with pytest.raises(ValueError) as err:
-            compute_metrics(image, truth)
-        assert str(err.value) == message
+    def test_error_precedence(self, image, truth, message, measured):
+        if measured is None:
+            with pytest.raises(ValueError) as err:
+                compute_metrics(image, truth)
+            assert str(err.value) == message
+            return
+        m = compute_metrics(image, truth)
+        assert m.error == message
+        figures = {"rho_x_m": m.rho_x_meas, "rho_y_m": m.rho_y_meas, "pslr_db": m.pslr_db,
+                   "islr_db": m.islr_db, "peak_snr_db": m.peak_snr_db}
+        assert {name for name, value in figures.items()
+                if value is not None and math.isfinite(value)} == measured
+        # the record keeps every figure; those not measured are null
+        doc = m.to_dict()
+        assert doc["error"] == message
+        assert {name for name in figures if doc[name] is not None} == measured
+
+    def test_other_targets_are_not_sidelobes(self):
+        # a second target 1 m from the peak, at 90% of its level
+        profile = gaussian(41, 2.0, center=15) + 0.9 * gaussian(41, 2.0, center=25)
+        image = separable_image(profile, gaussian(21, 2.0))
+        peak, other = Vec2(1.5, 1.0), Vec2(2.5, 1.0)
+        alone = compute_metrics(image)
+        assert alone.pslr_db == pytest.approx(20 * math.log10(0.9), abs=0.01)
+        both = compute_metrics(image, targets=[other, peak])
+        assert both.pslr_db < -20.0
+        assert both.islr_db < alone.islr_db
+        # the target nearest the peak is the mainlobe itself: nothing changes
+        assert compute_metrics(image, targets=[peak]) == alone
 
     def test_measures_the_mainlobe_once(self, monkeypatch):
         image = sinc2d_image(0.30, 0.30 / 4, 4 * 15)

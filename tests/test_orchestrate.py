@@ -265,7 +265,7 @@ class TestEndToEndTessellation:
         from netrad.scene import ImageGrid
         from netrad.imaging import pair_images
         from netrad.fusion import fuse_coherent
-        from netrad.metrics import measure_resolution, pslr
+        from netrad.metrics import compute_metrics
         from netrad.synth import suggest_window, synthesize
         from helpers import column_grid
 
@@ -285,14 +285,14 @@ class TestEndToEndTessellation:
             bandwidth=mono_sc.bandwidth,
             pairing=AssociationMatrix.identity(1),
         )
-        rho_single = measure_resolution(fused(single_sc, col), "y")
-        rho_tess = measure_resolution(fused(mono_sc, col), "y")
+        rho_single = compute_metrics(fused(single_sc, col)).rho_y_meas
+        rho_tess = compute_metrics(fused(mono_sc, col)).rho_y_meas
         assert rho_tess <= 0.3 * rho_single
 
         # scheduling the multistatic acquisitions fills angular gaps:
         # the strongest lobe within +-3 m of the mainlobe drops below the
         # monostatic-coherent baseline's
         grid = ImageGrid(Vec2(-3.0, 17.0), (0.012, 0.045), (501, 134))
-        lobe_mono = pslr(fused(mono_sc, grid))
-        lobe_full = pslr(fused(full_sc, grid))
+        lobe_mono = compute_metrics(fused(mono_sc, grid)).pslr_db
+        lobe_full = compute_metrics(fused(full_sc, grid)).pslr_db
         assert lobe_full < lobe_mono
