@@ -29,7 +29,7 @@ netrad fuse --mode coherent --pairs all --scenario scenarios/lane_multistatic.js
 # rho_x 0.037 m, so its image takes a 0.01 m pitch (121x121) to resolve
 # the mainlobe.
 netrad image --scenario scenarios/lane_base_100mhz.json --grid-spacing 0.09 --out "$OUT/orchestration_single"
-netrad orchestrate --L 4 --B 100e6 --scenario scenarios/lane_base_100mhz.json --grid-spacing 0.01 --grid-margin-cells 60 --out "$OUT/orchestration"
+netrad orchestrate --L 4 --scenario scenarios/lane_base_100mhz.json --grid-spacing 0.01 --grid-margin-cells 60 --out "$OUT/orchestration"
 
 # Opposite-side guideline: illuminator above the scene, users below;
 # bistatic pairs carry (nearly) no resolution along y.

@@ -35,7 +35,6 @@ from .wavenumber import (
 )
 from .synth import (
     SignalRecord,
-    apply_rcs,
     bistatic_delay,
     default_sample_rate,
     suggest_window,

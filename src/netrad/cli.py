@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import fusion, imaging, metrics, orchestrate, scene, synth, wavenumber
@@ -42,45 +42,21 @@ class _ValidationFailure(Exception):
         self.violations = violations or []
 
 
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation. Options left unset, and fields absent
-    from a subcommand's options, keep these defaults."""
-
-    subcommand: str
-    out_dir: str | None
-    scenario_path: str | None = None
-    overrides: list[tuple[str, float]] = field(default_factory=list)
-    dynamic_range_db: float = 40.0
-    workers: int = 1
-    n_freq: int = 64
-    grid_spacing: float | None = None
-    grid_margin_cells: int = 24
-    baseband: bool = False
-    fs: float | None = None
-    mode: str = "coherent"
-    pair_scope: str = "all"
-    plan_count: int | None = None
-    plan_bandwidth: float | None = None
-    psi0_deg: float = 90.0
-
-
-# numeric options: RunConfig field, flag, least valid value and whether
-# that value itself is valid; every value must also be finite
+# numeric options: dest, flag, least valid value and whether that value
+# itself is valid; every value must also be finite
 _OPTION_BOUNDS = (
     ("dynamic_range_db", "--dyn-range", 0, False), ("grid_spacing", "--grid-spacing", 0, False),
-    ("fs", "--fs", 0, False), ("plan_bandwidth", "--B", 0, False),
-    ("psi0_deg", "--psi0-deg", -math.inf, False), ("workers", "--workers", 1, True),
-    ("plan_count", "--L", 1, True), ("grid_margin_cells", "--grid-margin-cells", 0, True),
-    ("n_freq", "--n-freq", 2, True),
+    ("fs", "--fs", 0, False), ("psi0_deg", "--psi0-deg", -math.inf, False),
+    ("workers", "--workers", 1, True), ("plan_count", "--L", 1, True),
+    ("grid_margin_cells", "--grid-margin-cells", 0, True), ("n_freq", "--n-freq", 2, True),
 )
 
 
-def _check_options(config: RunConfig) -> None:
+def _check_options(config: argparse.Namespace) -> None:
     if config.out_dir is None:
         raise _ValidationFailure(f"--out is required (or set ${OUT_DIR_ENV})")
     for name, option, low, inclusive in _OPTION_BOUNDS:
-        value = getattr(config, name)
+        value = getattr(config, name, None)  # an option the subcommand lacks is unset
         if value is None or math.isfinite(value) and (value >= low if inclusive else value > low):
             continue
         bound = f" {'>=' if inclusive else '>'} {low}" if math.isfinite(low) else ""
@@ -104,7 +80,7 @@ def _write_json(doc, path: Path) -> None:
     path.write_text(json.dumps(_round9(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _load_scenario(config: RunConfig) -> scene.Scenario:
+def _load_scenario(config: argparse.Namespace) -> scene.Scenario:
     if config.scenario_path is None:
         raise _ValidationFailure("this subcommand requires --scenario")
     path = Path(config.scenario_path)
@@ -142,7 +118,7 @@ def _reference_target(scenario: scene.Scenario) -> scene.Vec2:
     return scenario.targets[0].position
 
 
-def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
+def _make_grid(config: argparse.Namespace, scenario: scene.Scenario) -> scene.ImageGrid:
     _reference_target(scenario)  # no targets is a validation failure here
     # the default pitch resolves the scenario's pairs; incoherent fusion adds
     # no coverage, so it resolves the finest single pair
@@ -155,7 +131,8 @@ def _make_grid(config: RunConfig, scenario: scene.Scenario) -> scene.ImageGrid:
     return min(grids, key=lambda grid: grid.spacing[0])
 
 
-def _imaging_pipeline(config: RunConfig, scenario: scene.Scenario) -> list[imaging.ComplexImage]:
+def _imaging_pipeline(config: argparse.Namespace,
+                      scenario: scene.Scenario) -> list[imaging.ComplexImage]:
     pairs = scenario.pairing.active_pairs()
     if config.mode == "incoherent" or config.pair_scope == "mono":
         pairs = [(l, k) for l, k in pairs if l == k]
@@ -170,7 +147,7 @@ def _imaging_pipeline(config: RunConfig, scenario: scene.Scenario) -> list[imagi
     return imaging.pair_images(records, scenario, grid, workers=config.workers)
 
 
-def _cmd_coverage(config: RunConfig, out: Path) -> None:
+def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     target = _reference_target(scenario)
     region = wavenumber.coverage_region(
@@ -185,7 +162,7 @@ def _cmd_coverage(config: RunConfig, out: Path) -> None:
     _write_json(doc, out / "resolution.json")
 
 
-def _cmd_simulate(config: RunConfig, out: Path) -> None:
+def _cmd_simulate(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     window = synth.suggest_window(scenario)
     records = synth.synthesize(scenario, window, fs=config.fs)
@@ -203,7 +180,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     _write_json(meta, out / "records_meta.json")
 
 
-def _cmd_image(config: RunConfig, out: Path) -> None:
+def _cmd_image(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     images = _imaging_pipeline(config, scenario)
     for im in images:
@@ -212,7 +189,7 @@ def _cmd_image(config: RunConfig, out: Path) -> None:
         imaging.export_image_pgm(im, out / f"{stem}.pgm", config.dynamic_range_db)
 
 
-def _fuse_and_report(config: RunConfig, scenario: scene.Scenario,
+def _fuse_and_report(config: argparse.Namespace, scenario: scene.Scenario,
                      images: list[imaging.ComplexImage], out: Path) -> None:
     if config.mode == "incoherent":
         fused = fusion.fuse_incoherent(images)
@@ -232,29 +209,28 @@ def _fuse_and_report(config: RunConfig, scenario: scene.Scenario,
     _write_json(doc, out / "metrics.json")
 
 
-def _cmd_fuse(config: RunConfig, out: Path) -> None:
+def _cmd_fuse(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     images = _imaging_pipeline(config, scenario)
     _fuse_and_report(config, scenario, images, out)
 
 
-def _cmd_orchestrate(config: RunConfig, out: Path) -> None:
+def _cmd_orchestrate(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     target = _reference_target(scenario)
-    # both options are checked positive, so unset (None) is the only falsy value
+    # --L is checked >= 1, so unset (None) is the only falsy value
     count = config.plan_count or scenario.n_terminals
-    bandwidth = config.plan_bandwidth or scenario.bandwidth
     plan = orchestrate.tessellated_plan(
-        scenario.f0, bandwidth, count, target, orchestrate.default_stand_off(scenario, target),
-        psi_0=math.radians(config.psi0_deg),
+        scenario.f0, scenario.bandwidth, count, target,
+        orchestrate.default_stand_off(scenario, target), psi_0=math.radians(config.psi0_deg),
     )
     _write_json(plan.to_dict(), out / "plan.json")
-    planned = orchestrate.scenario_from_plan(scenario, plan, bandwidth=bandwidth)
+    planned = orchestrate.scenario_from_plan(scenario, plan)
     images = _imaging_pipeline(config, planned)
     _fuse_and_report(config, planned, images, out)
 
 
-def _cmd_report(config: RunConfig, out: Path) -> None:
+def _cmd_report(config: argparse.Namespace, out: Path) -> None:
     rows = []
     for path in sorted(out.rglob("metrics.json")):
         try:
@@ -287,9 +263,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured subcommand, writing artifacts under the
-    output directory. Returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one subcommand, configured by its parsed command line,
+    writing artifacts under the output directory. Returns the process
+    exit code."""
     try:
         _check_options(config)  # before anything is written
         out = Path(config.out_dir)
@@ -327,63 +304,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", dest="scenario_path", metavar="SCENARIO",
-                        help="scenario JSON file")
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--out",
         dest="out_dir",
         metavar="OUT",
         default=os.environ.get(OUT_DIR_ENV),
         help=f"output directory (default from ${OUT_DIR_ENV})",
     )
-    common.add_argument("--set", dest="overrides", metavar="KEY=VALUE",
-                        type=_parse_set, action="append",
-                        help="override a scenario key (f0_hz, bandwidth_hz, noise_power, seed)")
-    common.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE", type=float,
-                        help=f"raster dynamic range in dB (default {RunConfig.dynamic_range_db:g})")
-    common.add_argument("--workers", type=int,
-                        help="most back-projection processes (results do not depend on it)")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-spacing", type=float,
-                      help="pixel spacing in m (default: finest predicted rho / 4)")
-    grid.add_argument("--grid-margin-cells", type=int,
-                      help="pixels beyond the target bounding box per side")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[output])
+    scenario.add_argument("--scenario", dest="scenario_path", metavar="SCENARIO",
+                          help="scenario JSON file")
+    scenario.add_argument("--set", dest="overrides", metavar="KEY=VALUE",
+                          type=_parse_set, action="append", default=[],
+                          help=f"override a scenario key ({', '.join(_OVERRIDABLE_KEYS)})")
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--fs", type=float, help="complex sampling rate in Hz (default 4B)")
+    imaged = argparse.ArgumentParser(add_help=False, parents=[scenario, sampling])
+    # image and orchestrate take every active pair, coherently; fuse's --mode
+    # and --pairs inherit these as their defaults
+    imaged.set_defaults(mode="coherent", pair_scope="all")
+    imaged.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE", type=float,
+                        default=40.0, help="raster dynamic range in dB (default %(default)g)")
+    imaged.add_argument("--workers", type=int, default=1,
+                        help="most back-projection processes (default %(default)d; "
+                             "results do not depend on it)")
+    imaged.add_argument("--grid-spacing", type=float,
+                        help="pixel spacing in m (default: finest predicted rho / 4)")
+    imaged.add_argument("--grid-margin-cells", type=int, default=24,
+                        help="pixels beyond the target bounding box per side (default %(default)d)")
 
-    p = sub.add_parser("coverage", parents=[common], help="wavenumber coverage and predicted resolution")
-    p.add_argument("--n-freq", type=int,
-                   help="frequencies per channel in coverage.csv (prediction uses the band edges)")
+    p = sub.add_parser("coverage", parents=[scenario],
+                       help="wavenumber coverage and predicted resolution")
+    p.add_argument("--n-freq", type=int, default=64,
+                   help="frequencies per channel in coverage.csv (default %(default)d; "
+                        "prediction uses the band edges)")
     p.add_argument("--baseband", action="store_true", help="emit base-band tiles")
 
-    sub.add_parser("simulate", parents=[common, sampling], help="raw channel records")
+    sub.add_parser("simulate", parents=[scenario, sampling], help="raw channel records")
 
-    sub.add_parser("image", parents=[common, grid, sampling], help="per-pair back-projected images")
+    sub.add_parser("image", parents=[imaged], help="per-pair back-projected images")
 
-    p = sub.add_parser("fuse", parents=[common, grid, sampling], help="fused image and metrics")
-    p.add_argument("--mode", choices=("incoherent", "coherent"))
+    p = sub.add_parser("fuse", parents=[imaged], help="fused image and metrics")
+    p.add_argument("--mode", choices=("incoherent", "coherent"),
+                   help="how to fuse the pair images (default %(default)s)")
     p.add_argument("--pairs", dest="pair_scope", choices=("mono", "all"),
-                   help="fuse monostatic pairs only, or every active pair")
+                   help="fuse monostatic pairs only, or every active pair (default %(default)s)")
 
-    p = sub.add_parser("orchestrate", parents=[common, grid, sampling],
+    p = sub.add_parser("orchestrate", parents=[imaged],
                        help="tessellated plan plus end-to-end fused image")
-    p.add_argument("--L", dest="plan_count", type=int, help="acquisitions to plan (default L)")
-    p.add_argument("--B", dest="plan_bandwidth", type=float,
-                   help="per-terminal bandwidth in Hz (default: scenario bandwidth)")
-    p.add_argument("--psi0-deg", type=float,
-                   help="first observation angle in degrees (default broadside)")
+    p.add_argument("--L", dest="plan_count", type=int,
+                   help="acquisitions to plan (default: every terminal of the scenario)")
+    p.add_argument("--psi0-deg", type=float, default=90.0,
+                   help="first observation angle in degrees (default %(default)g, broadside)")
 
-    sub.add_parser("report", parents=[common], help="aggregate metrics across a directory of runs")
+    sub.add_parser("report", parents=[output], help="aggregate metrics across a directory of runs")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(_build_parser().parse_args(argv))
-    # every option is stored under its RunConfig field name; options left
-    # unset take the field's default
-    return run(RunConfig(**{k: v for k, v in args.items() if v is not None or k == "out_dir"}))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

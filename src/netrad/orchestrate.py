@@ -198,19 +198,16 @@ def plan_scenario_prototype(
     )
 
 
-def scenario_from_plan(
-    base: Scenario,
-    plan_: OrchestrationPlan,
-    bandwidth: float | None = None,
-) -> Scenario:
+def scenario_from_plan(base: Scenario, plan_: OrchestrationPlan) -> Scenario:
     """Concrete scenario executing a plan with the base scenario's
-    carrier, targets, noise and seed: point terminals at the planned
-    positions, synchronized, with the plan's pairing."""
+    carrier, bandwidth, targets, noise and seed: point terminals at the
+    planned positions, synchronized, with the plan's pairing. The plan
+    should have been made for the base's carrier and bandwidth, so that
+    its coverage bands abut."""
     return replace(
         base,
         terminals=_point_terminals(plan_.positions),
         pairing=plan_.pairing,
-        bandwidth=bandwidth if bandwidth is not None else base.bandwidth,
         sync_errors=None,
     )
 

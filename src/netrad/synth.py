@@ -55,15 +55,6 @@ def bistatic_delay(tx_el: Vec2, rx_el: Vec2, target: Vec2) -> float:
     return (distance(tx_el, target) + distance(target, rx_el)) / SPEED_OF_LIGHT
 
 
-def apply_rcs(path_tx: float, path_rx: float, reflectivity: complex) -> complex:
-    """Scattering amplitude beta for a target of the given reflectivity,
-    in the lossless convention (geometrical energy losses neglected):
-    beta equals the reflectivity. The paths must be positive."""
-    if path_tx <= 0 or path_rx <= 0:
-        raise ValueError("propagation paths must be positive")
-    return complex(reflectivity)
-
-
 def default_sample_rate(bandwidth: float) -> float:
     """Complex sampling rate used when none is given: 4B. The
     back-projector interpolates records linearly, whose error on a
@@ -158,7 +149,11 @@ def synthesize(
         acc = np.zeros((*taus.shape[:2], n_samp), dtype=complex)
         for j, target in enumerate(scenario.targets):
             # the shortest paths stand for all of the pair's channels
-            beta = apply_rcs(dist[l][0][:, j].min(), dist[k][1][:, j].min(), target.reflectivity)
+            if dist[l][0][:, j].min() <= 0 or dist[k][1][:, j].min() <= 0:
+                raise ValueError("propagation paths must be positive")
+            # lossless convention: geometrical energy losses are neglected, so
+            # the scattering amplitude is the reflectivity
+            beta = target.reflectivity
             phase = np.exp(-2j * math.pi * scenario.f0 * taus[..., j])
             # beta * phase rounded as a scalar product: numpy's array loop
             # may fuse the multiply-adds

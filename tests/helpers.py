@@ -17,7 +17,7 @@ from netrad.scene import (
     Vec2,
     distance,
 )
-from netrad.synth import SignalRecord, apply_rcs, bistatic_delay, default_sample_rate
+from netrad.synth import SignalRecord, bistatic_delay, default_sample_rate
 
 F0 = 28e9
 BW = 500e6
@@ -184,7 +184,7 @@ def reference_synthesize(scenario: Scenario, window, fs=None) -> list[SignalReco
                             f"delay {tau:g} s on channel ({l},{k},{n},{m}); "
                             f"need {margin:g} s margin"
                         )
-                    beta = apply_rcs(d_tx, d_rx, target.reflectivity)
+                    beta = target.reflectivity
                     phase = np.exp(-2j * math.pi * scenario.f0 * tau)
                     acc += beta * phase * np.sinc(bw * (t - tau))
                 if scenario.noise_power > 0.0:

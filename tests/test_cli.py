@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +225,7 @@ class TestImageAndFuse:
 class TestOrchestrate:
     def test_plan_quadruples_predicted_resolution(self, tmp_path):
         assert run_cli(
-            ["orchestrate", "--L", "4", "--B", "100e6",
+            ["orchestrate", "--L", "4",
              "--scenario", SCENARIOS / "lane_base_100mhz.json",
              "--out", tmp_path, "--grid-spacing", "0.09"]
         ) == 0
@@ -242,7 +243,7 @@ class TestOrchestrate:
         # on the default grid x resolves and y does not; one failed axis
         # used to leave metrics.json with the error alone
         out = tmp_path / "run"
-        assert run_cli(["orchestrate", "--L", "4", "--B", "100e6",
+        assert run_cli(["orchestrate", "--L", "4",
                         "--scenario", SCENARIOS / "lane_base_100mhz.json", "--out", out]) == 0
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["rho_x_m"] == pytest.approx(0.0407, abs=1e-4)
@@ -254,6 +255,16 @@ class TestOrchestrate:
         assert run == "run/metrics.json"
         assert float(rho_x) == pytest.approx(0.0407, abs=1e-4)
         assert rho_y == ""
+
+    def test_plan_takes_the_scenario_bandwidth(self, tmp_path):
+        assert run_cli(
+            ["orchestrate", "--L", "2", "--set", "bandwidth_hz=50e6",
+             "--scenario", SCENARIOS / "lane_base_100mhz.json",
+             "--out", tmp_path, "--grid-spacing", "0.09"]
+        ) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        single_rho_y = 3.0e8 / (2 * 50e6)
+        assert plan["predicted"]["rho_y_m"] == pytest.approx(single_rho_y / 2.0, rel=0.10)
 
     def test_plan_json_keys_are_sorted(self, tmp_path):
         assert run_cli(
@@ -421,8 +432,6 @@ class TestFailures:
         ("fuse", "--workers", "-3"),
         ("coverage", "--n-freq", "1"),
         ("orchestrate", "--L", "0"),
-        ("orchestrate", "--B", "0"),
-        ("orchestrate", "--B", "nan"),
         ("orchestrate", "--psi0-deg", "nan"),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, command, option, value):
@@ -436,6 +445,17 @@ class TestFailures:
         assert err["error"]["message"].startswith(f"{option} must be a finite number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["orchestrate", "--B", "100e6"], ["coverage", "--workers", "2"],
+        ["simulate", "--dyn-range", "30"], ["report", "--scenario", "x"],
+    ], ids=lambda args: "-".join(args[:2]))
+    def test_option_the_subcommand_ignores_is_rejected(self, tmp_path, capsys, args):
+        # each used to be accepted and ignored; --B duplicated --set bandwidth_hz
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--out", tmp_path])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+
     def test_report_without_metrics_exits_2(self, tmp_path, capsys):
         code = run_cli(["report", "--out", tmp_path])
         assert code == 2
@@ -447,3 +467,23 @@ class TestFailures:
             ["coverage", "--scenario", SCENARIOS / "lane_single_terminal.json"]
         ) == 0
         assert (tmp_path / "envout" / "resolution.json").exists()
+
+
+class TestDocumentedCommandLines:
+    ROOT = SCENARIOS.parent
+
+    def test_every_documented_command_line_parses(self):
+        lines = [line for name in ("README.md", "scripts/golden_runs.sh")
+                 for line in (self.ROOT / name).read_text().splitlines()
+                 if line.startswith("netrad ")]
+        commands = [cli._build_parser().parse_args(shlex.split(line)[1:]).subcommand
+                    for line in lines]
+        assert set(commands) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_formats(self, capsys, command):
+        # argparse formats the %(default) of help texts only when it prints them
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: netrad {command}")

@@ -10,7 +10,6 @@ from netrad.scene import (
     Vec2,
 )
 from netrad.synth import (
-    apply_rcs,
     bistatic_delay,
     default_sample_rate,
     export_record_csv,
@@ -47,18 +46,6 @@ class TestBistaticDelay:
     def test_swap_symmetry(self):
         a, b = Vec2(-3, 1), Vec2(5, 2)
         assert bistatic_delay(a, b, TARGET) == bistatic_delay(b, a, TARGET)
-
-
-class TestApplyRcs:
-    def test_lossless_default(self):
-        assert apply_rcs(20.0, 20.0, 1 + 0j) == 1 + 0j
-
-    def test_null_target(self):
-        assert apply_rcs(20.0, 20.0, 0j) == 0j
-
-    def test_rejects_nonpositive_paths(self):
-        with pytest.raises(ValueError):
-            apply_rcs(0.0, 20.0, 1 + 0j)
 
 
 class TestSynthesize:
@@ -165,6 +152,12 @@ class TestSynthesize:
         (a,) = synthesize(sc1, (1.1e-7, 1.7e-7))
         (b,) = synthesize(sc2, (1.1e-7, 1.7e-7))
         assert not np.array_equal(a.samples, b.samples)
+
+    def test_terminal_on_target_raises(self):
+        sc = Scenario(terminals=(point_terminal(0, TARGET),), targets=(PointTarget(TARGET),),
+                      f0=F0, bandwidth=BW)
+        with pytest.raises(ValueError, match="propagation paths must be positive"):
+            synthesize(sc, suggest_window(sc))
 
     def test_window_truncation_raises(self):
         sc = single_terminal_scenario()
