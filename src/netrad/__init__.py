@@ -25,13 +25,10 @@ from .wavenumber import (
     WavenumberTile,
     aperture_for_cross_range,
     bistatic_loss,
-    composite_wavenumber,
     convex_hull,
     coverage_region,
-    coverage_segment,
     polygon_area,
     predicted_resolution,
-    unit_wavevectors,
 )
 from .synth import (
     SignalRecord,

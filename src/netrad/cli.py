@@ -33,7 +33,9 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_RUNTIME = 3
 
-_OVERRIDABLE_KEYS = ("f0_hz", "bandwidth_hz", "noise_power", "seed")
+# --set keys: the scenario file's JSON key -> the Scenario field it sets
+_OVERRIDABLE_FIELDS = {"f0_hz": "f0", "bandwidth_hz": "bandwidth", "noise_power": "noise_power",
+                       "seed": "rng_seed"}
 
 
 class _ValidationFailure(Exception):
@@ -87,25 +89,19 @@ def _load_scenario(config: argparse.Namespace) -> scene.Scenario:
     if not path.exists():
         raise _ValidationFailure(f"scenario file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise _ValidationFailure(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    if not isinstance(doc, dict):
-        raise _ValidationFailure(f"{path}: top-level document must be an object")
+        scenario = scene.load_scenario(path.read_text())
+    except scene.SchemaError as err:
+        raise _ValidationFailure(f"{path}: {err}") from err
     for key, value in config.overrides:
-        if key not in _OVERRIDABLE_KEYS:
+        if key not in _OVERRIDABLE_FIELDS:
             raise _ValidationFailure(
-                f"--set key {key!r} not overridable (choose from {', '.join(_OVERRIDABLE_KEYS)})"
+                f"--set key {key!r} not overridable (choose from {', '.join(_OVERRIDABLE_FIELDS)})"
             )
         if key == "seed":
             if not value.is_integer():
                 raise _ValidationFailure(f"--set seed must be an integer, got {value:g}")
             value = int(value)
-        doc[key] = value
-    try:
-        scenario = scene.scenario_from_doc(doc)
-    except scene.SchemaError as err:
-        raise _ValidationFailure(f"{path}: {err}") from err
+        scenario = replace(scenario, **{_OVERRIDABLE_FIELDS[key]: value})
     violations = scene.validate(scenario)
     if violations:
         raise _ValidationFailure(f"{path}: scenario is invalid", violations)
@@ -317,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="scenario JSON file")
     scenario.add_argument("--set", dest="overrides", metavar="KEY=VALUE",
                           type=_parse_set, action="append", default=[],
-                          help=f"override a scenario key ({', '.join(_OVERRIDABLE_KEYS)})")
+                          help=f"override a scenario key ({', '.join(_OVERRIDABLE_FIELDS)})")
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--fs", type=float, help="complex sampling rate in Hz (default 4B)")
     imaged = argparse.ArgumentParser(add_help=False, parents=[scenario, sampling])

@@ -95,12 +95,12 @@ class _Mainlobe:
         self.grid = image.grid
         self.mag = mag = image.magnitude
         i, j = (int(k) for k in np.unravel_index(int(np.argmax(mag)), mag.shape))
+        peak = mag[i, j]
+        if peak == 0.0:  # argmax of all zeros is index (0, 0), a boundary pixel
+            raise ValueError("image is identically zero")
         nx, ny = mag.shape
         if (nx > 1 and i in (0, nx - 1)) or (ny > 1 and j in (0, ny - 1)):
             raise ValueError(f"image peak lies on the grid boundary at index ({i},{j})")
-        peak = mag[i, j]
-        if peak == 0.0:
-            raise ValueError("image is identically zero")
         cuts = (mag[:, j], i), (mag[i, :], j)
         log_amp = math.log(peak)
         (di, amp_i), (dj, amp_j) = (_log_vertex(cut, k, log_amp) for cut, k in cuts)

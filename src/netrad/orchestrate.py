@@ -60,8 +60,8 @@ def tessellation_angles(psi_0: float, f0: float, bandwidth: float, count: int) -
         raise ValueError("need f0 > bandwidth/2 > 0")
     if count < 1:
         raise ValueError("need at least one angle")
-    if abs(math.sin(psi_0)) > 1.0:
-        raise ValueError("sin(psi_0) out of range")
+    if not math.isfinite(psi_0):
+        raise ValueError("psi_0 must be finite")
     ratio = (f0 - bandwidth / 2.0) / (f0 + bandwidth / 2.0)
     angles = [psi_0]
     s = math.sin(psi_0)

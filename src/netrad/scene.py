@@ -48,20 +48,6 @@ class Vec2:
     def __array__(self, dtype=None, copy=None):
         return np.array([self.x, self.y], dtype=dtype or float)
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
 

@@ -106,37 +106,6 @@ def _units_toward(elements, target: Vec2) -> np.ndarray:
     return np.array(units).reshape(-1, 2)
 
 
-def _unit_toward(frm: Vec2, to: Vec2, what: str) -> np.ndarray:
-    (u,) = _units_toward([frm], to)
-    if np.isnan(u[0]):
-        raise ValueError(f"degenerate geometry: {what} coincides with the target")
-    return u
-
-
-def unit_wavevectors(tx_pos: Vec2, rx_pos: Vec2, target: Vec2, f: float) -> tuple[Vec2, Vec2]:
-    """Plane wavevectors of the illuminating and scattered waves at ``f``.
-
-    k_Tx points from the Tx element toward the target and k_Rx from the
-    target toward the Rx element (both derive from the gradients of the
-    respective range functions); each has magnitude 2*pi*f/c. Raises
-    ValueError when a sensor sits exactly on the target.
-    """
-    k = TWO_PI * f / SPEED_OF_LIGHT
-    u_tx = _unit_toward(tx_pos, target, "tx element")
-    u_rx = _unit_toward(rx_pos, target, "rx element")
-    # scattered wave travels target -> Rx, i.e. opposite to u_rx
-    return (
-        Vec2(float(k * u_tx[0]), float(k * u_tx[1])),
-        Vec2(float(-k * u_rx[0]), float(-k * u_rx[1])),
-    )
-
-
-def composite_wavenumber(k_tx: Vec2, k_rx: Vec2) -> Vec2:
-    """Spatial frequency of the scene excited by one monochromatic
-    measurement: k* = k_Tx - k_Rx. Monostatic magnitude is 4*pi*f/c."""
-    return k_tx - k_rx
-
-
 def _band(f0: float, bandwidth: float, n_freq: int, baseband: bool):
     """Sampled frequencies and their wavenumber scales 2*pi*(f [- f0])/c."""
     if n_freq < 2:
@@ -145,30 +114,6 @@ def _band(f0: float, bandwidth: float, n_freq: int, baseband: bool):
         raise ValueError("bandwidth must be non-negative")
     freqs = np.linspace(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, n_freq)
     return freqs, (TWO_PI / SPEED_OF_LIGHT) * (freqs - (f0 if baseband else 0.0))
-
-
-def coverage_segment(
-    tx_pos: Vec2,
-    rx_pos: Vec2,
-    target: Vec2,
-    f0: float,
-    bandwidth: float,
-    n_freq: int = 2,
-    baseband: bool = False,
-) -> WavenumberTile:
-    """Sample the wavenumber segment covered by one channel over its band,
-    as the tile of channel (0, 0, 0, 0).
-
-    Frequencies are uniform over [f0 - B/2, f0 + B/2]. ``bandwidth`` may
-    be zero, collapsing the segment to the single monochromatic point.
-    The segment lies along the bisector of the two sensor directions and
-    has length (4*pi*B/c) * cos(delta_psi / 2).
-    """
-    freqs, scale = _band(f0, bandwidth, n_freq, baseband)
-    u_tx = _unit_toward(tx_pos, target, "tx element")
-    u_rx = _unit_toward(rx_pos, target, "rx element")
-    samples = scale[:, None] * (u_tx + u_rx)[None, :]  # k* = (2 pi f / c) * (u_tx + u_rx)
-    return WavenumberTile(pair=(0, 0, 0, 0), samples=samples, freqs=freqs)
 
 
 def coverage_region(
@@ -180,9 +125,13 @@ def coverage_region(
     """Coverage of every active measurement channel of a scenario.
 
     One row per (tx terminal, rx terminal, tx element, rx element)
-    channel admitted by the association matrix, equal to its
-    ``coverage_segment``; the default two frequencies (the band edges)
-    are all ``predicted_resolution`` needs. Element unit vectors are
+    channel admitted by the association matrix: k* = (2*pi*f/c) *
+    (u_tx + u_rx) at frequencies uniform over [f0 - B/2, f0 + B/2], with
+    u the unit vectors from the elements toward ``target``. Each row lies
+    along the bisector of its two sensor directions and has length
+    (4*pi*B/c) * cos(delta_psi / 2); zero bandwidth collapses it to one
+    point. The default two frequencies (the band edges) are all
+    ``predicted_resolution`` needs. Element unit vectors are
     computed once and all samples fill one array. ``baseband=True``
     shifts each segment so its center-frequency point sits at the origin
     (magnitude-only, incoherent combination)."""

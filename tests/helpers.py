@@ -40,6 +40,13 @@ def point_terminal(term_id: int, pos: Vec2) -> Terminal:
     return Terminal(term_id, pos, (pos,), (pos,))
 
 
+def one_pair_scenario(tx: Vec2, rx: Vec2, bandwidth: float = BW, f0: float = F0) -> Scenario:
+    """One terminal with one tx and one rx element: its coverage region
+    has the single row of channel (0, 0, 0, 0)."""
+    return Scenario(terminals=(Terminal(0, tx, (tx,), (rx,)),), targets=(PointTarget(TARGET),),
+                    f0=f0, bandwidth=bandwidth)
+
+
 def mimo_terminal(term_id: int, center: Vec2, m_rx: int) -> Terminal:
     """One tx element at the phase center plus an m_rx-element half-wave
     receive ULA along x (the per-terminal layout of the reference lane

@@ -32,10 +32,8 @@ from netrad.orchestrate import (
 )
 from netrad.synth import suggest_window, synthesize
 from netrad.wavenumber import (
-    WavenumberRegion,
     aperture_for_cross_range,
     coverage_region,
-    coverage_segment,
     polygon_area,
     predicted_resolution,
 )
@@ -48,6 +46,7 @@ from helpers import (
     column_grid,
     lane_scenario,
     monostatic_arc_scenario,
+    one_pair_scenario,
     point_terminal,
 )
 
@@ -302,15 +301,14 @@ def test_criterion_09_backprojection_oracle():
 def test_criterion_10_monochromatic_degeneracy():
     with criterion(10, "zero bandwidth: coverage collapses to a point, resolution unbounded"):
         origin = Vec2(0.0, 0.0)
-        tile = coverage_segment(origin, origin, TARGET, F0, 0.0, n_freq=8)
-        assert np.all(tile.samples == tile.samples[0])  # a single point
+        region = coverage_region(one_pair_scenario(origin, origin, bandwidth=0.0), TARGET, n_freq=8)
+        (row,) = region.samples
+        assert np.all(row == row[0])  # a single point
 
-        est = predicted_resolution(WavenumberRegion(
-            pairs=(tile.pair,), samples=tile.samples[None], freqs=tile.freqs, label="monostatic"
-        ))
+        est = predicted_resolution(region)
         assert math.isinf(est.rho_x) and math.isinf(est.rho_y)
         assert est.dk_x == 0.0 and est.dk_y == 0.0
 
         # B -> 0 limit: endpoints collapse within 1e-6 rad/m
-        near = coverage_segment(origin, origin, TARGET, F0, 1.0, n_freq=2)
-        assert np.linalg.norm(near.samples[-1] - near.samples[0]) < 1e-6
+        (near,) = coverage_region(one_pair_scenario(origin, origin, bandwidth=1.0), TARGET).samples
+        assert np.linalg.norm(near[-1] - near[0]) < 1e-6

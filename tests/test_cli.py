@@ -322,6 +322,17 @@ class TestFailures:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "validation"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"terminals": [', "invalid JSON at line 1, column 16: Expecting value"),
+        ("[1, 2]", "top-level document must be an object"),
+    ], ids=["invalid-json", "not-an-object"])
+    def test_unparsable_scenario_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli(["coverage", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "validation", "message": f"{path}: {message}"}
+
     def test_invalid_scenario_reports_violations(self, tmp_path, capsys):
         code = run_cli(
             ["coverage", "--scenario", SCENARIOS / "lane_single_terminal.json",

@@ -138,26 +138,28 @@ class TestBackproject:
     def test_rigid_translation_invariance(self):
         # translating the whole experiment (terminals, target, grid) by one
         # vector leaves |I| unchanged
-        shift = Vec2(13.0, -7.0)
+        def shifted(p):
+            return Vec2(p.x + 13.0, p.y - 7.0)
+
         sc = lane_scenario(n_terminals=2, m_rx=2)
         grid = ImageGrid(Vec2(-0.6, 19.4), (0.1, 0.1), (13, 13))
         moved_terms = tuple(
             Terminal(
                 t.id,
-                t.phase_center + shift,
-                tuple(e + shift for e in t.tx_elements),
-                tuple(e + shift for e in t.rx_elements),
+                shifted(t.phase_center),
+                tuple(map(shifted, t.tx_elements)),
+                tuple(map(shifted, t.rx_elements)),
             )
             for t in sc.terminals
         )
         moved = Scenario(
             terminals=moved_terms,
-            targets=tuple(PointTarget(t.position + shift, t.reflectivity) for t in sc.targets),
+            targets=tuple(PointTarget(shifted(t.position), t.reflectivity) for t in sc.targets),
             f0=sc.f0,
             bandwidth=sc.bandwidth,
             pairing=sc.pairing,
         )
-        moved_grid = ImageGrid(grid.origin + shift, grid.spacing, grid.size)
+        moved_grid = ImageGrid(shifted(grid.origin), grid.spacing, grid.size)
         window = suggest_window(sc, grid)
         mono = AssociationMatrix.from_pairs(2, [(0, 0)])
         (a,) = pair_images(synthesize(replace(sc, pairing=mono), window), sc, grid)

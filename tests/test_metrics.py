@@ -227,6 +227,9 @@ class TestComputeMetrics:
     @pytest.mark.parametrize(
         "image, truth, message, measured",
         [
+            # an all-zero image before its argmax, the boundary pixel (0, 0)
+            (separable_image(np.zeros(9), np.zeros(9)), Vec2(50, 50),
+             "image is identically zero", None),
             # boundary peak before a truth position outside the grid; it
             # measures nothing and raises
             (separable_image(gaussian(21, 2.5, center=0), gaussian(21, 2.5)), Vec2(50, 50),
@@ -243,7 +246,8 @@ class TestComputeMetrics:
             (separable_image(gaussian(11, 3.6), gaussian(11, 3.6)), None,
              "mainlobe region covers the whole image; enlarge the grid", {"rho_x_m", "rho_y_m"}),
         ],
-        ids=["boundary", "truth-outside", "x-beyond-grid", "y-unresolved", "mask-covers-image"],
+        ids=["all-zero", "boundary", "truth-outside", "x-beyond-grid", "y-unresolved",
+             "mask-covers-image"],
     )
     def test_error_precedence(self, image, truth, message, measured):
         if measured is None:

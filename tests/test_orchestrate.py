@@ -56,6 +56,13 @@ class TestTessellationAngles:
         with pytest.raises(ValueError):
             tessellation_angles(1.0, F0, B100, 0)
 
+    @pytest.mark.parametrize("psi_0", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, psi_0):
+        # nan used to fail on a degenerate channel and inf on a math domain error
+        with pytest.raises(ValueError) as err:
+            tessellated_plan(F0, B100, 3, TARGET, 20.0, psi_0=psi_0)
+        assert str(err.value) == "psi_0 must be finite"
+
 
 class TestAnglesToPositions:
     def test_broadside_placement(self):

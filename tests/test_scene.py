@@ -242,11 +242,3 @@ def test_image_grid_rejects_non_finite_geometry(origin, spacing):
     # a nan spacing used to pass the positivity test and image all-nan pixels
     with pytest.raises(ValueError, match="must be finite"):
         ImageGrid(origin, spacing, (3, 3))
-
-
-def test_vec2_arithmetic():
-    a, b = Vec2(1.0, 2.0), Vec2(4.0, 6.0)
-    assert (b - a) == Vec2(3.0, 4.0)
-    assert (b - a).norm() == 5.0
-    assert (2.0 * a) == Vec2(2.0, 4.0)
-    assert np.asarray(a).tolist() == [1.0, 2.0]

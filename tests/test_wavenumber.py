@@ -10,76 +10,79 @@ from netrad.imaging import default_grid
 from netrad.orchestrate import plan
 from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, Scenario, Vec2, load_scenario
 from netrad.wavenumber import (
-    WavenumberRegion,
     aperture_for_cross_range,
     bistatic_loss,
-    composite_wavenumber,
     convex_hull,
     coverage_region,
-    coverage_segment,
     export_coverage_csv,
     export_hull_csv,
     polygon_area,
     predicted_resolution,
-    unit_wavevectors,
 )
-from helpers import BW, F0, TARGET, lane_scenario, monostatic_arc_scenario
+from helpers import BW, F0, TARGET, lane_scenario, monostatic_arc_scenario, one_pair_scenario
 
 ORIGIN = Vec2(0.0, 0.0)
 
 
+def channel_row(tx: Vec2, rx: Vec2, target: Vec2 = TARGET, n_freq: int = 2, **scenario):
+    """Samples and frequencies of the one coverage row of a one-pair scenario."""
+    region = coverage_region(one_pair_scenario(tx, rx, **scenario), target, n_freq=n_freq)
+    assert region.pairs == ((0, 0, 0, 0),)
+    return region.samples[0], region.freqs
+
+
 class TestUnitWavevectors:
+    """Each element contributes (2*pi*f/c) times its unit vector toward the
+    target; monostatic rows add two equal ones."""
+
     def test_broadside_value(self):
-        # 2*pi*28e9/3e8 = 586.4306... rad/m straight up
-        k_tx, _ = unit_wavevectors(ORIGIN, ORIGIN, TARGET, 28e9)
-        expect = 2 * math.pi * 28e9 / SPEED_OF_LIGHT
-        assert k_tx.x == pytest.approx(0.0, abs=1e-12)
-        assert k_tx.y == pytest.approx(expect, rel=1e-12)
-        assert expect == pytest.approx(586.4306287, rel=1e-9)
+        # 4*pi*28e9/3e8 = 2 * 586.4306... rad/m straight up
+        row, _ = channel_row(ORIGIN, ORIGIN, bandwidth=0.0)
+        expect = 4 * math.pi * 28e9 / SPEED_OF_LIGHT
+        for kx, ky in row:
+            assert kx == pytest.approx(0.0, abs=1e-12)
+            assert ky == pytest.approx(expect, rel=1e-12)
+        assert expect == pytest.approx(2 * 586.4306287, rel=1e-9)
 
     def test_magnitude_is_k_for_any_geometry(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            tx, rx, tg = (Vec2(*rng.uniform(-50, 50, 2)) for _ in range(3))
+            pos, tg = (Vec2(*rng.uniform(-50, 50, 2)) for _ in range(2))
             f = rng.uniform(1e9, 80e9)
-            k_tx, k_rx = unit_wavevectors(tx, rx, tg, f)
+            row, _ = channel_row(pos, pos, tg, bandwidth=0.0, f0=f)
             k = 2 * math.pi * f / SPEED_OF_LIGHT
-            assert k_tx.norm() == pytest.approx(k, rel=1e-12)
-            assert k_rx.norm() == pytest.approx(k, rel=1e-12)
-
-    def test_monostatic_antisymmetry(self):
-        k_tx, k_rx = unit_wavevectors(Vec2(3, -4), Vec2(3, -4), TARGET, F0)
-        assert k_tx.x == pytest.approx(-k_rx.x, rel=1e-12)
-        assert k_tx.y == pytest.approx(-k_rx.y, rel=1e-12)
+            assert np.linalg.norm(row[0]) == pytest.approx(2 * k, rel=1e-12)
 
     def test_degenerate_geometry_raises(self):
         with pytest.raises(ValueError, match="coincides"):
-            unit_wavevectors(TARGET, ORIGIN, TARGET, F0)
+            channel_row(TARGET, ORIGIN)
 
 
 class TestCompositeWavenumber:
+    """One monochromatic measurement excites k* = k_Tx - k_Rx."""
+
     def test_monostatic_magnitude(self):
-        k_tx, k_rx = unit_wavevectors(ORIGIN, ORIGIN, TARGET, F0)
-        ks = composite_wavenumber(k_tx, k_rx)
-        assert ks.norm() == pytest.approx(4 * math.pi * F0 / SPEED_OF_LIGHT, rel=1e-12)
+        row, freqs = channel_row(ORIGIN, ORIGIN)
+        np.testing.assert_allclose(np.linalg.norm(row, axis=1),
+                                   4 * math.pi * freqs / SPEED_OF_LIGHT, rtol=1e-12)
 
     def test_forward_scatter_cancels(self):
-        k_tx, k_rx = unit_wavevectors(Vec2(0, 0), Vec2(0, 40), TARGET, F0)
-        ks = composite_wavenumber(k_tx, k_rx)
-        assert ks.norm() == pytest.approx(0.0, abs=1e-9)
+        row, _ = channel_row(Vec2(0, 0), Vec2(0, 40), bandwidth=0.0)
+        assert np.linalg.norm(row[0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_right_angle_magnitude(self):
         # |k*| = (2 pi f / c) * sqrt(2 + 2 cos(dpsi)) -> sqrt(2) at 90 deg
-        k_tx, k_rx = unit_wavevectors(Vec2(0, 0), Vec2(20, 20), TARGET, F0)
-        ks = composite_wavenumber(k_tx, k_rx)
+        row, _ = channel_row(Vec2(0, 0), Vec2(20, 20), bandwidth=0.0)
         expect = (2 * math.pi * F0 / SPEED_OF_LIGHT) * math.sqrt(2.0)
-        assert ks.norm() == pytest.approx(expect, rel=1e-12)
+        assert np.linalg.norm(row[0]) == pytest.approx(expect, rel=1e-12)
 
 
 class TestCoverageSegment:
+    """The band sweeps k* along a segment: one row of the region."""
+
     def test_monostatic_length(self):
-        seg = coverage_segment(ORIGIN, ORIGIN, TARGET, F0, BW, n_freq=64)
-        length = np.linalg.norm(seg.samples[-1] - seg.samples[0])
+        row, _ = channel_row(ORIGIN, ORIGIN, n_freq=64)
+        length = np.linalg.norm(row[-1] - row[0])
         assert length == pytest.approx(4 * math.pi * BW / SPEED_OF_LIGHT, rel=1e-12)
 
     def test_bistatic_length_contraction(self):
@@ -88,30 +91,30 @@ class TestCoverageSegment:
                   TARGET.y - 20 * math.sin(math.radians(210)))
         tx = Vec2(TARGET.x - 20 * math.cos(math.radians(90)),
                   TARGET.y - 20 * math.sin(math.radians(90)))
-        seg = coverage_segment(tx, rx, TARGET, F0, BW, n_freq=16)
-        length = np.linalg.norm(seg.samples[-1] - seg.samples[0])
+        row, _ = channel_row(tx, rx, n_freq=16)
+        length = np.linalg.norm(row[-1] - row[0])
         expect = 4 * math.pi * BW / SPEED_OF_LIGHT * math.cos(math.radians(60))
         assert length == pytest.approx(expect, rel=1e-9)
 
     def test_monochromatic_limit_collapses(self):
-        seg = coverage_segment(ORIGIN, ORIGIN, TARGET, F0, 1.0, n_freq=2)
-        assert np.linalg.norm(seg.samples[-1] - seg.samples[0]) < 1e-6
+        row, _ = channel_row(ORIGIN, ORIGIN, bandwidth=1.0)
+        assert np.linalg.norm(row[-1] - row[0]) < 1e-6
 
     def test_sample_magnitudes(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             tx, rx = Vec2(*rng.uniform(-40, 40, 2)), Vec2(*rng.uniform(-40, 40, 2))
-            seg = coverage_segment(tx, rx, TARGET, F0, BW, n_freq=9)
+            row, freqs = channel_row(tx, rx, n_freq=9)
             psi_tx = math.atan2(TARGET.y - tx.y, TARGET.x - tx.x)
             psi_rx = math.atan2(TARGET.y - rx.y, TARGET.x - rx.x)
             s = math.sqrt(2 + 2 * math.cos(psi_tx - psi_rx))
-            mags = np.linalg.norm(seg.samples, axis=1)
-            expect = 2 * math.pi * seg.freqs / SPEED_OF_LIGHT * s
+            mags = np.linalg.norm(row, axis=1)
+            expect = 2 * math.pi * freqs / SPEED_OF_LIGHT * s
             assert np.allclose(mags, expect, rtol=1e-9)
 
     def test_rejects_single_frequency_sampling(self):
         with pytest.raises(ValueError, match="n_freq"):
-            coverage_segment(ORIGIN, ORIGIN, TARGET, F0, BW, n_freq=1)
+            channel_row(ORIGIN, ORIGIN, n_freq=1)
 
 
 class TestCoverageRegion:
@@ -186,9 +189,8 @@ class TestPredictedResolution:
         assert est.rho_y == pytest.approx(1.5, rel=1e-9)
 
     def test_monochromatic_no_resolution(self):
-        seg = coverage_segment(ORIGIN, ORIGIN, TARGET, F0, 0.0, n_freq=4)
-        est = predicted_resolution(WavenumberRegion(
-            pairs=(seg.pair,), samples=seg.samples[None], freqs=seg.freqs, label="monostatic"))
+        est = predicted_resolution(
+            coverage_region(one_pair_scenario(ORIGIN, ORIGIN, bandwidth=0.0), TARGET, n_freq=4))
         assert math.isinf(est.rho_x) and math.isinf(est.rho_y)
 
     def test_hull_monotonicity(self):

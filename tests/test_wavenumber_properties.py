@@ -11,11 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from netrad.scene import AssociationMatrix, PointTarget, Scenario, Terminal, Vec2
+from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, PointTarget, Scenario, Terminal, Vec2
 from netrad.wavenumber import (
     convex_hull,
     coverage_region,
-    coverage_segment,
     polygon_area,
     predicted_resolution,
 )
@@ -106,14 +105,18 @@ def test_region_tiles_equal_per_channel_segments(scenario, baseband, n_freq):
         for m in range(len(scenario.terminals[k].rx_elements))
     ]
     assert region.samples.shape == (len(region.pairs), n_freq, 2)
+    # closed form: k* = (2 pi (f - f0 baseband) / c) (u_tx + u_rx), within
+    # 1e-12 of the monostatic magnitude 2 |scale| at each frequency
+    freqs = np.linspace(F0 - scenario.bandwidth / 2, F0 + scenario.bandwidth / 2, n_freq)
+    np.testing.assert_allclose(region.freqs, freqs, rtol=1e-12)
+    scale = 2 * math.pi * (freqs - (F0 if baseband else 0.0)) / SPEED_OF_LIGHT
+    target = np.array([TARGET.x, TARGET.y])
     for pair, samples, tile in zip(region.pairs, region.samples, region.tiles, strict=True):
         l, k, n, m = pair
-        ref = coverage_segment(
-            scenario.terminals[l].tx_elements[n], scenario.terminals[k].rx_elements[m],
-            TARGET, F0, scenario.bandwidth, n_freq=n_freq, baseband=baseband,
-        )
-        assert samples.tobytes() == ref.samples.tobytes()
-        assert region.freqs.tobytes() == ref.freqs.tobytes()
+        elements = (scenario.terminals[l].tx_elements[n], scenario.terminals[k].rx_elements[m])
+        u_tx, u_rx = ((target - e) / np.linalg.norm(target - e) for e in map(np.asarray, elements))
+        ref = scale[:, None] * (u_tx + u_rx)
+        assert np.all(np.abs(samples - ref) <= 1e-12 * 2 * np.abs(scale)[:, None])
         # tiles are per-channel views of the region's one array
         assert tile.pair == pair and np.shares_memory(tile.samples, region.samples)
         assert tile.samples.tobytes() == samples.tobytes() and tile.freqs is region.freqs
