@@ -74,25 +74,44 @@ def _distances(scenario: Scenario, points) -> list[tuple[np.ndarray, np.ndarray]
     return [(table(term.tx_elements), table(term.rx_elements)) for term in scenario.terminals]
 
 
+def _near_distances(scenario: Scenario, grid: ImageGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per terminal, the distances of its Tx and of its Rx elements to the
+    nearest point of the grid's rectangle (zero for an element inside it)."""
+    (x0, x1), (y0, y1) = grid.x_coords[[0, -1]].tolist(), grid.y_coords[[0, -1]].tolist()
+
+    def near(elements):
+        return np.array([distance(el, Vec2(min(max(el.x, x0), x1), min(max(el.y, y0), y1)))
+                         for el in elements])
+
+    return [(near(term.tx_elements), near(term.rx_elements)) for term in scenario.terminals]
+
+
 def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
     """Acquisition window covering, over all active channels, every target
     delay plus the pair's clock error (responses arrive that late) and,
     optionally, every grid pixel delay without it (back-projection never
     compensates the error), padded by 6/B, comfortably above the 4/B
-    minimum the simulator enforces around target responses."""
+    minimum the simulator enforces around target responses.
+
+    A channel's pixel delays are bounded below by the sum of its two
+    elements' distances to the grid rectangle, and above by its delays to
+    the four corners: the bistatic range sum is convex, so its greatest
+    value lies at a corner, while its least may lie inside an edge."""
     margin = 6.0 / scenario.bandwidth
     corners = [] if grid is None else [
         Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
     dist = _distances(scenario, [t.position for t in scenario.targets] + corners)
+    near = None if grid is None else _near_distances(scenario, grid)
     lo, hi = math.inf, -math.inf
     for l, k in scenario.pairing.active_pairs():
         taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT
         taus[..., :len(scenario.targets)] += scenario.sync_errors[l, k]
         if taus.size:
             lo, hi = min(lo, float(taus.min())), max(hi, float(taus.max()))
+            if near is not None:
+                lo = min(lo, float(((near[l][0][:, None] + near[k][1][None]) / SPEED_OF_LIGHT).min()))
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
-    # grid pixel delays can be extreme over corners; margin still applies
     return (lo - margin, hi + margin)
 
 

@@ -152,6 +152,11 @@ def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple
     margin = 6.0 / scenario.bandwidth
     corners = [] if grid is None else [
         Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
+
+    def nearest(el):
+        (x0, x1), (y0, y1) = grid.x_coords[[0, -1]].tolist(), grid.y_coords[[0, -1]].tolist()
+        return Vec2(min(max(el.x, x0), x1), min(max(el.y, y0), y1))
+
     lo, hi = math.inf, -math.inf
     for l, k in scenario.pairing.active_pairs():
         for tx_el in scenario.terminals[l].tx_elements:
@@ -160,6 +165,9 @@ def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple
                 taus = [bistatic_delay(tx_el, rx_el, t.position) + dt_sync for t in scenario.targets]
                 taus += [bistatic_delay(tx_el, rx_el, p) for p in corners]
                 lo, hi = min([lo, *taus]), max([hi, *taus])
+                if grid is not None:  # the elements' nearest points of the grid rectangle
+                    lo = min(lo, (distance(tx_el, nearest(tx_el)) + distance(rx_el, nearest(rx_el)))
+                             / SPEED_OF_LIGHT)
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
     return (lo - margin, hi + margin)

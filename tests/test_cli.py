@@ -221,6 +221,13 @@ class TestImageAndFuse:
                         "--scenario", path, "--out", tmp_path / "out"]) == 0
         assert read_image_csv(tmp_path / "out" / "fused.csv").shape == (49 * 49, 4)
 
+    @pytest.mark.parametrize("spacing", ["0.4", "0.8"])
+    def test_coarse_grid_window_covers_its_nearest_edge_pixel(self, tmp_path, spacing):
+        # the least pixel delay lies inside the grid's bottom edge; a window
+        # bounded by the corners alone left pixel (24,0) outside it (exit 3)
+        assert run_cli(["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json",
+                        "--grid-spacing", spacing, "--out", tmp_path]) == 0
+
 
 class TestOrchestrate:
     def test_plan_quadruples_predicted_resolution(self, tmp_path):

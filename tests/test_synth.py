@@ -209,9 +209,24 @@ class TestSuggestWindow:
         margin = 6.0 / BW
         corners = [bistatic_delay(Vec2(0, 0), Vec2(0, 0), Vec2(x, y))
                    for x in (-1, 1) for y in (19, 21)]
-        assert lo == min(corners) - margin
+        # the nearest pixel delay lies inside the bottom edge, at (0, 19)
+        near = bistatic_delay(Vec2(0, 0), Vec2(0, 0), Vec2(0, 19))
+        assert lo == near - margin
         assert hi == 40.0 / C + dt + margin
-        assert suggest_window(sc, grid) == (min(corners) - margin, max(corners) + margin)
+        assert suggest_window(sc, grid) == (near - margin, max(corners) + margin)
+
+    def test_covers_the_nearest_pixel_inside_an_edge(self):
+        # the least bistatic delay over a grid lies at the middle of its
+        # bottom edge, below every corner's; bounding by the corners alone
+        # left that pixel outside the window
+        from netrad.scene import ImageGrid
+
+        sc = single_terminal_scenario()
+        grid = ImageGrid(Vec2(-4.8, 15.2), (0.4, 0.4), (25, 25))
+        lo, _ = suggest_window(sc, grid)
+        x, y = grid.pixel_coords()
+        delays = 2.0 * np.hypot(x, y) / C
+        assert lo <= delays.min() - 6.0 / BW
 
 
 class TestExport:
