@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Time back-projection of the 25-pair lane fuse at one and two workers.
+"""Time back-projection of the 25-pair lane fuse at one and two workers,
+and the CLI pipeline's envelope imaging at one worker.
 
     python3 scripts/bp_timing.py [--reps 15] [--sizes 25,49,65,81,101,121] [--block-bytes N]
 
 Synthesizes `scenarios/lane_multistatic.json` once (3350 channels), then
 for each square grid, centred on the target at the default pixel pitch,
-times `imaging.pair_images` with workers 1 and 2 alternating and prints
-the median and quartiles of each in milliseconds, their ratio, the Rx
+times `imaging.pair_images` with workers 1 and 2 and the pipeline's
+imaging at one worker (`pair_images` on `imaging.envelope_grid` plus
+`imaging.upsample_envelopes`; `pair_images` itself where that grid is
+None), alternating, and prints the median and quartiles of each in
+milliseconds, the ratios of the medians, the coarse grid's size, the Rx
 elements each numpy call covers in one band, and the peak RSS so far of
 this process and of its largest forked band (``RUSAGE_CHILDREN``, which
 counts the pages a child shares with this process).
@@ -24,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from netrad import imaging  # noqa: E402
-from netrad.imaging import default_grid, pair_images  # noqa: E402
+from netrad.imaging import default_grid, envelope_grid, pair_images, upsample_envelopes  # noqa: E402
 from netrad.scene import ImageGrid, Vec2, load_scenario  # noqa: E402
 from netrad.synth import suggest_window, synthesize  # noqa: E402
 
@@ -44,22 +48,37 @@ def grid(n):
     return ImageGrid(Vec2(target.x - half, target.y - half), (step, step), (n, n))
 
 
+def envelope_images(records, g, coarse):
+    if coarse is None:
+        return pair_images(records, sc, g)
+    return upsample_envelopes(pair_images(records, sc, coarse), sc, g)
+
+
 sizes = [int(s) for s in args.sizes.split(",")]
-records = synthesize(sc, suggest_window(sc, grid(max(sizes))))
+# the largest grid's coarse grid spans every smaller one's
+widest = grid(max(sizes))
+records = synthesize(sc, suggest_window(sc, envelope_grid(sc, widest) or widest))
 print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}"
+      f" {'envelope p25/p50/p75 ms':>25} {'1w/env':>6} {'coarse':>7}"
       f" {'elements':>8} {'peak RSS MB':>11} {'bands MB':>8}")
 for n in sizes:
-    g, times = grid(n), {1: [], 2: []}
+    g = grid(n)
+    coarse, times = envelope_grid(sc, g), {1: [], 2: [], "env": []}
     for _ in range(args.reps):
-        for workers in (1, 2):
+        for key in times:
             start = time.perf_counter()
-            pair_images(records, sc, g, workers=workers)
-            times[workers].append(1e3 * (time.perf_counter() - start))
+            if key == "env":
+                envelope_images(records, g, coarse)
+            else:
+                pair_images(records, sc, g, workers=key)
+            times[key].append(1e3 * (time.perf_counter() - start))
     # one rep is its own quartiles
     q = {w: statistics.quantiles(t, n=4) if len(t) > 1 else t * 3 for w, t in times.items()}
-    cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in (1, 2)]
+    cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in times]
+    size = "direct" if coarse is None else f"{coarse.size[0]}x{coarse.size[1]}"
     per_block = imaging._block_elements(n * n)
     rss_mb = [resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     print(f"{n:>4}² {cells[0]:>25} {cells[1]:>26} {q[1][1] / q[2][1]:>6.2f}"
+          f" {cells[2]:>25} {q[1][1] / q['env'][1]:>6.2f} {size:>7}"
           f" {per_block:>8} {rss_mb[0]:>11.1f} {rss_mb[1]:>8.1f}")

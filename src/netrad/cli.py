@@ -118,13 +118,10 @@ def _make_grid(config: argparse.Namespace, scenario: scene.Scenario) -> scene.Im
     _reference_target(scenario)  # no targets is a validation failure here
     # the default pitch resolves the scenario's pairs; incoherent fusion adds
     # no coverage, so it resolves the finest single pair
-    scopes = [scenario.pairing]
-    if config.mode == "incoherent" and config.grid_spacing is None:
-        scopes = [scene.AssociationMatrix.from_pairs(scenario.n_terminals, [pair])
-                  for pair in scenario.pairing.active_pairs()]
-    grids = [imaging.default_grid(replace(scenario, pairing=pairing), config.grid_margin_cells,
-                                  config.grid_spacing) for pairing in scopes]
-    return min(grids, key=lambda grid: grid.spacing[0])
+    spacing = config.grid_spacing
+    if config.mode == "incoherent" and spacing is None:
+        spacing = min(imaging.finest_pair_resolution(scenario)) / 4
+    return imaging.default_grid(scenario, config.grid_margin_cells, spacing)
 
 
 def _imaging_pipeline(config: argparse.Namespace,
@@ -138,9 +135,14 @@ def _imaging_pipeline(config: argparse.Namespace,
     pairing = scene.AssociationMatrix.from_pairs(scenario.n_terminals, pairs)
     scenario = replace(scenario, pairing=pairing)
     grid = _make_grid(config, scenario)
-    window = synth.suggest_window(scenario, grid)
+    # each pair is back-projected at its envelope's sampling and upsampled,
+    # where that costs fewer pixel-channels than imaging on the grid itself
+    coarse = imaging.envelope_grid(scenario, grid)
+    window = synth.suggest_window(scenario, coarse or grid)
     records = synth.synthesize(scenario, window, fs=config.fs)
-    return imaging.pair_images(records, scenario, grid, workers=config.workers)
+    images = imaging.pair_images(records, scenario, coarse or grid, workers=config.workers)
+    del records  # freed before the upsampled images are allocated: it bounds the peak memory
+    return images if coarse is None else imaging.upsample_envelopes(images, scenario, grid)
 
 
 def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:

@@ -3,11 +3,16 @@ import math
 import shlex
 from pathlib import Path
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
-from netrad import cli
+from netrad import cli, imaging, synth
+from netrad.fusion import fuse_coherent
+from netrad.imaging import pair_images
 from netrad.scene import load_scenario
+from netrad.synth import suggest_window
 from netrad.wavenumber import coverage_region
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -227,6 +232,66 @@ class TestImageAndFuse:
         # bounded by the corners alone left pixel (24,0) outside it (exit 3)
         assert run_cli(["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json",
                         "--grid-spacing", spacing, "--out", tmp_path]) == 0
+
+
+def imaging_run(args):
+    """The pair images of the CLI's imaging pipeline for ``fuse`` with
+    ``args``, the scenario it read and the records it synthesized."""
+    config = cli._build_parser().parse_args(["fuse", *map(str, args), "--out", "unused"])
+    scenario, kept, synthesize = cli._load_scenario(config), [], synth.synthesize
+
+    def keep(*call, **kwargs):
+        kept.append(synthesize(*call, **kwargs))
+        return kept[-1]
+
+    with patch.object(cli.synth, "synthesize", keep):
+        images = cli._imaging_pipeline(config, scenario)
+    return images, scenario, kept[0]
+
+
+def relative_error(a, b):
+    return np.abs(a - b).max() / np.abs(a).max()
+
+
+class TestEnvelopeImaging:
+    # max |diff| / peak of the pipeline's upsampled images against
+    # pair_images on the same records and grid, fused and worst pair;
+    # pinned when the envelope path landed, never to be widened
+    @pytest.mark.parametrize("grid_args, size, fused_bound, pair_bound", [
+        ([], 49, 2.4e-3, 1.6e-2),
+        (["--grid-spacing", "0.008", "--grid-margin-cells", "60"], 121, 3.2e-3, 1.5e-2),
+    ], ids=["default-49", "wide-121"])
+    def test_lane_images_stay_within_the_pinned_bound(self, grid_args, size, fused_bound, pair_bound):
+        images, scenario, records = imaging_run(
+            ["--scenario", SCENARIOS / "lane_multistatic.json", *grid_args])
+        grid = images[0].grid
+        assert grid.size == (size, size)
+        assert records[0].t0 <= suggest_window(scenario, grid)[0]  # windowed for the coarse grid
+        exact = pair_images(records, scenario, grid)
+        assert [im.provenance for im in images] == [im.provenance for im in exact]
+        assert relative_error(fuse_coherent(exact).pixels, fuse_coherent(images).pixels) <= fused_bound
+        assert max(relative_error(a.pixels, b.pixels) for a, b in zip(exact, images)) <= pair_bound
+
+    def test_direct_where_the_coarse_grid_saves_nothing(self):
+        # one pair of one terminal: its envelope pitch (rho / 8) is finer
+        # than the default grid's (rho / 4), so the pipeline images directly
+        images, scenario, records = imaging_run(
+            ["--scenario", SCENARIOS / "lane_single_terminal.json"])
+        (image,) = images
+        assert imaging.envelope_grid(scenario, image.grid) is None
+        assert records[0].t0 == suggest_window(scenario, image.grid)[0]
+        (exact,) = pair_images(records, scenario, image.grid)
+        assert np.array_equal(image.pixels, exact.pixels)
+
+    def test_fused_image_does_not_depend_on_workers(self, tmp_path):
+        fused = []
+        for workers in (1, 2, 3):
+            out = tmp_path / str(workers)
+            assert run_cli(["fuse", "--scenario", SCENARIOS / "lane_multistatic.json",
+                            "--grid-spacing", "0.008", "--grid-margin-cells", "60",
+                            "--workers", workers, "--out", out]) == 0
+            fused.append((out / "fused.csv").read_bytes())
+        assert fused[0] == fused[1] == fused[2]
 
 
 class TestOrchestrate:

@@ -390,6 +390,23 @@ class TestDefaultGrid:
             default_grid(sc)
 
 
+class TestFinestPairResolution:
+    @pytest.mark.parametrize("sc", [
+        lane_scenario(n_terminals=3, m_rx=6),
+        load_scenario((Path(__file__).resolve().parent.parent / "scenarios"
+                       / "opposite_side.json").read_text()),
+    ], ids=["lane", "opposite-side"])
+    def test_equals_each_pair_predicted_alone(self, sc):
+        # one coverage pass grouped by pair gives exactly the finest rho of
+        # the passes each pair would get on its own
+        (target,) = sc.targets
+        alone = [predicted_resolution(coverage_region(
+            replace(sc, pairing=AssociationMatrix.from_pairs(sc.n_terminals, [pair])), target.position))
+            for pair in sc.pairing.active_pairs()]
+        assert imaging.finest_pair_resolution(sc) == (
+            min(est.rho_x for est in alone), min(est.rho_y for est in alone))
+
+
 class TestExports:
     def test_csv_and_pgm(self, tmp_path):
         sc = lane_scenario(n_terminals=1, m_rx=2)

@@ -22,6 +22,8 @@ from netrad.imaging import (
     _check_window,
     _delay_map,
     _delay_range,
+    _keys_resample,
+    _keys_taps,
     pair_images,
 )
 from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
@@ -314,3 +316,35 @@ def test_window_bound_raises_exactly_when_exact_check_does(acquisition, data):
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 pair_images(moved, sc, grid, workers=workers)
+
+
+def envelope_positions(n, fractions):
+    """Positions, in coarse samples, that a fine grid takes on an envelope
+    axis of n samples: two samples in from the low end and at least two
+    from the high end."""
+    return 2.0 + np.array(fractions) * (n - 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, 60), st.lists(st.floats(0, 1), min_size=1, max_size=40))
+def test_keys_weights_sum_to_one(n, fractions):
+    first, weights = _keys_taps(envelope_positions(n, fractions), n)
+    assert first.min() >= 0 and first.max() + 3 <= n - 1
+    assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, 30), st.integers(5, 30),
+       st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+       st.lists(st.floats(0, 1), min_size=1, max_size=20),
+       st.lists(st.floats(0, 1), min_size=1, max_size=20))
+def test_keys_resampling_reproduces_quadratics(nx, ny, coeffs, fx, fy):
+    # a product of quadratics in each axis, sampled on the coarse grid
+    def quadratic(c, v):
+        return c[0] + c[1] * v + c[2] * v * v
+
+    u, v = envelope_positions(nx, fx), envelope_positions(ny, fy)
+    values = (1 - 2j) * quadratic(coeffs[:3], np.arange(nx))[:, None] * quadratic(coeffs[3:], np.arange(ny))
+    out = _keys_resample(values, [_keys_taps(u, nx), _keys_taps(v, ny)], np.empty((len(u), len(v)), complex))
+    exact = (1 - 2j) * quadratic(coeffs[:3], u)[:, None] * quadratic(coeffs[3:], v)
+    assert np.abs(out - exact).max() <= 1e-12 * max(np.abs(values).max(), 1.0)
