@@ -105,6 +105,9 @@ def _load_scenario(config: argparse.Namespace) -> scene.Scenario:
     violations = scene.validate(scenario)
     if violations:
         raise _ValidationFailure(f"{path}: scenario is invalid", violations)
+    if getattr(config, "fs", None) is not None and config.fs < scenario.bandwidth:
+        raise _ValidationFailure(f"--fs must be at least the bandwidth {scenario.bandwidth:g} Hz "
+                                 f"(complex Nyquist rate), got {config.fs:g}")
     return scenario
 
 

@@ -29,10 +29,11 @@ y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
 Phases exp(j*theta) come from a table of exp(2*pi*j*k/T) times a short
 Taylor series in the residual angle, within a few units of the last
 place of theta of the exact value. Every channel's window is checked
-once, in kernel order, before any band runs, against the sum of its
-maps' minima and maxima; rounding is monotone, so that bound passes no
-pixel the exact per-pixel check would reject, and the exact check runs,
-with its message, only when the bound fails.
+once, in kernel order, before any band runs, against the bound that
+``synth.suggest_window`` sizes windows from: the sums of its Tx and Rx
+element's ``ImageGrid.reach``. Rounding is monotone, so it passes no
+pixel the exact per-pixel check would reject; that check runs, with its
+message, only for a window the bound fails.
 
 The CLI images each pair in two steps. A pair's image holds only its own
 wavenumber tile: it is a reference carrier exp(j*omega*tau_ref), tau_ref
@@ -68,7 +69,8 @@ from .wavenumber import TWO_PI, coverage_region, predicted_resolution
 _PIXCH_BYTES = 72
 # Working set of a band's numpy calls in bytes; divided by _PIXCH_BYTES
 # and the band's pixels it gives the Rx elements of a block: 12 on 49x49
-# and 2 on 121x121 in one band. Small grids are bound by the call count.
+# and 2 on 121x121, 119 and 29 on the lane's 16x16 and 32x32 envelope
+# grids, in one band. Small grids are bound by the call count.
 _BLOCK_BYTES = 2_200_000
 # coarse pixels per finest single-pair rho on each axis of an envelope grid
 _ENVELOPE_CELLS_PER_RHO = 8
@@ -140,16 +142,6 @@ def _delay_map(ex, ey, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return np.divide(np.sqrt(r2, out=r2), SPEED_OF_LIGHT, out=r2)
 
 
-def _delay_range(ex, ey, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The least and greatest value of ``_delay_map(ex, ey, x, y)``, or of
-    each of its B maps, in a (2,) or (2, B) array, without the maps: each
-    of its ops rounds monotonically, so the least and greatest squared x
-    and y offsets give both exactly."""
-    dx, dy = np.square(x - ex), np.square(y - ey)
-    r2 = np.add([dx.min((-2, -1)), dx.max((-2, -1))], [dy.min((-2, -1)), dy.max((-2, -1))])
-    return np.divide(np.sqrt(r2), SPEED_OF_LIGHT)
-
-
 _PHASE_STEPS = 4096
 _PHASE_STEP = 2.0 * math.pi / _PHASE_STEPS
 # exp(2*pi*j*k/T) from its first quadrant, whose rotations by j are exact
@@ -203,7 +195,8 @@ def pair_images(
     Every pair must be active and every pixel's bistatic delay must fall
     inside each record's time window. Records are interpolated linearly
     between samples; ``synth.default_sample_rate`` states the error bound.
-    Every window is checked once, before any band runs. Up to
+    Every window is checked once, before any band runs, against the bound
+    that ``synth.suggest_window`` sizes windows for ``grid`` from. Up to
     ``workers`` processes (at most one per CPU, one where ``os.fork`` is
     missing) then image equal bands of x rows; the images and any error
     do not depend on their number.
@@ -220,16 +213,17 @@ def pair_images(
     for rec in records:
         l, k, n, m = rec.channel
         if (l, n) not in tx_delay:
-            delay = _delay_map(*np.asarray(scenario.terminals[l].tx_elements[n]), x, y)
-            tx_delay[l, n] = delay, float(delay.min()), float(delay.max())
+            xy = np.asarray(scenario.terminals[l].tx_elements[n])
+            tx_delay[l, n] = _delay_map(*xy, x, y), *grid.reach(xy).ravel().tolist()
         by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
     # every window in kernel order (receive terminal, Rx element, record),
-    # by its maps' extremes and, where that bound fails, pixel by pixel
+    # by its elements' reach and, where that bound fails, pixel by pixel
     rx_xy = {}  # per receive terminal, its ascending Rx elements' (B, 1, 1) coordinates
     for k, by_m in by_rx.items():
         elements, rx = sorted(by_m), scenario.terminals[k].rx_elements
-        ex, ey = rx_xy[k] = np.array([rx[m] for m in elements]).T[..., None, None]
-        for m, exy, rx_lo, rx_hi in zip(elements, zip(ex, ey), *_delay_range(ex, ey, x, y).tolist()):
+        xy = np.array([rx[m] for m in elements])
+        ex, ey = rx_xy[k] = xy.T[..., None, None]
+        for m, exy, rx_lo, rx_hi in zip(elements, zip(ex, ey), *grid.reach(xy).tolist()):
             for rec in by_m[m]:
                 delay, tx_lo, tx_hi = tx_delay[rec.channel[::2]]
                 if tx_lo + rx_lo < rec.t0 or tx_hi + rx_hi > rec.t_end:

@@ -171,6 +171,20 @@ class ImageGrid:
         j = int(round((point.y - self.origin.y) / self.spacing[1]))
         return (min(max(i, 0), self.size[0] - 1), min(max(j, 0), self.size[1] - 1))
 
+    def reach(self, points) -> np.ndarray:
+        """The (2, n) delays from each of n points to the nearest point of
+        the rectangle spanned by the first and last pixel centres (row 0)
+        and to its farthest corner (row 1), with a pixel delay map's ops in
+        their order: square, add, sqrt, divide by c. Each op rounds
+        monotonically, so row 0 is at most a point's least pixel delay and
+        row 1 is its greatest bit for bit."""
+        ex, ey = np.asarray(points, dtype=float).reshape(-1, 2).T
+        (x0, x1), (y0, y1) = self.x_coords[[0, -1]], self.y_coords[[0, -1]]
+        near = np.square(np.clip(ex, x0, x1) - ex) + np.square(np.clip(ey, y0, y1) - ey)
+        far = (np.maximum(np.square(x0 - ex), np.square(x1 - ex))
+               + np.maximum(np.square(y0 - ey), np.square(y1 - ey)))
+        return np.sqrt([near, far]) / SPEED_OF_LIGHT
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:

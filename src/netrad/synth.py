@@ -74,18 +74,6 @@ def _distances(scenario: Scenario, points) -> list[tuple[np.ndarray, np.ndarray]
     return [(table(term.tx_elements), table(term.rx_elements)) for term in scenario.terminals]
 
 
-def _near_distances(scenario: Scenario, grid: ImageGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per terminal, the distances of its Tx and of its Rx elements to the
-    nearest point of the grid's rectangle (zero for an element inside it)."""
-    (x0, x1), (y0, y1) = grid.x_coords[[0, -1]].tolist(), grid.y_coords[[0, -1]].tolist()
-
-    def near(elements):
-        return np.array([distance(el, Vec2(min(max(el.x, x0), x1), min(max(el.y, y0), y1)))
-                         for el in elements])
-
-    return [(near(term.tx_elements), near(term.rx_elements)) for term in scenario.terminals]
-
-
 def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
     """Acquisition window covering, over all active channels, every target
     delay plus the pair's clock error (responses arrive that late) and,
@@ -93,23 +81,22 @@ def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[f
     compensates the error), padded by 6/B, comfortably above the 4/B
     minimum the simulator enforces around target responses.
 
-    A channel's pixel delays are bounded below by the sum of its two
-    elements' distances to the grid rectangle, and above by its delays to
-    the four corners: the bistatic range sum is convex, so its greatest
-    value lies at a corner, while its least may lie inside an edge."""
+    A channel's pixel delays are bounded by the sums of its two elements'
+    ``ImageGrid.reach``: below by their delays to the nearest point of the
+    grid rectangle, above by their delays to its farthest corners. These
+    are the bounds ``imaging.pair_images`` checks every record against."""
     margin = 6.0 / scenario.bandwidth
-    corners = [] if grid is None else [
-        Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
-    dist = _distances(scenario, [t.position for t in scenario.targets] + corners)
-    near = None if grid is None else _near_distances(scenario, grid)
+    dist = _distances(scenario, [t.position for t in scenario.targets])
+    reach = None if grid is None else [
+        (grid.reach(term.tx_elements), grid.reach(term.rx_elements)) for term in scenario.terminals]
     lo, hi = math.inf, -math.inf
     for l, k in scenario.pairing.active_pairs():
-        taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT
-        taus[..., :len(scenario.targets)] += scenario.sync_errors[l, k]
+        taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]
+        if reach is not None:  # each channel's near and far sums stand for its pixels
+            bounds = reach[l][0][:, :, None] + reach[k][1][:, None, :]
+            taus = np.concatenate((taus, np.moveaxis(bounds, 0, -1)), axis=-1)
         if taus.size:
             lo, hi = min(lo, float(taus.min())), max(hi, float(taus.max()))
-            if near is not None:
-                lo = min(lo, float(((near[l][0][:, None] + near[k][1][None]) / SPEED_OF_LIGHT).min()))
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
     return (lo - margin, hi + margin)

@@ -148,14 +148,21 @@ def brute_force_backprojection(records, scenario: Scenario, grid: ImageGrid) -> 
 
 def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
     """``synth.suggest_window`` evaluated channel by channel with python
-    scalars: the reference its array form must equal exactly."""
+    scalars: the reference its array form must equal exactly. A channel's
+    pixel bound is the sum of its two elements' reach, each taken with the
+    delay map's ops in their order (square, add, sqrt, divide by c)."""
     margin = 6.0 / scenario.bandwidth
-    corners = [] if grid is None else [
-        Vec2(float(x), float(y)) for x in grid.x_coords[[0, -1]] for y in grid.y_coords[[0, -1]]]
 
-    def nearest(el):
+    def reach(el):
+        """The element's delays to the grid rectangle's nearest point and farthest corner."""
         (x0, x1), (y0, y1) = grid.x_coords[[0, -1]].tolist(), grid.y_coords[[0, -1]].tolist()
-        return Vec2(min(max(el.x, x0), x1), min(max(el.y, y0), y1))
+
+        def sq(d):
+            return d * d
+
+        near = sq(min(max(el.x, x0), x1) - el.x) + sq(min(max(el.y, y0), y1) - el.y)
+        far = max(sq(x0 - el.x), sq(x1 - el.x)) + max(sq(y0 - el.y), sq(y1 - el.y))
+        return math.sqrt(near) / SPEED_OF_LIGHT, math.sqrt(far) / SPEED_OF_LIGHT
 
     lo, hi = math.inf, -math.inf
     for l, k in scenario.pairing.active_pairs():
@@ -163,11 +170,10 @@ def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple
             for rx_el in scenario.terminals[k].rx_elements:
                 dt_sync = scenario.sync_errors[l, k]
                 taus = [bistatic_delay(tx_el, rx_el, t.position) + dt_sync for t in scenario.targets]
-                taus += [bistatic_delay(tx_el, rx_el, p) for p in corners]
+                if grid is not None:  # the nearest and farthest pixel bounds
+                    (tx_near, tx_far), (rx_near, rx_far) = reach(tx_el), reach(rx_el)
+                    taus += [tx_near + rx_near, tx_far + rx_far]
                 lo, hi = min([lo, *taus]), max([hi, *taus])
-                if grid is not None:  # the elements' nearest points of the grid rectangle
-                    lo = min(lo, (distance(tx_el, nearest(tx_el)) + distance(rx_el, nearest(rx_el)))
-                             / SPEED_OF_LIGHT)
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
     return (lo - margin, hi + margin)

@@ -272,6 +272,44 @@ class TestEnvelopeImaging:
         assert relative_error(fuse_coherent(exact).pixels, fuse_coherent(images).pixels) <= fused_bound
         assert max(relative_error(a.pixels, b.pixels) for a, b in zip(exact, images)) <= pair_bound
 
+    # the reference carrier runs through the mean Tx element, so terminals
+    # with a half-wave Tx array are pinned on their own landing values
+    @pytest.mark.parametrize("n_tx, grid_args, size, fused_bound, pair_bound", [
+        (2, [], 49, 2.36e-3, 1.54e-2),
+        (2, ["--grid-spacing", "0.008", "--grid-margin-cells", "60"], 121, 3.17e-3, 1.49e-2),
+        (4, [], 49, 2.39e-3, 1.49e-2),
+        (4, ["--grid-spacing", "0.008", "--grid-margin-cells", "60"], 121, 3.16e-3, 1.502e-2),
+    ], ids=["tx2-49", "tx2-121", "tx4-49", "tx4-121"])
+    def test_lane_with_tx_arrays_stays_within_the_pinned_bound(
+            self, tmp_path, n_tx, grid_args, size, fused_bound, pair_bound):
+        doc = json.loads((SCENARIOS / "lane_multistatic.json").read_text())
+        half_wave = 3.0e8 / doc["f0_hz"] / 2
+        for term in doc["terminals"]:
+            x, y = term["phase_center"]
+            term["tx_elements"] = [[x + (i - (n_tx - 1) / 2) * half_wave, y] for i in range(n_tx)]
+        path = tmp_path / "lane_tx_arrays.json"
+        path.write_text(json.dumps(doc))
+        images, scenario, records = imaging_run(["--scenario", path, *grid_args])
+        grid = images[0].grid
+        assert grid.size == (size, size)
+        assert imaging.envelope_grid(scenario, grid) is not None
+        exact = pair_images(records, scenario, grid)
+        assert relative_error(fuse_coherent(exact).pixels, fuse_coherent(images).pixels) <= fused_bound
+        assert max(relative_error(a.pixels, b.pixels) for a, b in zip(exact, images)) <= pair_bound
+
+    @pytest.mark.parametrize("name, grid_args", [
+        ("lane_multistatic.json", []),
+        ("lane_multistatic.json", ["--grid-spacing", "0.008", "--grid-margin-cells", "60"]),
+        ("lane_single_terminal.json", []),
+        ("lane_single_terminal.json", ["--grid-spacing", "0.4"]),
+    ], ids=["lane-49", "lane-121", "single-direct", "single-coarse"])
+    def test_windows_it_sizes_need_no_pixel_check(self, name, grid_args):
+        # suggest_window sizes and pair_images checks every window with the
+        # same reach bound, so the exact per-pixel check never runs
+        with patch.object(imaging, "_check_window", side_effect=AssertionError("pixel check ran")) as check:
+            imaging_run(["--scenario", SCENARIOS / name, *grid_args])
+        check.assert_not_called()
+
     def test_direct_where_the_coarse_grid_saves_nothing(self):
         # one pair of one terminal: its envelope pitch (rho / 8) is finer
         # than the default grid's (rho / 4), so the pipeline images directly
@@ -423,15 +461,30 @@ class TestFailures:
         assert "not overridable" in json.loads(capsys.readouterr().err)["error"]["message"]
 
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
-        # sub-Nyquist sampling rate fails inside the pipeline
-        code = run_cli(
-            ["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json",
-             "--out", tmp_path, "--fs", "1e6"]
-        )
+        # an output directory that cannot be made fails when the run starts
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = run_cli(["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json", "--out", out])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "runtime"
-        assert "Nyquist" in err["error"]["message"]
+        assert "exists" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "image", "fuse", "orchestrate"])
+    @pytest.mark.parametrize("args", [
+        ["--fs", "1e8"],
+        # 6e8 Hz covers the file's 5e8 Hz but not the bandwidth --set gives
+        ["--fs", "6e8", "--set", "bandwidth_hz=1e9"],
+    ], ids=["below-file-bandwidth", "below-set-bandwidth"])
+    def test_sample_rate_below_bandwidth_exits_2(self, tmp_path, capsys, command, args):
+        # used to exit 3 with the simulator's "below complex Nyquist rate"
+        code = run_cli([command, "--scenario", SCENARIOS / "lane_single_terminal.json",
+                        "--out", tmp_path, *args])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert err["message"].startswith("--fs must be at least the bandwidth")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_power_exits_2(self, tmp_path, capsys, noise):

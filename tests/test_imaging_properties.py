@@ -21,7 +21,6 @@ from netrad.imaging import (
     _carrier_phase,
     _check_window,
     _delay_map,
-    _delay_range,
     _keys_resample,
     _keys_taps,
     pair_images,
@@ -254,15 +253,16 @@ def test_carrier_phase_matches_cmath(angles):
 @given(st.integers(1, 60), st.integers(1, 60), st.floats(-30, 30), st.floats(-30, 30),
        st.floats(1e-3, 0.5), st.floats(1e-3, 0.5),
        st.lists(st.tuples(st.floats(-1, 2), st.floats(-1, 2)), min_size=1, max_size=4))
-def test_delay_range_equals_map_extremes(nx, ny, x0, y0, sx, sy, spans):
+def test_reach_bounds_map_extremes(nx, ny, x0, y0, sx, sy, spans):
     # an element sits inside the grid's span where both fractions are in [0, 1]
     grid = ImageGrid(Vec2(x0, y0), (sx, sy), (nx, ny))
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
-    ex, ey = np.array([(x0 + u * sx * (nx - 1), y0 + v * sy * (ny - 1)) for u, v in spans]).T
-    maps = [_delay_map(a, b, x, y) for a, b in zip(ex.tolist(), ey.tolist())]
-    expected = [[d.min() for d in maps], [d.max() for d in maps]]
-    assert _delay_range(ex[:, None, None], ey[:, None, None], x, y).tolist() == expected
-    assert _delay_range(ex[0], ey[0], x, y).tolist() == [row[0] for row in expected]
+    points = [(x0 + u * sx * (nx - 1), y0 + v * sy * (ny - 1)) for u, v in spans]
+    maps = [_delay_map(a, b, x, y) for a, b in points]
+    near, far = grid.reach(points).tolist()
+    assert all(lo <= d.min() for lo, d in zip(near, maps))
+    assert far == [d.max() for d in maps]
+    assert grid.reach(points[0]).ravel().tolist() == [near[0], far[0]]
 
 
 def pixel_delays(rec, sc, grid):
