@@ -31,16 +31,20 @@ from netrad import imaging  # noqa: E402
 from netrad.imaging import default_grid, envelope_grid, pair_images, upsample_envelopes  # noqa: E402
 from netrad.scene import ImageGrid, Vec2, load_scenario  # noqa: E402
 from netrad.synth import suggest_window, synthesize  # noqa: E402
+from netrad.wavenumber import coverage_region  # noqa: E402
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--reps", type=int, default=15)
 parser.add_argument("--sizes", default="25,49,65,81,101,121")
 parser.add_argument("--block-bytes", type=int, default=imaging._BLOCK_BYTES)
 args = parser.parse_args()
+if args.reps < 1:
+    parser.error(f"argument --reps: must be at least 1, got {args.reps}")
 imaging._BLOCK_BYTES = args.block_bytes
 sc = load_scenario((ROOT / "scenarios" / "lane_multistatic.json").read_text())
 step = default_grid(sc).spacing[0]
 target = sc.targets[0].position
+region = coverage_region(sc, target)  # the CLI's coverage: one target is its own box centre
 
 
 def grid(n):
@@ -57,13 +61,13 @@ def envelope_images(records, g, coarse):
 sizes = [int(s) for s in args.sizes.split(",")]
 # the largest grid's coarse grid spans every smaller one's
 widest = grid(max(sizes))
-records = synthesize(sc, suggest_window(sc, envelope_grid(sc, widest) or widest))
+records = synthesize(sc, suggest_window(sc, envelope_grid(region, widest) or widest))
 print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}"
       f" {'envelope p25/p50/p75 ms':>25} {'1w/env':>6} {'coarse':>7}"
       f" {'elements':>8} {'peak RSS MB':>11} {'bands MB':>8}")
 for n in sizes:
     g = grid(n)
-    coarse, times = envelope_grid(sc, g), {1: [], 2: [], "env": []}
+    coarse, times = envelope_grid(region, g), {1: [], 2: [], "env": []}
     for _ in range(args.reps):
         for key in times:
             start = time.perf_counter()

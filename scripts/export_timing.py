@@ -38,6 +38,8 @@ from netrad.wavenumber import coverage_region, export_coverage_csv  # noqa: E402
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--reps", type=int, default=15)
 args = parser.parse_args()
+if args.reps < 1:
+    parser.error(f"argument --reps: must be at least 1, got {args.reps}")
 sc = load_scenario((ROOT / "scenarios" / "lane_multistatic.json").read_text())
 step = default_grid(sc).spacing[0]
 target = sc.targets[0].position
@@ -77,5 +79,6 @@ with tempfile.TemporaryDirectory() as tmp:
             write(out)
             times.append(1e3 * (time.perf_counter() - start))
             shutil.rmtree(out)
-        q = statistics.quantiles(times, n=4)
+        # one rep is its own quartiles
+        q = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
         print(f"{name:<24} {'/'.join(f'{v:.2f}' for v in q):>22}")

@@ -117,18 +117,9 @@ def _reference_target(scenario: scene.Scenario) -> scene.Vec2:
     return scenario.targets[0].position
 
 
-def _make_grid(config: argparse.Namespace, scenario: scene.Scenario) -> scene.ImageGrid:
+def _select_pairs(config: argparse.Namespace, scenario: scene.Scenario) -> scene.Scenario:
+    """``scenario`` with only the pairs that ``image`` and ``fuse`` image."""
     _reference_target(scenario)  # no targets is a validation failure here
-    # the default pitch resolves the scenario's pairs; incoherent fusion adds
-    # no coverage, so it resolves the finest single pair
-    spacing = config.grid_spacing
-    if config.mode == "incoherent" and spacing is None:
-        spacing = min(imaging.finest_pair_resolution(scenario)) / 4
-    return imaging.default_grid(scenario, config.grid_margin_cells, spacing)
-
-
-def _imaging_pipeline(config: argparse.Namespace,
-                      scenario: scene.Scenario) -> list[imaging.ComplexImage]:
     pairs = scenario.pairing.active_pairs()
     if config.mode == "incoherent" or config.pair_scope == "mono":
         pairs = [(l, k) for l, k in pairs if l == k]
@@ -136,11 +127,25 @@ def _imaging_pipeline(config: argparse.Namespace,
         raise _ValidationFailure("no active pairs left after pair selection")
     # every later stage sees only the selected pairs
     pairing = scene.AssociationMatrix.from_pairs(scenario.n_terminals, pairs)
-    scenario = replace(scenario, pairing=pairing)
-    grid = _make_grid(config, scenario)
+    return replace(scenario, pairing=pairing)
+
+
+def _imaging_pipeline(config: argparse.Namespace,
+                      scenario: scene.Scenario) -> list[imaging.ComplexImage]:
+    """The pair images of ``scenario``, whose pairs the caller selected."""
+    region = wavenumber.coverage_region(scenario, imaging.target_box(scenario)[2])
+    spacing = config.grid_spacing
+    # the default pitch resolves the selected pairs; incoherent fusion adds
+    # no coverage, so it resolves the finest single pair
+    if spacing is None and config.mode == "incoherent":
+        spacing = imaging.default_spacing(*imaging.finest_pair_resolution(region))
+    elif spacing is None:
+        est = wavenumber.predicted_resolution(region)
+        spacing = imaging.default_spacing(est.rho_x, est.rho_y)
+    grid = imaging.default_grid(scenario, config.grid_margin_cells, spacing)
     # each pair is back-projected at its envelope's sampling and upsampled,
     # where that costs fewer pixel-channels than imaging on the grid itself
-    coarse = imaging.envelope_grid(scenario, grid)
+    coarse = imaging.envelope_grid(region, grid)
     window = synth.suggest_window(scenario, coarse or grid)
     records = synth.synthesize(scenario, window, fs=config.fs)
     images = imaging.pair_images(records, scenario, coarse or grid, workers=config.workers)
@@ -151,6 +156,7 @@ def _imaging_pipeline(config: argparse.Namespace,
 def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     target = _reference_target(scenario)
+    out.mkdir(parents=True, exist_ok=True)
     region = wavenumber.coverage_region(
         scenario, target, n_freq=config.n_freq, baseband=config.baseband
     )
@@ -165,6 +171,7 @@ def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:
 
 def _cmd_simulate(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
+    out.mkdir(parents=True, exist_ok=True)
     window = synth.suggest_window(scenario)
     records = synth.synthesize(scenario, window, fs=config.fs)
     rec_dir = out / "records"
@@ -182,7 +189,8 @@ def _cmd_simulate(config: argparse.Namespace, out: Path) -> None:
 
 
 def _cmd_image(config: argparse.Namespace, out: Path) -> None:
-    scenario = _load_scenario(config)
+    scenario = _select_pairs(config, _load_scenario(config))
+    out.mkdir(parents=True, exist_ok=True)
     images = _imaging_pipeline(config, scenario)
     for im in images:
         stem = "image_{}-{}".format(*im.provenance)
@@ -211,7 +219,8 @@ def _fuse_and_report(config: argparse.Namespace, scenario: scene.Scenario,
 
 
 def _cmd_fuse(config: argparse.Namespace, out: Path) -> None:
-    scenario = _load_scenario(config)
+    scenario = _select_pairs(config, _load_scenario(config))
+    out.mkdir(parents=True, exist_ok=True)
     images = _imaging_pipeline(config, scenario)
     _fuse_and_report(config, scenario, images, out)
 
@@ -219,6 +228,7 @@ def _cmd_fuse(config: argparse.Namespace, out: Path) -> None:
 def _cmd_orchestrate(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
     target = _reference_target(scenario)
+    out.mkdir(parents=True, exist_ok=True)
     # --L is checked >= 1, so unset (None) is the only falsy value
     count = config.plan_count or scenario.n_terminals
     plan = orchestrate.tessellated_plan(
@@ -226,6 +236,7 @@ def _cmd_orchestrate(config: argparse.Namespace, out: Path) -> None:
         orchestrate.default_stand_off(scenario, target), psi_0=math.radians(config.psi0_deg),
     )
     _write_json(plan.to_dict(), out / "plan.json")
+    # the plan's pairing is the selection: every pair, imaged coherently
     planned = orchestrate.scenario_from_plan(scenario, plan)
     images = _imaging_pipeline(config, planned)
     _fuse_and_report(config, planned, images, out)
@@ -265,14 +276,12 @@ _COMMANDS = {
 
 
 def run(config: argparse.Namespace) -> int:
-    """Execute one subcommand, configured by its parsed command line,
-    writing artifacts under the output directory. Returns the process
-    exit code."""
+    """Execute one subcommand, configured by its parsed command line, and
+    return the process exit code. A subcommand makes the output directory,
+    parents included, only once its inputs pass validation."""
     try:
-        _check_options(config)  # before anything is written
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[config.subcommand](config, out)
+        _check_options(config)
+        _COMMANDS[config.subcommand](config, Path(config.out_dir))
         return _EXIT_OK
     except _ValidationFailure as err:
         payload = {"error": {"kind": "validation", "message": str(err)}}

@@ -35,19 +35,20 @@ element's ``ImageGrid.reach``. Rounding is monotone, so it passes no
 pixel the exact per-pixel check would reject; that check runs, with its
 message, only for a window the bound fails.
 
-The CLI images each pair in two steps. A pair's image holds only its own
-wavenumber tile: it is a reference carrier exp(j*omega*tau_ref), tau_ref
-the delay through the pair's mean Tx and mean Rx element, times an
-envelope about one single-pair rho wide. ``envelope_grid`` sets a coarse
-pitch of the finest single-pair rho / 8 per axis, from one coverage pass,
-two cells beyond the fine grid per side; ``pair_images`` images on it and
-``upsample_envelopes`` divides out the carrier, upsamples the envelope
-with separable four-tap Keys cubic weights and restores the carrier on
-the fine grid. Where that would not cost fewer pixel-channels, the CLI
-calls ``pair_images`` on the fine grid. On the 25-pair lane the result
-is within 2.4e-3 (49x49) and 3.2e-3 (121x121) of the fused peak, and
-1.6e-2 of each pair's peak, of ``pair_images`` on the same records;
-``pair_images`` and ``point_spread`` stay exact.
+The CLI sizes every grid of a run from one coverage region, at the targets'
+box centre; ``default_spacing`` holds the pitch rule. It images each pair
+in two steps. A pair's image holds only its own wavenumber tile: it is a
+reference carrier exp(j*omega*tau_ref), tau_ref the delay through the
+pair's mean Tx and mean Rx element, times an envelope about one single-pair
+rho wide. ``envelope_grid`` sets a coarse pitch of the region's finest
+single-pair rho / 8 per axis, two cells beyond the fine grid per side;
+``pair_images`` images on it and ``upsample_envelopes`` divides out the
+carrier, upsamples the envelope with separable four-tap Keys cubic weights
+and restores the carrier on the fine grid. Where that would not cost fewer
+pixel-channels, the CLI calls ``pair_images`` on the fine grid. On the
+25-pair lane the result is within 2.4e-3 (49x49) and 3.2e-3 (121x121) of
+the fused peak, and 1.6e-2 of each pair's peak, of ``pair_images`` on the
+same records; ``pair_images`` and ``point_spread`` stay exact.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 
 from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2
 from .synth import SignalRecord, suggest_window, synthesize
-from .wavenumber import TWO_PI, coverage_region, predicted_resolution
+from .wavenumber import TWO_PI, WavenumberRegion, coverage_region, predicted_resolution
 
 # bytes per pixel-channel of a block's op chain, kernel buffers included,
 # as tracemalloc measures them (tests/test_imaging.py checks the budget)
@@ -325,7 +326,7 @@ def point_spread(scenario: Scenario, target: Vec2, grid: ImageGrid) -> ComplexIm
     return fuse_coherent(pair_images(records, probe, grid))
 
 
-def _target_box(scenario: Scenario) -> tuple[Vec2, Vec2, Vec2]:
+def target_box(scenario: Scenario) -> tuple[Vec2, Vec2, Vec2]:
     """The targets' bounding box: its low and high corners and its centre."""
     if not scenario.targets:
         raise ValueError("cannot size a default grid without targets")
@@ -335,58 +336,57 @@ def _target_box(scenario: Scenario) -> tuple[Vec2, Vec2, Vec2]:
     return lo, hi, Vec2((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0)
 
 
-def finest_pair_resolution(scenario: Scenario) -> tuple[float, float]:
-    """The finest rho along x and along y that one active pair resolves on
-    its own. One coverage pass at the targets' box centre; its band-edge
-    ends are grouped by (tx terminal, rx terminal) and each group's extent
-    is the one ``predicted_resolution`` finds for the pair alone."""
-    region = coverage_region(scenario, _target_box(scenario)[2])
+def finest_pair_resolution(region: WavenumberRegion) -> tuple[float, float]:
+    """The finest rho per axis that one pair of ``region`` resolves alone:
+    ``predicted_resolution`` of each (tx, rx) terminal group's ends."""
     rows: dict[tuple[int, int], list[int]] = {}
     for i, channel in enumerate(region.pairs):
         rows.setdefault(channel[:2], []).append(i)
     ends = region.samples[:, [0, -1]]
     # 2*pi/dk falls as dk grows, so the widest pair extent gives the finest rho
     widest = np.max([np.ptp(ends[r].reshape(-1, 2), axis=0) for r in rows.values()], axis=0)
-    rho_x, rho_y = (TWO_PI / dk if dk > 0.0 else math.inf for dk in widest.tolist())
-    return rho_x, rho_y
+    return tuple(TWO_PI / dk if dk > 0.0 else math.inf for dk in widest.tolist())
+
+
+def default_spacing(rho_x: float, rho_y: float) -> float:
+    """The default pixel pitch: the finer finite rho / 4."""
+    if math.isinf(min(rho_x, rho_y)):
+        raise ValueError("acquisition has no finite predicted resolution; pass an explicit grid")
+    return min(rho_x, rho_y) / 4
 
 
 def default_grid(scenario: Scenario, margin_cells: int = 24,
                  spacing: float | None = None) -> ImageGrid:
     """Square-pixel grid centered on the target bounding box padded by
     ``margin_cells`` pixels per side. The pixel ``spacing`` defaults to
-    the finest finite predicted rho / 4."""
-    lo, hi, ref = _target_box(scenario)
-    s = spacing
-    if s is None:
+    ``default_spacing`` of the resolution predicted at the box's centre."""
+    lo, hi, ref = target_box(scenario)
+    if spacing is None:
         est = predicted_resolution(coverage_region(scenario, ref))
-        s = min(est.rho_x, est.rho_y) / 4
-        if math.isinf(s):
-            raise ValueError("acquisition has no finite predicted resolution; pass an explicit grid")
-    nx = int(math.ceil((hi.x - lo.x) / s)) + 2 * margin_cells + 1
-    ny = int(math.ceil((hi.y - lo.y) / s)) + 2 * margin_cells + 1
-    origin = Vec2(ref.x - s * (nx - 1) / 2.0, ref.y - s * (ny - 1) / 2.0)
-    return ImageGrid(origin=origin, spacing=(s, s), size=(nx, ny))
+        spacing = default_spacing(est.rho_x, est.rho_y)
+    nx = int(math.ceil((hi.x - lo.x) / spacing)) + 2 * margin_cells + 1
+    ny = int(math.ceil((hi.y - lo.y) / spacing)) + 2 * margin_cells + 1
+    origin = Vec2(ref.x - spacing * (nx - 1) / 2.0, ref.y - spacing * (ny - 1) / 2.0)
+    return ImageGrid(origin=origin, spacing=(spacing, spacing), size=(nx, ny))
 
 
-def envelope_grid(scenario: Scenario, grid: ImageGrid) -> ImageGrid | None:
+def envelope_grid(region: WavenumberRegion, grid: ImageGrid) -> ImageGrid | None:
     """The coarse grid on which ``upsample_envelopes`` samples the pair
     images of ``grid``, or None where imaging on it and upsampling would
     not cost fewer pixel-channels than imaging on ``grid`` directly.
 
-    Its pitch per axis is the finest single-pair rho over
-    _ENVELOPE_CELLS_PER_RHO: a pair's image is its reference carrier times
-    an envelope whose band is the pair's wavenumber tile. It spans
-    ``grid`` with two cells to spare below and at least two above on each
-    axis, the reach of the interpolator's four taps."""
-    step = [rho / _ENVELOPE_CELLS_PER_RHO for rho in finest_pair_resolution(scenario)]
+    Its pitch per axis is the finest single-pair rho of ``region``, the
+    run's coverage from one coverage pass, over _ENVELOPE_CELLS_PER_RHO: a
+    pair's image is its reference carrier times an envelope whose band is
+    its wavenumber tile. It spans ``grid`` with two cells to spare below and
+    at least two above on each axis, the reach of the interpolator's taps."""
+    step = [rho / _ENVELOPE_CELLS_PER_RHO for rho in finest_pair_resolution(region)]
     if not all(math.isfinite(d) for d in step):
         return None
     size = [math.floor((n - 1) * s / d) + 5 for n, s, d in zip(grid.size, grid.spacing, step)]
-    pairs, terms = scenario.pairing.active_pairs(), scenario.terminals
-    channels = sum(len(terms[l].tx_elements) * len(terms[k].rx_elements) for l, k in pairs)
+    channels, pairs = len(region.pairs), len({channel[:2] for channel in region.pairs})
     pixels = grid.size[0] * grid.size[1]
-    if size[0] * size[1] * channels + _UPSAMPLE_PIXCH * len(pairs) * pixels >= pixels * channels:
+    if size[0] * size[1] * channels + _UPSAMPLE_PIXCH * pairs * pixels >= pixels * channels:
         return None
     origin = Vec2(grid.origin.x - 2 * step[0], grid.origin.y - 2 * step[1])
     return ImageGrid(origin=origin, spacing=tuple(step), size=tuple(size))
@@ -447,7 +447,7 @@ def _reference_carriers(scenario: Scenario, grid: ImageGrid, pairs):
 
 def upsample_envelopes(images: list[ComplexImage], scenario: Scenario,
                        grid: ImageGrid) -> list[ComplexImage]:
-    """Resample pair images taken on ``envelope_grid(scenario, grid)``
+    """Resample pair images taken on ``envelope_grid(region, grid)``
     onto ``grid``. Per pair, the reference carrier is divided out on the
     coarse grid, the smooth envelope left is interpolated with separable
     four-tap Keys cubic weights, and the carrier is restored on ``grid``.

@@ -8,7 +8,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from netrad import cli, imaging, synth
+from netrad import cli, imaging, orchestrate, synth, wavenumber
 from netrad.fusion import fuse_coherent
 from netrad.imaging import pair_images
 from netrad.scene import load_scenario
@@ -238,7 +238,8 @@ def imaging_run(args):
     """The pair images of the CLI's imaging pipeline for ``fuse`` with
     ``args``, the scenario it read and the records it synthesized."""
     config = cli._build_parser().parse_args(["fuse", *map(str, args), "--out", "unused"])
-    scenario, kept, synthesize = cli._load_scenario(config), [], synth.synthesize
+    scenario = cli._select_pairs(config, cli._load_scenario(config))
+    kept, synthesize = [], synth.synthesize
 
     def keep(*call, **kwargs):
         kept.append(synthesize(*call, **kwargs))
@@ -247,6 +248,15 @@ def imaging_run(args):
     with patch.object(cli.synth, "synthesize", keep):
         images = cli._imaging_pipeline(config, scenario)
     return images, scenario, kept[0]
+
+
+def edited_scenario(tmp_path, name="lane_single_terminal.json", **changes):
+    """A copy of scenario file ``name`` with top-level keys replaced."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    doc.update(changes)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def relative_error(a, b):
@@ -292,7 +302,8 @@ class TestEnvelopeImaging:
         images, scenario, records = imaging_run(["--scenario", path, *grid_args])
         grid = images[0].grid
         assert grid.size == (size, size)
-        assert imaging.envelope_grid(scenario, grid) is not None
+        region = coverage_region(scenario, scenario.targets[0].position)
+        assert imaging.envelope_grid(region, grid) is not None
         exact = pair_images(records, scenario, grid)
         assert relative_error(fuse_coherent(exact).pixels, fuse_coherent(images).pixels) <= fused_bound
         assert max(relative_error(a.pixels, b.pixels) for a, b in zip(exact, images)) <= pair_bound
@@ -316,7 +327,8 @@ class TestEnvelopeImaging:
         images, scenario, records = imaging_run(
             ["--scenario", SCENARIOS / "lane_single_terminal.json"])
         (image,) = images
-        assert imaging.envelope_grid(scenario, image.grid) is None
+        region = coverage_region(scenario, scenario.targets[0].position)
+        assert imaging.envelope_grid(region, image.grid) is None
         assert records[0].t0 == suggest_window(scenario, image.grid)[0]
         (exact,) = pair_images(records, scenario, image.grid)
         assert np.array_equal(image.pixels, exact.pixels)
@@ -330,6 +342,40 @@ class TestEnvelopeImaging:
                             "--workers", workers, "--out", out]) == 0
             fused.append((out / "fused.csv").read_bytes())
         assert fused[0] == fused[1] == fused[2]
+
+
+class TestOneCoveragePass:
+    @pytest.mark.parametrize("args", [
+        ["image", "--scenario", SCENARIOS / "lane_single_terminal.json"],
+        ["fuse", "--scenario", SCENARIOS / "lane_multistatic.json"],
+        ["fuse", "--mode", "incoherent", "--scenario", SCENARIOS / "lane_multistatic.json"],
+        ["fuse", "--scenario", SCENARIOS / "lane_multistatic.json",
+         "--grid-spacing", "0.008", "--grid-margin-cells", "60"],
+        ["orchestrate", "--L", "4", "--scenario", SCENARIOS / "lane_base_100mhz.json"],
+    ], ids=["image", "fuse", "fuse-incoherent", "fuse-explicit-grid", "orchestrate"])
+    def test_imaging_pipeline_computes_coverage_once(self, tmp_path, args):
+        # the default pitch, the incoherent pitch and the envelope grid all
+        # reduce one region; a second pass used to come from default_grid
+        # and finest_pair_resolution each computing their own
+        coverage, pipeline, calls, depth = wavenumber.coverage_region, cli._imaging_pipeline, [], []
+
+        def counted(*call, **kwargs):
+            calls.extend(depth)
+            return coverage(*call, **kwargs)
+
+        def imaging_pipeline(*call, **kwargs):
+            depth.append("pipeline")
+            try:
+                return pipeline(*call, **kwargs)
+            finally:
+                depth.pop()
+
+        with patch.object(cli, "_imaging_pipeline", imaging_pipeline), \
+                patch.object(wavenumber, "coverage_region", counted), \
+                patch.object(imaging, "coverage_region", counted), \
+                patch.object(orchestrate, "coverage_region", counted):
+            assert run_cli([*args, "--out", tmp_path]) == 0
+        assert calls == ["pipeline"]
 
 
 class TestOrchestrate:
@@ -461,7 +507,7 @@ class TestFailures:
         assert "not overridable" in json.loads(capsys.readouterr().err)["error"]["message"]
 
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
-        # an output directory that cannot be made fails when the run starts
+        # an output directory that cannot be made fails once the inputs pass validation
         out = tmp_path / "taken"
         out.write_text("")
         code = run_cli(["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json", "--out", out])
@@ -591,6 +637,42 @@ class TestFailures:
             run_cli([*args, "--out", tmp_path])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        lambda tmp: ["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json", "--fs", "1e8"],
+        lambda tmp: ["fuse", "--scenario", tmp / "absent.json"],
+        lambda tmp: ["image", "--scenario", edited_scenario(tmp, f0_hz="28 GHz")],
+        lambda tmp: ["simulate", "--scenario", SCENARIOS / "lane_single_terminal.json",
+                     "--set", "bandwidth_hz=0"],
+        lambda tmp: ["coverage", "--scenario", edited_scenario(tmp, targets=[])],
+        lambda tmp: ["fuse", "--scenario", edited_scenario(tmp, targets=[])],
+        lambda tmp: ["orchestrate", "--scenario", edited_scenario(tmp, targets=[])],
+        lambda tmp: ["fuse", "--pairs", "mono", "--scenario", edited_scenario(
+            tmp, "lane_multistatic.json", pairing=[[int(k == l + 1) for k in range(5)] for l in range(5)])],
+        lambda tmp: ["report"],
+    ], ids=["fs-below-bandwidth", "missing-scenario", "schema-error", "invalid-scenario",
+            "coverage-no-targets", "fuse-no-targets", "orchestrate-no-targets", "no-pairs-left",
+            "report-missing-directory"])
+    def test_validation_failure_leaves_no_output_directory(self, tmp_path, capsys, args):
+        # --out and its parents used to be made before the inputs were checked
+        out = tmp_path / "out" / "run"
+        assert run_cli([*args(tmp_path), "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_run_makes_the_output_directory_with_its_parents(self, tmp_path):
+        out = tmp_path / "out" / "run"
+        assert run_cli(["coverage", "--scenario", SCENARIOS / "lane_single_terminal.json",
+                        "--out", out]) == 0
+        assert (out / "resolution.json").exists()
+
+    def test_runtime_failure_keeps_its_output_directory(self, tmp_path, capsys):
+        # validation passes and the directory is made; the coverage pass then fails
+        out = tmp_path / "out" / "run"
+        path = edited_scenario(tmp_path, targets=[{"position": [0.0, 0.0], "reflectivity": [1.0, 0.0]}])
+        assert run_cli(["fuse", "--scenario", path, "--out", out]) == 3
+        assert "coincides with the target" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert list(out.iterdir()) == []
 
     def test_report_without_metrics_exits_2(self, tmp_path, capsys):
         code = run_cli(["report", "--out", tmp_path])

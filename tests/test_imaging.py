@@ -397,13 +397,13 @@ class TestFinestPairResolution:
                        / "opposite_side.json").read_text()),
     ], ids=["lane", "opposite-side"])
     def test_equals_each_pair_predicted_alone(self, sc):
-        # one coverage pass grouped by pair gives exactly the finest rho of
+        # one coverage region grouped by pair gives exactly the finest rho of
         # the passes each pair would get on its own
         (target,) = sc.targets
         alone = [predicted_resolution(coverage_region(
             replace(sc, pairing=AssociationMatrix.from_pairs(sc.n_terminals, [pair])), target.position))
             for pair in sc.pairing.active_pairs()]
-        assert imaging.finest_pair_resolution(sc) == (
+        assert imaging.finest_pair_resolution(coverage_region(sc, target.position)) == (
             min(est.rho_x for est in alone), min(est.rho_y for est in alone))
 
 
