@@ -2,19 +2,19 @@
 """Time back-projection of the 25-pair lane fuse at one and two workers,
 and the CLI pipeline's envelope imaging at one worker.
 
-    python3 scripts/bp_timing.py [--reps 15] [--sizes 25,49,65,81,101,121] [--block-bytes N]
+    python3 scripts/bp_timing.py [--reps 15] [--sizes 25,49,65,81,101,121]
 
 Synthesizes `scenarios/lane_multistatic.json` once (3350 channels), then
 for each square grid, centred on the target at the default pixel pitch,
 times `imaging.pair_images` with workers 1 and 2 and the pipeline's
-imaging at one worker (`pair_images` on `imaging.envelope_grid` plus
-`imaging.upsample_envelopes`; `pair_images` itself where that grid is
-None), alternating, and prints the median and quartiles of each in
-milliseconds, the ratios of the medians, the coarse grid's size, the Rx
-elements each numpy call covers in one band, and the peak RSS so far of
-this process and of its largest forked band (``RUSAGE_CHILDREN``, which
-counts the pages a child shares with this process).
-``--block-bytes`` replaces the kernel's working-set budget per band.
+imaging at one worker (`pair_images` on `imaging.envelope_grid`, then
+`imaging.upsample_envelopes`, which passes through images already on the
+grid), alternating, and prints the median and quartiles of each in
+milliseconds, the ratios of the medians, the coarse grid's size ("direct"
+where `envelope_grid` returns the grid itself), the Rx elements each numpy
+call covers in one band, and the peak RSS so far of this process and of its
+largest forked band (``RUSAGE_CHILDREN``, which counts the pages a child
+shares with this process).
 """
 
 import argparse
@@ -36,11 +36,9 @@ from netrad.wavenumber import coverage_region  # noqa: E402
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--reps", type=int, default=15)
 parser.add_argument("--sizes", default="25,49,65,81,101,121")
-parser.add_argument("--block-bytes", type=int, default=imaging._BLOCK_BYTES)
 args = parser.parse_args()
 if args.reps < 1:
     parser.error(f"argument --reps: must be at least 1, got {args.reps}")
-imaging._BLOCK_BYTES = args.block_bytes
 sc = load_scenario((ROOT / "scenarios" / "lane_multistatic.json").read_text())
 step = default_grid(sc).spacing[0]
 target = sc.targets[0].position
@@ -52,16 +50,9 @@ def grid(n):
     return ImageGrid(Vec2(target.x - half, target.y - half), (step, step), (n, n))
 
 
-def envelope_images(records, g, coarse):
-    if coarse is None:
-        return pair_images(records, sc, g)
-    return upsample_envelopes(pair_images(records, sc, coarse), sc, g)
-
-
 sizes = [int(s) for s in args.sizes.split(",")]
-# the largest grid's coarse grid spans every smaller one's
-widest = grid(max(sizes))
-records = synthesize(sc, suggest_window(sc, envelope_grid(region, widest) or widest))
+# the largest grid's back-projection grid spans every smaller one's
+records = synthesize(sc, suggest_window(sc, envelope_grid(region, grid(max(sizes)))))
 print(f"{'grid':>5} {'1 worker p25/p50/p75 ms':>25} {'2 workers p25/p50/p75 ms':>26} {'1w/2w':>6}"
       f" {'envelope p25/p50/p75 ms':>25} {'1w/env':>6} {'coarse':>7}"
       f" {'elements':>8} {'peak RSS MB':>11} {'bands MB':>8}")
@@ -72,14 +63,14 @@ for n in sizes:
         for key in times:
             start = time.perf_counter()
             if key == "env":
-                envelope_images(records, g, coarse)
+                upsample_envelopes(pair_images(records, sc, coarse), sc, g)
             else:
                 pair_images(records, sc, g, workers=key)
             times[key].append(1e3 * (time.perf_counter() - start))
     # one rep is its own quartiles
     q = {w: statistics.quantiles(t, n=4) if len(t) > 1 else t * 3 for w, t in times.items()}
     cells = ["/".join(f"{v:.1f}" for v in q[w]) for w in times]
-    size = "direct" if coarse is None else f"{coarse.size[0]}x{coarse.size[1]}"
+    size = "direct" if coarse == g else f"{coarse.size[0]}x{coarse.size[1]}"
     per_block = imaging._block_elements(n * n)
     rss_mb = [resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]

@@ -130,9 +130,10 @@ def _select_pairs(config: argparse.Namespace, scenario: scene.Scenario) -> scene
     return replace(scenario, pairing=pairing)
 
 
-def _imaging_pipeline(config: argparse.Namespace,
-                      scenario: scene.Scenario) -> list[imaging.ComplexImage]:
-    """The pair images of ``scenario``, whose pairs the caller selected."""
+def _imaging_grids(config: argparse.Namespace,
+                   scenario: scene.Scenario) -> tuple[scene.ImageGrid, scene.ImageGrid]:
+    """The grid to image ``scenario`` on and the grid to back-project on
+    (``imaging.envelope_grid``), from one coverage region freed on return."""
     region = wavenumber.coverage_region(scenario, imaging.target_box(scenario)[2])
     spacing = config.grid_spacing
     # the default pitch resolves the selected pairs; incoherent fusion adds
@@ -143,14 +144,18 @@ def _imaging_pipeline(config: argparse.Namespace,
         est = wavenumber.predicted_resolution(region)
         spacing = imaging.default_spacing(est.rho_x, est.rho_y)
     grid = imaging.default_grid(scenario, config.grid_margin_cells, spacing)
-    # each pair is back-projected at its envelope's sampling and upsampled,
-    # where that costs fewer pixel-channels than imaging on the grid itself
-    coarse = imaging.envelope_grid(region, grid)
-    window = synth.suggest_window(scenario, coarse or grid)
+    return grid, imaging.envelope_grid(region, grid)
+
+
+def _imaging_pipeline(config: argparse.Namespace,
+                      scenario: scene.Scenario) -> list[imaging.ComplexImage]:
+    """The pair images of ``scenario``, whose pairs the caller selected."""
+    grid, bp_grid = _imaging_grids(config, scenario)
+    window = synth.suggest_window(scenario, bp_grid)
     records = synth.synthesize(scenario, window, fs=config.fs)
-    images = imaging.pair_images(records, scenario, coarse or grid, workers=config.workers)
+    images = imaging.pair_images(records, scenario, bp_grid, workers=config.workers)
     del records  # freed before the upsampled images are allocated: it bounds the peak memory
-    return images if coarse is None else imaging.upsample_envelopes(images, scenario, grid)
+    return imaging.upsample_envelopes(images, scenario, grid)
 
 
 def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:

@@ -40,12 +40,12 @@ box centre; ``default_spacing`` holds the pitch rule. It images each pair
 in two steps. A pair's image holds only its own wavenumber tile: it is a
 reference carrier exp(j*omega*tau_ref), tau_ref the delay through the
 pair's mean Tx and mean Rx element, times an envelope about one single-pair
-rho wide. ``envelope_grid`` sets a coarse pitch of the region's finest
-single-pair rho / 8 per axis, two cells beyond the fine grid per side;
-``pair_images`` images on it and ``upsample_envelopes`` divides out the
-carrier, upsamples the envelope with separable four-tap Keys cubic weights
-and restores the carrier on the fine grid. Where that would not cost fewer
-pixel-channels, the CLI calls ``pair_images`` on the fine grid. On the
+rho wide. ``envelope_grid`` returns the grid to back-project on: a coarse
+pitch of the region's finest single-pair rho / 8 per axis, two cells beyond
+the fine grid per side, or the fine grid where that saves no pixel-channels.
+``pair_images`` images on it; ``upsample_envelopes`` divides out the carrier,
+upsamples the envelope with separable four-tap Keys cubic weights, restores
+the carrier on the fine grid and passes images already on it through. On the
 25-pair lane the result is within 2.4e-3 (49x49) and 3.2e-3 (121x121) of
 the fused peak, and 1.6e-2 of each pair's peak, of ``pair_images`` on the
 same records; ``pair_images`` and ``point_spread`` stay exact.
@@ -339,13 +339,15 @@ def target_box(scenario: Scenario) -> tuple[Vec2, Vec2, Vec2]:
 def finest_pair_resolution(region: WavenumberRegion) -> tuple[float, float]:
     """The finest rho per axis that one pair of ``region`` resolves alone:
     ``predicted_resolution`` of each (tx, rx) terminal group's ends."""
-    rows: dict[tuple[int, int], list[int]] = {}
-    for i, channel in enumerate(region.pairs):
-        rows.setdefault(channel[:2], []).append(i)
+    # one integer key per (tx, rx) pair: terminal indices lie far below 2**32
+    key = np.fromiter((l << 32 | k for l, k, _, _ in region.pairs), np.int64, len(region.pairs))
+    order = np.argsort(key, kind="stable")  # a pair's rows need not be contiguous
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     ends = region.samples[:, [0, -1]]
+    lo, hi = ends.min(axis=1)[order], ends.max(axis=1)[order]
+    extents = np.maximum.reduceat(hi, starts) - np.minimum.reduceat(lo, starts)
     # 2*pi/dk falls as dk grows, so the widest pair extent gives the finest rho
-    widest = np.max([np.ptp(ends[r].reshape(-1, 2), axis=0) for r in rows.values()], axis=0)
-    return tuple(TWO_PI / dk if dk > 0.0 else math.inf for dk in widest.tolist())
+    return tuple(TWO_PI / dk if dk > 0.0 else math.inf for dk in extents.max(axis=0).tolist())
 
 
 def default_spacing(rho_x: float, rho_y: float) -> float:
@@ -370,10 +372,10 @@ def default_grid(scenario: Scenario, margin_cells: int = 24,
     return ImageGrid(origin=origin, spacing=(spacing, spacing), size=(nx, ny))
 
 
-def envelope_grid(region: WavenumberRegion, grid: ImageGrid) -> ImageGrid | None:
-    """The coarse grid on which ``upsample_envelopes`` samples the pair
-    images of ``grid``, or None where imaging on it and upsampling would
-    not cost fewer pixel-channels than imaging on ``grid`` directly.
+def envelope_grid(region: WavenumberRegion, grid: ImageGrid) -> ImageGrid:
+    """The grid to back-project the pair images of ``grid`` on: the coarse
+    grid ``upsample_envelopes`` samples them from, or ``grid`` itself where
+    that would not cost fewer pixel-channels than imaging on ``grid`` directly.
 
     Its pitch per axis is the finest single-pair rho of ``region``, the
     run's coverage from one coverage pass, over _ENVELOPE_CELLS_PER_RHO: a
@@ -382,12 +384,12 @@ def envelope_grid(region: WavenumberRegion, grid: ImageGrid) -> ImageGrid | None
     at least two above on each axis, the reach of the interpolator's taps."""
     step = [rho / _ENVELOPE_CELLS_PER_RHO for rho in finest_pair_resolution(region)]
     if not all(math.isfinite(d) for d in step):
-        return None
+        return grid
     size = [math.floor((n - 1) * s / d) + 5 for n, s, d in zip(grid.size, grid.spacing, step)]
     channels, pairs = len(region.pairs), len({channel[:2] for channel in region.pairs})
     pixels = grid.size[0] * grid.size[1]
     if size[0] * size[1] * channels + _UPSAMPLE_PIXCH * pairs * pixels >= pixels * channels:
-        return None
+        return grid
     origin = Vec2(grid.origin.x - 2 * step[0], grid.origin.y - 2 * step[1])
     return ImageGrid(origin=origin, spacing=tuple(step), size=tuple(size))
 
@@ -447,14 +449,14 @@ def _reference_carriers(scenario: Scenario, grid: ImageGrid, pairs):
 
 def upsample_envelopes(images: list[ComplexImage], scenario: Scenario,
                        grid: ImageGrid) -> list[ComplexImage]:
-    """Resample pair images taken on ``envelope_grid(region, grid)``
-    onto ``grid``. Per pair, the reference carrier is divided out on the
-    coarse grid, the smooth envelope left is interpolated with separable
-    four-tap Keys cubic weights, and the carrier is restored on ``grid``.
-    Each tap sum is a fixed sequence of elementwise numpy ops, so the
-    result does not depend on threading."""
-    if not images:
-        return []
+    """Resample pair images taken on ``envelope_grid(region, grid)`` onto
+    ``grid``, passing images already on ``grid`` through. Per pair, the
+    reference carrier is divided out on the coarse grid, the smooth envelope
+    left is interpolated with separable four-tap Keys cubic weights, and the
+    carrier is restored on ``grid``. Each tap sum is a fixed sequence of
+    elementwise numpy ops, so the result does not depend on threading."""
+    if not images or images[0].grid == grid:
+        return images
     coarse, pairs = images[0].grid, [image.provenance for image in images]
     taps = [_keys_taps((fine - lo) / d, n) for fine, lo, d, n in zip(
         (grid.x_coords, grid.y_coords), (coarse.origin.x, coarse.origin.y), coarse.spacing, coarse.size)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .scene import AssociationMatrix, PointTarget, Scenario, Terminal, Vec2, distance
+from .scene import AssociationMatrix, Scenario, Terminal, Vec2, distance
 from .wavenumber import (
     ResolutionEstimate,
     coverage_region,
@@ -164,8 +164,10 @@ def tessellated_plan(
     angles = tessellation_angles(psi_0, f0, bandwidth, count)
     positions = angles_to_positions(angles, target, stand_off)
     pairing = AssociationMatrix.full(count)
-    probe = plan_scenario_prototype(positions, pairing, f0, bandwidth, target)
-    est = predicted_resolution(coverage_region(probe, target))
+    # point terminals keep each tile on its segment; coverage reads no targets
+    placed = Scenario(terminals=_point_terminals(positions), targets=(), f0=f0,
+                      bandwidth=bandwidth, pairing=pairing)
+    est = predicted_resolution(coverage_region(placed, target))
     return OrchestrationPlan(
         angles=tuple(angles), positions=tuple(positions), pairing=pairing, predicted=est
     )
@@ -173,29 +175,6 @@ def tessellated_plan(
 
 def _point_terminals(positions) -> tuple[Terminal, ...]:
     return tuple(Terminal(i, p, tx_elements=(p,), rx_elements=(p,)) for i, p in enumerate(positions))
-
-
-def plan_scenario_prototype(
-    positions,
-    pairing: AssociationMatrix,
-    f0: float,
-    bandwidth: float,
-    target: Vec2,
-) -> Scenario:
-    """Single-element-terminal scenario realizing a plan's placements.
-
-    Point terminals keep the coverage tiles exactly on the tessellated
-    segments; array apertures (for cross-range resolution) can be sized
-    separately with aperture_for_cross_range and substituted by the
-    caller if needed.
-    """
-    return Scenario(
-        terminals=_point_terminals(positions),
-        targets=(PointTarget(position=target, reflectivity=1.0 + 0.0j),),
-        f0=f0,
-        bandwidth=bandwidth,
-        pairing=pairing,
-    )
 
 
 def scenario_from_plan(base: Scenario, plan_: OrchestrationPlan) -> Scenario:

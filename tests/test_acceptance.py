@@ -27,7 +27,7 @@ from netrad.imaging import pair_images, point_spread
 from netrad.fusion import FusionWeights, fuse_coherent, fuse_incoherent
 from netrad.metrics import compute_metrics, peak_snr
 from netrad.orchestrate import (
-    plan_scenario_prototype,
+    scenario_from_plan,
     tessellated_plan,
 )
 from netrad.synth import suggest_window, synthesize
@@ -200,12 +200,11 @@ def test_criterion_06_orchestration_4x():
             assert abs(math.sin(cur) * hi - math.sin(prev) * lo) <= 1e-12 * hi
 
         grid = column_grid(0.0, 14.0, 26.0, 0.045)
-        single = plan_scenario_prototype(
-            plan.positions[:1], AssociationMatrix.identity(1), F0, band, TARGET
-        )
-        tessellated = plan_scenario_prototype(
-            plan.positions, AssociationMatrix.identity(4), F0, band, TARGET
-        )
+        # point terminals at the planned positions, each imaging itself alone
+        base = lane_scenario(n_terminals=1, m_rx=1, bandwidth=band)
+        single = scenario_from_plan(base, replace(
+            plan, positions=plan.positions[:1], pairing=AssociationMatrix.identity(1)))
+        tessellated = scenario_from_plan(base, replace(plan, pairing=AssociationMatrix.identity(4)))
         rho_single = compute_metrics(fused_image(single, grid)).rho_y_meas
         rho_fused = compute_metrics(fused_image(tessellated, grid)).rho_y_meas
         assert rho_fused == pytest.approx(rho_single / 4.0, rel=0.25)

@@ -239,15 +239,18 @@ def imaging_run(args):
     ``args``, the scenario it read and the records it synthesized."""
     config = cli._build_parser().parse_args(["fuse", *map(str, args), "--out", "unused"])
     scenario = cli._select_pairs(config, cli._load_scenario(config))
-    kept, synthesize = [], synth.synthesize
-
-    def keep(*call, **kwargs):
-        kept.append(synthesize(*call, **kwargs))
-        return kept[-1]
-
-    with patch.object(cli.synth, "synthesize", keep):
+    kept = []
+    with patch.object(cli.synth, "synthesize", recording(kept, synth.synthesize)):
         images = cli._imaging_pipeline(config, scenario)
     return images, scenario, kept[0]
+
+
+def recording(results, function):
+    """``function``, appending each result it returns to ``results``."""
+    def record(*call, **kwargs):
+        results.append(function(*call, **kwargs))
+        return results[-1]
+    return record
 
 
 def edited_scenario(tmp_path, name="lane_single_terminal.json", **changes):
@@ -303,7 +306,7 @@ class TestEnvelopeImaging:
         grid = images[0].grid
         assert grid.size == (size, size)
         region = coverage_region(scenario, scenario.targets[0].position)
-        assert imaging.envelope_grid(region, grid) is not None
+        assert imaging.envelope_grid(region, grid) != grid
         exact = pair_images(records, scenario, grid)
         assert relative_error(fuse_coherent(exact).pixels, fuse_coherent(images).pixels) <= fused_bound
         assert max(relative_error(a.pixels, b.pixels) for a, b in zip(exact, images)) <= pair_bound
@@ -328,10 +331,32 @@ class TestEnvelopeImaging:
             ["--scenario", SCENARIOS / "lane_single_terminal.json"])
         (image,) = images
         region = coverage_region(scenario, scenario.targets[0].position)
-        assert imaging.envelope_grid(region, image.grid) is None
+        assert imaging.envelope_grid(region, image.grid) is image.grid
         assert records[0].t0 == suggest_window(scenario, image.grid)[0]
         (exact,) = pair_images(records, scenario, image.grid)
         assert np.array_equal(image.pixels, exact.pixels)
+
+    @pytest.mark.parametrize("args", [
+        ["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json"],
+        ["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json", "--grid-spacing", "0.4"],
+        ["orchestrate", "--L", "4", "--scenario", SCENARIOS / "lane_base_100mhz.json",
+         "--grid-spacing", "0.01", "--grid-margin-cells", "60"],
+    ], ids=["single-default", "single-0.4", "golden-orchestrate"])
+    def test_direct_runs_back_project_on_the_grid_itself(self, tmp_path, args):
+        # envelope_grid hands back the requested grid, and upsample_envelopes
+        # the images pair_images made on it
+        grids, made, upsampled = [], [], []
+        with patch.object(cli, "_imaging_grids", recording(grids, cli._imaging_grids)), \
+                patch.object(imaging, "pair_images", recording(made, imaging.pair_images)), \
+                patch.object(imaging, "upsample_envelopes", recording(upsampled, imaging.upsample_envelopes)):
+            assert run_cli([*args, "--out", tmp_path]) == 0
+        ((grid, bp_grid),), (images,), (returned,) = grids, made, upsampled
+        assert bp_grid is grid
+        assert returned is images
+
+    def test_upsampling_passes_images_on_the_grid_through(self):
+        images, scenario, _ = imaging_run(["--scenario", SCENARIOS / "lane_multistatic.json"])
+        assert imaging.upsample_envelopes(images, scenario, images[0].grid) is images
 
     def test_fused_image_does_not_depend_on_workers(self, tmp_path):
         fused = []

@@ -391,20 +391,35 @@ class TestDefaultGrid:
 
 
 class TestFinestPairResolution:
-    @pytest.mark.parametrize("sc", [
+    scenarios = pytest.mark.parametrize("sc", [
         lane_scenario(n_terminals=3, m_rx=6),
         load_scenario((Path(__file__).resolve().parent.parent / "scenarios"
                        / "opposite_side.json").read_text()),
     ], ids=["lane", "opposite-side"])
+
+    @staticmethod
+    def finest_alone(sc, target):
+        """The finest rho per axis over the passes each pair gets on its own."""
+        alone = [predicted_resolution(coverage_region(
+            replace(sc, pairing=AssociationMatrix.from_pairs(sc.n_terminals, [pair])), target))
+            for pair in sc.pairing.active_pairs()]
+        return min(est.rho_x for est in alone), min(est.rho_y for est in alone)
+
+    @scenarios
     def test_equals_each_pair_predicted_alone(self, sc):
         # one coverage region grouped by pair gives exactly the finest rho of
         # the passes each pair would get on its own
         (target,) = sc.targets
-        alone = [predicted_resolution(coverage_region(
-            replace(sc, pairing=AssociationMatrix.from_pairs(sc.n_terminals, [pair])), target.position))
-            for pair in sc.pairing.active_pairs()]
         assert imaging.finest_pair_resolution(coverage_region(sc, target.position)) == (
-            min(est.rho_x for est in alone), min(est.rho_y for est in alone))
+            self.finest_alone(sc, target.position))
+
+    @scenarios
+    def test_does_not_rely_on_a_pairs_rows_being_contiguous(self, sc):
+        (target,) = sc.targets
+        region = coverage_region(sc, target.position)
+        order = np.random.default_rng(0).permutation(len(region.pairs))
+        shuffled = replace(region, pairs=tuple(region.pairs[i] for i in order), samples=region.samples[order])
+        assert imaging.finest_pair_resolution(shuffled) == self.finest_alone(sc, target.position)
 
 
 class TestExports:

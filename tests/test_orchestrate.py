@@ -10,7 +10,6 @@ from netrad.orchestrate import (
     angles_to_positions,
     default_stand_off,
     plan,
-    plan_scenario_prototype,
     scenario_from_plan,
     tessellated_plan,
     tessellation_angles,
@@ -93,11 +92,19 @@ class TestTessellatedPlan:
     def test_predicted_resolution_quarters(self):
         # four contiguous B=100 MHz acquisitions behave like one 4B band
         p = tessellated_plan(F0, B100, 4, TARGET, 20.0)
-        single = plan_scenario_prototype(
-            p.positions[:1], AssociationMatrix.identity(1), F0, B100, TARGET
-        )
+        single = scenario_from_plan(lane_scenario(n_terminals=1, m_rx=1, bandwidth=B100), replace(
+            p, positions=p.positions[:1], pairing=AssociationMatrix.identity(1)))
         est1 = predicted_resolution(coverage_region(single, TARGET, n_freq=16))
         assert p.predicted.rho_y == pytest.approx(est1.rho_y / 4.0, rel=0.05)
+
+    @pytest.mark.parametrize("count, psi_0", [(4, math.pi / 2), (3, math.radians(60))],
+                             ids=["L4-broadside", "L3-60deg"])
+    def test_predicts_the_scenario_it_plans(self, count, psi_0):
+        # plan.json's prediction, made without targets, is that of the
+        # scenario the CLI images, whose base holds one at TARGET
+        base = lane_scenario(n_terminals=1, m_rx=1, bandwidth=B100)
+        p = tessellated_plan(F0, B100, count, TARGET, 20.0, psi_0=psi_0)
+        assert p.predicted == predicted_resolution(coverage_region(scenario_from_plan(base, p), TARGET))
 
     def test_angles_monotone_in_sine(self):
         p = tessellated_plan(F0, B100, 5, TARGET, 20.0)
