@@ -61,6 +61,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvrows import write_csv
 from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2
 from .synth import SignalRecord, suggest_window, synthesize
 from .wavenumber import TWO_PI, WavenumberRegion, coverage_region, predicted_resolution
@@ -339,15 +340,9 @@ def target_box(scenario: Scenario) -> tuple[Vec2, Vec2, Vec2]:
 def finest_pair_resolution(region: WavenumberRegion) -> tuple[float, float]:
     """The finest rho per axis that one pair of ``region`` resolves alone:
     ``predicted_resolution`` of each (tx, rx) terminal group's ends."""
-    # one integer key per (tx, rx) pair: terminal indices lie far below 2**32
-    key = np.fromiter((l << 32 | k for l, k, _, _ in region.pairs), np.int64, len(region.pairs))
-    order = np.argsort(key, kind="stable")  # a pair's rows need not be contiguous
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    ends = region.samples[:, [0, -1]]
-    lo, hi = ends.min(axis=1)[order], ends.max(axis=1)[order]
-    extents = np.maximum.reduceat(hi, starts) - np.minimum.reduceat(lo, starts)
     # 2*pi/dk falls as dk grows, so the widest pair extent gives the finest rho
-    return tuple(TWO_PI / dk if dk > 0.0 else math.inf for dk in extents.max(axis=0).tolist())
+    extents = region.pair_extents.max(axis=0).tolist()
+    return tuple(TWO_PI / dk if dk > 0.0 else math.inf for dk in extents)
 
 
 def default_spacing(rho_x: float, rho_y: float) -> float:
@@ -386,7 +381,7 @@ def envelope_grid(region: WavenumberRegion, grid: ImageGrid) -> ImageGrid:
     if not all(math.isfinite(d) for d in step):
         return grid
     size = [math.floor((n - 1) * s / d) + 5 for n, s, d in zip(grid.size, grid.spacing, step)]
-    channels, pairs = len(region.pairs), len({channel[:2] for channel in region.pairs})
+    channels, pairs = len(region.pairs), len(region.pair_extents)
     pixels = grid.size[0] * grid.size[1]
     if size[0] * size[1] * channels + _UPSAMPLE_PIXCH * pairs * pixels >= pixels * channels:
         return grid
@@ -473,13 +468,11 @@ def upsample_envelopes(images: list[ComplexImage], scenario: Scenario,
 # --- exports ----------------------------------------------------------------
 
 def export_image_csv(image: ComplexImage, path) -> None:
-    """Write pixels as (x, y, re, im) rows, x-major; the shared y column is formatted once."""
-    fmt = "".join(f"\0,{yv:.9g},%.9g,%.9g\n" for yv in image.grid.y_coords.tolist())
-    re_im = np.ascontiguousarray(image.pixels).view(float)  # [ix, 2 * iy + (0 re | 1 im)]
-    with open(path, "w") as fh:
-        fh.write("x_m,y_m,re,im\n")
-        for xv, column in zip(image.grid.x_coords.tolist(), re_im):
-            fh.write(fmt.replace("\0", f"{xv:.9g}") % tuple(column.tolist()))
+    """Write pixels as (x, y, re, im) rows, x-major."""
+    grid = image.grid
+    re_im = np.ascontiguousarray(image.pixels).view(float).reshape(*grid.size, 2)
+    write_csv(path, "x_m,y_m,re,im",
+              grid.x_coords[:, None, None], grid.y_coords[None, :, None], re_im)
 
 
 def export_image_pgm(image: ComplexImage, path, dynamic_range_db: float) -> None:

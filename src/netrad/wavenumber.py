@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .csvrows import write_csv
 from .scene import SPEED_OF_LIGHT, Scenario, Vec2
 
 TWO_PI = 2.0 * math.pi
@@ -58,6 +59,21 @@ class WavenumberRegion:
     def tiles(self) -> tuple[WavenumberTile, ...]:
         """Per-channel views of ``samples``."""
         return tuple(WavenumberTile(p, s, self.freqs) for p, s in zip(self.pairs, self.samples))
+
+    @cached_property
+    def pair_extents(self) -> np.ndarray:  # grouped on first read: once per region
+        """(pairs, 2) k_x and k_y extents of each (tx, rx) terminal pair's band edges."""
+        return _pair_extents(self.pairs, self.samples)
+
+
+def _pair_extents(pairs, samples: np.ndarray) -> np.ndarray:
+    # one integer key per (tx, rx) pair: terminal indices lie far below 2**32
+    key = np.fromiter((l << 32 | k for l, k, _, _ in pairs), np.int64, len(pairs))
+    order = np.argsort(key, kind="stable")  # a pair's rows need not be contiguous
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    ends = samples[:, [0, -1]]
+    lo, hi = ends.min(axis=1)[order], ends.max(axis=1)[order]
+    return np.maximum.reduceat(hi, starts) - np.minimum.reduceat(lo, starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,17 +262,12 @@ def bistatic_loss(alpha: float) -> float:
 # --- exports ----------------------------------------------------------------
 
 def export_coverage_csv(region: WavenumberRegion, path) -> None:
-    """Write (pair_id, k_x, k_y, f_hz) rows per channel, formatting the shared f_hz column once."""
-    fmt = "".join(f"\0,%.9g,%.9g,{f:.9g}\n" for f in region.freqs.tolist())
-    with open(path, "w") as fh:
-        fh.write("pair_id,k_x,k_y,f_hz\n")
-        for pair, samples in zip(region.pairs, region.samples):
-            fh.write(fmt.replace("\0", "-".join(map(str, pair))) % tuple(samples.ravel().tolist()))
+    """Write (pair_id, k_x, k_y, f_hz) rows per channel and frequency."""
+    pair_ids = np.array(["%d-%d-%d-%d" % pair for pair in region.pairs])
+    write_csv(path, "pair_id,k_x,k_y,f_hz",
+              pair_ids[:, None, None], region.samples, region.freqs[None, :, None])
 
 
 def export_hull_csv(estimate: ResolutionEstimate, path) -> None:
     """Write hull polygon vertices as (k_x, k_y) rows."""
-    with open(path, "w") as fh:
-        fh.write("k_x,k_y\n")
-        for x, y in estimate.hull.tolist():
-            fh.write(f"{x:.9g},{y:.9g}\n")
+    write_csv(path, "k_x,k_y", estimate.hull[:, None, :])

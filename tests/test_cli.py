@@ -402,6 +402,16 @@ class TestOneCoveragePass:
             assert run_cli([*args, "--out", tmp_path]) == 0
         assert calls == ["pipeline"]
 
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    def test_pairs_are_grouped_once(self, tmp_path, mode):
+        # the incoherent pitch and the envelope grid read one grouping of the
+        # region's channels by (tx, rx) pair; incoherent fuse used to group twice
+        groupings = []
+        with patch.object(wavenumber, "_pair_extents", recording(groupings, wavenumber._pair_extents)):
+            assert run_cli(["fuse", "--mode", mode, "--scenario", SCENARIOS / "lane_multistatic.json",
+                            "--out", tmp_path]) == 0
+        assert len(groupings) == 1
+
 
 class TestOrchestrate:
     def test_plan_quadruples_predicted_resolution(self, tmp_path):
