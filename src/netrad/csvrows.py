@@ -90,7 +90,7 @@ def _numbers(values: np.ndarray, out: np.ndarray) -> None:
     words[:, 2] = m - 10000 * middle
     words[:, 0] = lead + 10000 + 10 * (v < 0)
     kept = np.maximum(digits[0].take(middle, mode="clip"), digits[1].take(words[:, 2], mode="clip"))
-    cells = out.reshape(*values.shape, 3, copy=False)
+    cells = out.reshape(*values.shape, 3)  # splits out's unit-stride last axis: a view
     masks.take((10 * e + kept).reshape(values.shape), axis=0, mode="clip", out=cells)
     cells &= text.take(words, mode="clip").reshape(cells.shape)
     if len(slow := np.flatnonzero(~fast)):

@@ -425,21 +425,6 @@ class TestFinestPairResolution:
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def envelope_grid_counting_each_channel(region, grid):
-    """``imaging.envelope_grid`` as it was when it counted pairs with a set
-    of each channel's (tx, rx) terminals."""
-    step = [rho / imaging._ENVELOPE_CELLS_PER_RHO for rho in imaging.finest_pair_resolution(region)]
-    if not all(math.isfinite(d) for d in step):
-        return grid
-    size = [math.floor((n - 1) * s / d) + 5 for n, s, d in zip(grid.size, grid.spacing, step)]
-    channels, pairs = len(region.pairs), len({channel[:2] for channel in region.pairs})
-    pixels = grid.size[0] * grid.size[1]
-    if size[0] * size[1] * channels + imaging._UPSAMPLE_PIXCH * pairs * pixels >= pixels * channels:
-        return grid
-    origin = Vec2(grid.origin.x - 2 * step[0], grid.origin.y - 2 * step[1])
-    return ImageGrid(origin=origin, spacing=tuple(step), size=tuple(size))
-
-
 class TestEnvelopeGrid:
     scenarios = pytest.mark.parametrize("name", [
         "lane_multistatic.json", "opposite_side.json", "lane_single_terminal.json"])
@@ -453,14 +438,7 @@ class TestEnvelopeGrid:
             replace(sc, pairing=AssociationMatrix.from_pairs(sc.n_terminals, [pair])), target))
             for pair in sorted(sc.pairing.active_pairs())]
         assert np.array_equal(region.pair_extents, [[est.dk_x, est.dk_y] for est in alone])
-
-    @scenarios
-    def test_grid_equals_the_one_from_pairs_counted_per_channel(self, name):
-        sc = load_scenario((SCENARIOS / name).read_text())
-        region = coverage_region(sc, imaging.target_box(sc)[2])
-        for grid in (default_grid(sc), default_grid(sc, 60, 0.008), default_grid(sc, 3, 0.4)):
-            assert imaging.envelope_grid(region, grid) == envelope_grid_counting_each_channel(
-                region, grid)
+        assert len(region.pair_extents) == len({channel[:2] for channel in region.pairs})
 
 
 class TestExports:
