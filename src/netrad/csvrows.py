@@ -42,7 +42,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     up to the last non-zero one, plus 40, by the value of the middle and
     of the last four digits; and the keep-masks by 10 * exponent + digits
     printed + 40."""
-    g = np.arange(10000, dtype=np.uint16)  # small dtypes: no temporary outgrows the tables
+    g = np.arange(10000)  # intp, not small dtypes: fewer numpy loops paged in for the tables alone
     text = np.zeros((10020, 8), np.uint8)
     text[:10000, 0::2] = ord(".")
     for i, place in enumerate((1000, 100, 10, 1)):
@@ -50,10 +50,10 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     text[10000:, [0, 2, 3, 4, 5, 6]] = np.frombuffer(b",0.000", np.uint8)
     text[10010:, 1] = ord("-")
     text[10000:, 7] = np.arange(20) % 10 + ord("0")
-    length = np.full(10000, 4, np.uint8)
+    length = np.full(10000, 4)
     for place in (10, 100, 1000, 10000):
-        length -= g % place == 0
-    digits = np.stack([1 + length, np.where(g > 0, 5 + length, 0)]) + 40
+        length[g % place == 0] -= 1
+    digits = (np.stack([1 + length, np.where(g > 0, 5 + length, 0)]) + 40).astype(np.uint8)
     exp = np.arange(-4, 9)[:, None]
     kept = np.maximum(np.arange(10), exp + 1)  # integer digits always print
     keep = np.zeros((13, 10, 24), bool)
