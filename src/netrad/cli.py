@@ -342,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     imaged.add_argument("--dyn-range", dest="dynamic_range_db", metavar="DYN_RANGE", type=float,
                         default=40.0, help="raster dynamic range in dB (default %(default)g)")
     imaged.add_argument("--workers", type=int, default=1,
-                        help="most back-projection processes (default %(default)d; "
-                             "results do not depend on it)")
+                        help="most back-projection processes, one per 1.5 M pixel-channels "
+                             "at most (default %(default)d; results do not depend on it)")
     imaged.add_argument("--grid-spacing", type=float,
                         help="pixel spacing in m (default: finest predicted rho / 4)")
     imaged.add_argument("--grid-margin-cells", type=int, default=24,

@@ -16,13 +16,15 @@ per Tx element and one delay map and phase per Rx element serve every
 pair using the element. Each (pair, Tx element) sums its channels without
 the Tx phase, by ascending Rx element and then record order; Tx phases
 are applied last, by ascending Tx element. Workers split the x rows into
-equal bands, each imaged by a forked process into one shared mapping.
-A band takes Rx elements in blocks of B = max(1, _BLOCK_BYTES //
-(_PIXCH_BYTES * band pixels)): each numpy call of a channel's op chain
-covers the block's channels of one (pair, Tx element), whose rows are
-then added one after another. The order is fixed per pixel: a pair's
-image is bit-identical for any worker count, block size and co-imaged
-pairs.
+equal bands, each imaged by a forked process into one shared mapping:
+one band per _BAND_PIXCH pixel-channels, as a smaller band does not repay
+its fork, and at most one per row, worker and CPU. A band takes Rx
+elements in blocks of B = max(1, _BLOCK_BYTES // (_PIXCH_BYTES * band
+pixels)), in buffers it allocates once for every receive terminal: each
+numpy call of a channel's op chain covers the block's channels of one
+(pair, Tx element), whose rows are then added one after another. The
+order is fixed per pixel: a pair's image is bit-identical for any worker
+count, block size and co-imaged pairs.
 
 A delay map is r/c with r the square root of the broadcast squared x and
 y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
@@ -74,6 +76,12 @@ _PIXCH_BYTES = 72
 # and 2 on 121x121, 119 and 29 on the lane's 16x16 and 32x32 envelope
 # grids, in one band. Small grids are bound by the call count.
 _BLOCK_BYTES = 2_200_000
+# pixel-channels a band must image to repay its fork: on the 25-pair lane
+# at two workers and two CPUs (scripts/bp_timing.py, every band forked), two
+# bands ran at 0.64-0.68x the speed of one on 16x16 to 24x24 grids (0.86 M to
+# 1.93 M pixel-channels), 0.76-1.01x on 32x32 (3.43 M) and 1.2-1.7x from
+# 36x36 (4.34 M) up
+_BAND_PIXCH = 1_500_000
 # coarse pixels per finest single-pair rho on each axis of an envelope grid
 _ENVELOPE_CELLS_PER_RHO = 8
 # Keys cubic convolution parameter: -0.5 is the one that reproduces quadratics
@@ -185,6 +193,15 @@ def _check_window(rec: SignalRecord, tau: np.ndarray) -> None:
         )
 
 
+def _band_count(pixch: int, rows: int, workers: int) -> int:
+    """Row bands to image ``pixch`` pixel-channels of ``rows`` x rows in:
+    one per _BAND_PIXCH, at most one per row, worker and CPU, and one
+    where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(rows, workers, os.cpu_count() or 1, pixch // _BAND_PIXCH))
+
+
 def pair_images(
     records: list[SignalRecord],
     scenario: Scenario,
@@ -198,97 +215,109 @@ def pair_images(
     inside each record's time window. Records are interpolated linearly
     between samples; ``synth.default_sample_rate`` states the error bound.
     Every window is checked once, before any band runs, against the bound
-    that ``synth.suggest_window`` sizes windows for ``grid`` from. Up to
-    ``workers`` processes (at most one per CPU, one where ``os.fork`` is
-    missing) then image equal bands of x rows; the images and any error
-    do not depend on their number.
+    that ``synth.suggest_window`` sizes windows for ``grid`` from. Equal
+    bands of x rows are then imaged by forked processes, one band per
+    _BAND_PIXCH pixel-channels (pixels times records), at most ``workers``
+    and at most one per CPU, in one process where ``os.fork`` is missing;
+    the images and any error do not depend on their number.
     """
-    pairs = list(dict.fromkeys(rec.channel[:2] for rec in records))
+    x, y = grid.x_coords[:, None], grid.y_coords[None, :]
+    omega = 2.0 * math.pi * scenario.f0
+    terminals = scenario.terminals
+    # one pass over the records: the pairs in first-appearance order, the
+    # records by receive terminal and Rx element, one delay map and reach per
+    # Tx element, and the records whose window the sum of their elements'
+    # reach does not clear
+    pairs: dict[tuple[int, int], None] = {}
+    tx_delay: dict[tuple[int, int], tuple[np.ndarray, float, float]] = {}
+    # per receive terminal, every Rx element's (x, y) and its reach
+    rx_all: dict[int, np.ndarray] = {}
+    rx_reach: dict[int, list[list[float]]] = {}
+    by_rx: dict[int, dict[int, list[SignalRecord]]] = {}
+    suspects = []
+    for rec in records:
+        l, k, n, m = rec.channel
+        pairs[l, k] = None
+        if (tx := tx_delay.get((l, n))) is None:
+            xy = np.asarray(terminals[l].tx_elements[n])
+            tx = tx_delay[l, n] = _delay_map(*xy, x, y), *grid.reach(xy).ravel().tolist()
+        if (rx := rx_reach.get(k)) is None:
+            xy = rx_all[k] = np.array([(e.x, e.y) for e in terminals[k].rx_elements]).reshape(-1, 2)
+            rx = rx_reach[k] = grid.reach(xy).T.tolist()
+        rx_lo, rx_hi = rx[m]
+        if tx[1] + rx_lo < rec.t0 or tx[2] + rx_hi > rec.t_end:
+            suspects.append(rec)
+        by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
     for pair in pairs:
         if not scenario.pairing.is_active(*pair):
             raise ValueError(f"pair {pair} is not active in the association matrix")
-
-    x, y = grid.x_coords[:, None], grid.y_coords[None, :]
-    omega = 2.0 * math.pi * scenario.f0
-    tx_delay: dict[tuple[int, int], tuple[np.ndarray, float, float]] = {}
-    by_rx: dict[int, dict[int, list[SignalRecord]]] = {}
-    for rec in records:
+    # the windows the bound fails, pixel by pixel, in kernel order (receive
+    # terminal, Rx element, record)
+    order = {k: i for i, k in enumerate(by_rx)}
+    for rec in sorted(suspects, key=lambda r: (order[r.channel[1]], r.channel[3])):
         l, k, n, m = rec.channel
-        if (l, n) not in tx_delay:
-            xy = np.asarray(scenario.terminals[l].tx_elements[n])
-            tx_delay[l, n] = _delay_map(*xy, x, y), *grid.reach(xy).ravel().tolist()
-        by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
-    # every window in kernel order (receive terminal, Rx element, record),
-    # by its elements' reach and, where that bound fails, pixel by pixel
-    rx_xy = {}  # per receive terminal, its ascending Rx elements' (B, 1, 1) coordinates
-    for k, by_m in by_rx.items():
-        elements, rx = sorted(by_m), scenario.terminals[k].rx_elements
-        xy = np.array([rx[m] for m in elements])
-        ex, ey = rx_xy[k] = xy.T[..., None, None]
-        for m, exy, rx_lo, rx_hi in zip(elements, zip(ex, ey), *grid.reach(xy).tolist()):
-            for rec in by_m[m]:
-                delay, tx_lo, tx_hi = tx_delay[rec.channel[::2]]
-                if tx_lo + rx_lo < rec.t0 or tx_hi + rx_hi > rec.t_end:
-                    _check_window(rec, delay + _delay_map(*exy, x, y))
+        _check_window(rec, tx_delay[l, n][0] + _delay_map(*rx_all[k][m], x, y))
+    # per receive terminal, its ascending Rx elements' (B, 1, 1) coordinates
+    rx_xy = {k: rx_all[k][sorted(by_m)].T[..., None, None] for k, by_m in by_rx.items()}
     # the pair images in an anonymous shared mapping that forked bands write
     nx, ny = grid.size
     stack = np.frombuffer(mmap.mmap(-1, 16 * len(pairs) * nx * ny or 1), complex, len(pairs) * nx * ny)
     pixels = dict(zip(pairs, stack.reshape(len(pairs), nx, ny)))
 
-    def image_rows(k: int, row0: int, row1: int) -> None:
+    def image_band(row0: int, row1: int) -> None:
         rows, shape = slice(row0, row1), (row1 - row0, ny)
         per_block = _block_elements((row1 - row0) * ny)
-        elements, x_rows, (ex, ey) = sorted(by_rx[k]), x[rows], rx_xy[k]
-        # one sum per (Tx terminal, Tx element) key without the Tx phase;
-        # the lowest Tx element of each pair sums in the pair's own pixels
-        keys = sorted({rec.channel[::2] for recs in by_rx[k].values() for rec in recs})
-        lowest = {l: n for l, n in reversed(keys)}
-        sums = {
-            (l, n): pixels[l, k][rows] if lowest[l] == n else np.zeros(shape, dtype=complex)
-            for l, n in keys
-        }
-        tx_rows = {key: tx_delay[key][0][None, rows] for key in keys}
-        # (block, rows, ny) buffers and their first c rows; complex products
-        # never write over an operand: numpy rounds an in-place product of
-        # one element differently from a longer one
-        buffer = functools.partial(np.empty, (min(per_block, len(elements)), *shape))
+        x_rows = x[rows]
+        # (block, rows, ny) buffers, shared by every receive terminal, and
+        # their first c rows; complex products never write over an operand:
+        # numpy rounds an in-place product of one element differently from a
+        # longer one
+        block = min(per_block, max(map(len, by_rx.values()), default=1))
+        buffer = functools.partial(np.empty, (block, *shape))
         rx_delay, phase, pos = buffer(), buffer(dtype=complex), buffer()
         work = (buffer(dtype=np.intp), buffer(dtype=complex), buffer(dtype=complex))
         first = functools.cache(lambda c: (pos[:c], tuple(w[:c] for w in work)))
-        for b0 in range(0, len(elements), per_block):
-            block, ms = slice(b0, b0 + per_block), elements[b0:b0 + per_block]
-            delays = _delay_map(ex[block], ey[block], x_rows, y, out=rx_delay[:len(ms)])
-            theta, phase_work = first(len(ms))
-            _carrier_phase(np.multiply(delays, omega, out=theta), phase[:len(ms)], phase_work)
-            # runs (key, first row, records, layout) on consecutive rows
-            runs, last = [], {}
-            for b, m in enumerate(ms):
-                for rec in by_rx[k][m]:
-                    run, layout = last.get(key := rec.channel[::2]), (rec.t0, rec.fs, len(rec.samples))
-                    if run and run[1] + len(run[2]) == b and run[3] == layout:
-                        run[2].append(rec)
-                    else:
-                        last[key] = run = (key, b, [rec], layout)
-                        runs.append(run)
-            for key, b, recs, _ in runs:
-                at, (p, chain_work) = slice(b, b + len(recs)), first(len(recs))
-                vals = _interp_linear(recs, np.add(tx_rows[key], delays[at], out=p), chain_work)
-                for row in np.multiply(vals, phase[at], out=chain_work[2]):
-                    sums[key] += row
-        pos, phase, phase_work = pos[0], phase[0], tuple(w[0] for w in work)
-        for l, n in keys:
-            np.multiply(tx_rows[l, n][0], omega, out=pos)
-            term = np.multiply(sums[l, n], _carrier_phase(pos, phase, phase_work), out=phase_work[2])
-            if lowest[l] == n:
-                sums[l, n][...] = term
-            else:
-                pixels[l, k][rows] += term
+        tx_theta, tx_phase, tx_work = pos[0], phase[0], tuple(w[0] for w in work)
+        for k, by_m in by_rx.items():
+            elements, (ex, ey) = sorted(by_m), rx_xy[k]
+            # one sum per (Tx terminal, Tx element) key without the Tx phase;
+            # the lowest Tx element of each pair sums in the pair's own pixels
+            keys = sorted({rec.channel[::2] for recs in by_m.values() for rec in recs})
+            lowest = {l: n for l, n in reversed(keys)}
+            sums = {
+                (l, n): pixels[l, k][rows] if lowest[l] == n else np.zeros(shape, dtype=complex)
+                for l, n in keys
+            }
+            tx_rows = {key: tx_delay[key][0][None, rows] for key in keys}
+            for b0 in range(0, len(elements), per_block):
+                at, ms = slice(b0, b0 + per_block), elements[b0:b0 + per_block]
+                delays = _delay_map(ex[at], ey[at], x_rows, y, out=rx_delay[:len(ms)])
+                theta, phase_work = first(len(ms))
+                _carrier_phase(np.multiply(delays, omega, out=theta), phase[:len(ms)], phase_work)
+                # runs (key, first row, records, layout) on consecutive rows
+                runs, last = [], {}
+                for b, m in enumerate(ms):
+                    for rec in by_m[m]:
+                        run, layout = last.get(key := rec.channel[::2]), (rec.t0, rec.fs, len(rec.samples))
+                        if run and run[1] + len(run[2]) == b and run[3] == layout:
+                            run[2].append(rec)
+                        else:
+                            last[key] = run = (key, b, [rec], layout)
+                            runs.append(run)
+                for key, b, recs, _ in runs:
+                    at, (p, chain_work) = slice(b, b + len(recs)), first(len(recs))
+                    vals = _interp_linear(recs, np.add(tx_rows[key], delays[at], out=p), chain_work)
+                    for row in np.multiply(vals, phase[at], out=chain_work[2]):
+                        sums[key] += row
+            for l, n in keys:
+                np.multiply(tx_rows[l, n][0], omega, out=tx_theta)
+                term = np.multiply(sums[l, n], _carrier_phase(tx_theta, tx_phase, tx_work), out=tx_work[2])
+                if lowest[l] == n:
+                    sums[l, n][...] = term
+                else:
+                    pixels[l, k][rows] += term
 
-    def image_band(row0: int, row1: int) -> None:
-        for k in by_rx:
-            image_rows(k, row0, row1)
-
-    bands = max(1, min(nx, workers, os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    bands = _band_count(nx * ny * len(records), nx, workers)
     bounds = np.linspace(0, nx, bands + 1).astype(int).tolist()
     pids = []
     try:

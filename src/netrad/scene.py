@@ -324,8 +324,12 @@ def validate(scenario: Scenario) -> list[str]:
 # defaults to the list index and "phase_center" to the element centroid.
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise SchemaError("expected a number", path)
     return float(value)
 
@@ -334,6 +338,18 @@ def _require_vec2(value, path: str) -> Vec2:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError("expected a [x, y] pair", path)
     return Vec2(_require_number(value[0], f"{path}[0]"), _require_number(value[1], f"{path}[1]"))
+
+
+def _require_vec2s(values, path: str) -> tuple[Vec2, ...]:
+    """The [x, y] pairs listed at ``path``; a pair's own path is formatted
+    only for a bad pair, which ``_require_vec2`` names."""
+    vecs = []
+    for i, e in enumerate(values):
+        if isinstance(e, (list, tuple)) and len(e) == 2 and _is_number(e[0]) and _is_number(e[1]):
+            vecs.append(Vec2(float(e[0]), float(e[1])))
+        else:
+            vecs.append(_require_vec2(e, f"{path}[{i}]"))
+    return tuple(vecs)
 
 def _require_matrix(value, n: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
@@ -353,14 +369,8 @@ def _parse_terminal(doc, index: int) -> Terminal:
     term_id = doc.get("id", index)
     if isinstance(term_id, bool) or not isinstance(term_id, int):
         raise SchemaError("expected an integer", f"{path}.id")
-    tx = tuple(
-        _require_vec2(e, f"{path}.tx_elements[{i}]")
-        for i, e in enumerate(doc.get("tx_elements", []))
-    )
-    rx = tuple(
-        _require_vec2(e, f"{path}.rx_elements[{i}]")
-        for i, e in enumerate(doc.get("rx_elements", []))
-    )
+    tx = _require_vec2s(doc.get("tx_elements", []), f"{path}.tx_elements")
+    rx = _require_vec2s(doc.get("rx_elements", []), f"{path}.rx_elements")
     if "phase_center" in doc:
         center = _require_vec2(doc["phase_center"], f"{path}.phase_center")
     else:

@@ -19,6 +19,7 @@ channel evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,7 +167,7 @@ def synthesize(
             scaled = (beta.real * phase.real - beta.imag * phase.imag).astype(complex)
             scaled.imag = beta.real * phase.imag + beta.imag * phase.real
             acc += scaled[..., None] * np.sinc(bw * (t - taus[..., j, None]))
-        for n, m in np.ndindex(*acc.shape[:2]):
+        for n, m in itertools.product(*map(range, acc.shape[:2])):
             if sigma2 > 0.0:
                 rng = _channel_rng(scenario.rng_seed, (l, k, n, m))
                 noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)

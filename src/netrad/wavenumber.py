@@ -17,6 +17,7 @@ not used in this codebase.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,7 +165,7 @@ def coverage_region(
             what = "tx" if np.isnan(u_tx[l][n, 0]) else "rx"
             raise ValueError(f"channel ({l},{k},{n},{m}): degenerate geometry: "
                              f"{what} element coincides with the target")
-        channels.extend((l, k, n, m) for n, m in np.ndindex(direction.shape[:2]))
+        channels.extend(itertools.product((l,), (k,), *map(range, direction.shape[:2])))
         directions.append(direction.reshape(-1, 2))
     if not channels:
         raise ValueError("no active channels: association matrix selects no pairs")

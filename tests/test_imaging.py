@@ -22,6 +22,7 @@ from netrad.scene import (
 from netrad.imaging import (
     ComplexImage,
     default_grid,
+    envelope_grid,
     export_image_csv,
     export_image_pgm,
     pair_images,
@@ -53,6 +54,13 @@ def stacked_array_scenario(n_tx=8, m_rx=8):
 
 
 class TestBackproject:
+    @pytest.fixture(autouse=True)
+    def bands_of_any_size(self):
+        """Any band repays its fork, so that these small grids still fork
+        as many bands as rows, workers and CPUs allow."""
+        with patch.object(imaging, "_BAND_PIXCH", 1):
+            yield
+
     def test_coherent_gain_64_channels(self):
         sc = stacked_array_scenario(8, 8)
         tau = bistatic_delay(Vec2(0, 0), Vec2(0, 0), TARGET)
@@ -298,6 +306,31 @@ class TestBackproject:
         (image,) = pair_images(records, sc, grid)
         lin = abs(image.pixels[0, 0])
         assert lin == pytest.approx(1.0, abs=0.05)
+
+
+def test_small_calls_do_not_fork():
+    # the lane's envelope grids on two CPUs at two workers: 16x16 for the
+    # default 49x49 grid (0.86 M pixel-channels) images in one process,
+    # 32x32 for the 121x121 grid at 8 mm (3.43 M) in two bands
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "lane_multistatic.json"
+    sc = load_scenario(path.read_text())
+    region = coverage_region(sc, sc.targets[0].position)
+    small, large = (envelope_grid(region, g) for g in (default_grid(sc), default_grid(sc, 60, 0.008)))
+    assert (small.size, large.size) == ((16, 16), (32, 32))
+    records = synthesize(sc, suggest_window(sc, large))
+    fork = os.fork
+    for grid, expected in ((small, 0), (large, 1)):
+        forks = []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        with patch.object(os, "cpu_count", return_value=2), patch.object(os, "fork", counted_fork):
+            images = pair_images(records, sc, grid, workers=2)
+        assert len(forks) == expected
+        for a, b in zip(pair_images(records, sc, grid, workers=1), images, strict=True):
+            assert np.array_equal(a.pixels, b.pixels)
 
 
 def traced_peak(records, sc, grid):

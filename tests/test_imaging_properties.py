@@ -34,9 +34,10 @@ WORKERS = (1, 2, 3, 8)
 
 @pytest.fixture(autouse=True, scope="module")
 def three_cpus():
-    """Three CPUs whatever the host has, so that WORKERS image in 1, 2,
-    3 and 3 row bands."""
-    with patch.object(os, "cpu_count", return_value=3):
+    """Three CPUs whatever the host has, and bands that repay their fork
+    at any size, so that WORKERS image in 1, 2, 3 and 3 row bands on
+    grids of as many rows."""
+    with patch.object(os, "cpu_count", return_value=3), patch.object(imaging, "_BAND_PIXCH", 1):
         yield
 
 

@@ -112,6 +112,19 @@ def test_bad_vector_shape_names_path():
         load_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, elements, message", [
+    ("rx_elements", [[0.0, 0.0], [1.0, "1"]], "terminals[2].rx_elements[1][1]: expected a number"),
+    ("rx_elements", [[0.0, 0.0], [1.0, True]], "terminals[2].rx_elements[1][1]: expected a number"),
+    ("tx_elements", [[0.0, 0.0], 1.0], "terminals[2].tx_elements[1]: expected a [x, y] pair"),
+])
+def test_bad_element_message(field, elements, message):
+    doc = lane_doc()
+    doc["terminals"][2][field] = elements
+    with pytest.raises(SchemaError) as err:
+        load_scenario(json.dumps(doc))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

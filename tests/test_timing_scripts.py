@@ -17,8 +17,9 @@ def run_script(name, *args):
 
 @pytest.mark.parametrize("name, args, header, rows", [
     ("bp_timing.py", ["--reps", "1", "--sizes", "9"],
-     "grid 1 worker p25/p50/p75 ms 2 workers p25/p50/p75 ms 1w/2w envelope p25/p50/p75 ms"
-     " 1w/env coarse elements peak RSS MB bands MB", 1),
+     "grid 1 worker p25/p50/p75 ms 2 workers p25/p50/p75 ms 1w/2w"
+     " envelope 1 worker p25/p50/p75 ms envelope 2 workers p25/p50/p75 ms env 1w/2w"
+     " 1w/env bands coarse elements peak RSS MB bands MB", 1),
     ("export_timing.py", ["--reps", "1"], "writer p25/p50/p75 ms bytes MB/s", 5),
 ], ids=["bp_timing", "export_timing"])
 def test_one_repetition_runs(name, args, header, rows):
