@@ -54,8 +54,8 @@ def grid(n):
 
 
 def write_records(records, out):
-    for rec in records:
-        export_record_csv(rec, out / ("ch_" + "-".join(str(i) for i in rec.channel) + ".csv"))
+    for c, channel in enumerate(records.channels.tolist()):
+        export_record_csv(records[c], out / ("ch_" + "-".join(map(str, channel)) + ".csv"))
 
 
 def fused_image(n):

@@ -31,7 +31,7 @@ from .wavenumber import (
     predicted_resolution,
 )
 from .synth import (
-    SignalRecord,
+    Records,
     bistatic_delay,
     default_sample_rate,
     suggest_window,

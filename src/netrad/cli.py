@@ -176,19 +176,20 @@ def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:
 
 def _cmd_simulate(config: argparse.Namespace, out: Path) -> None:
     scenario = _load_scenario(config)
+    _reference_target(scenario)  # no targets is a validation failure here
     out.mkdir(parents=True, exist_ok=True)
     window = synth.suggest_window(scenario)
     records = synth.synthesize(scenario, window, fs=config.fs)
     rec_dir = out / "records"
     rec_dir.mkdir(exist_ok=True)
-    for rec in records:
-        name = "ch_" + "-".join(str(i) for i in rec.channel) + ".csv"
-        synth.export_record_csv(rec, rec_dir / name)
+    channels = records.channels.tolist()
+    for rec, channel in zip(records, channels):
+        synth.export_record_csv(rec, rec_dir / ("ch_" + "-".join(map(str, channel)) + ".csv"))
     meta = {
         "n_records": len(records),
-        "window_s": list(records[0].times[[0, -1]]) if records else None,
-        "fs_hz": records[0].fs if records else None,
-        "channels": [list(r.channel) for r in records],
+        "window_s": [records.t0, records.t_end] if records else None,
+        "fs_hz": records.fs if records else None,
+        "channels": channels,
     }
     _write_json(meta, out / "records_meta.json")
 

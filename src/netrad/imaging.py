@@ -13,18 +13,19 @@ which is the usual approximation when f0 >> B.
 
 The carrier phase factors into a Tx and an Rx part, so one delay map
 per Tx element and one delay map and phase per Rx element serve every
-pair using the element. Each (pair, Tx element) sums its channels without
-the Tx phase, by ascending Rx element and then record order; Tx phases
-are applied last, by ascending Tx element. Workers split the x rows into
-equal bands, each imaged by a forked process into one shared mapping:
-one band per _BAND_PIXCH pixel-channels, as a smaller band does not repay
-its fork, and at most one per row, worker and CPU. A band takes Rx
-elements in blocks of B = max(1, _BLOCK_BYTES // (_PIXCH_BYTES * band
-pixels)), in buffers it allocates once for every receive terminal: each
-numpy call of a channel's op chain covers the block's channels of one
-(pair, Tx element), whose rows are then added one after another. The
-order is fixed per pixel: a pair's image is bit-identical for any worker
-count, block size and co-imaged pairs.
+pair using the element. Records hold whole pairs (``synth.Records``), so
+each (pair, Tx element) is a run of rows by ascending Rx element, summed
+in order without the Tx phase; Tx phases are applied last, by ascending
+Tx element. Workers split the x rows into equal bands, each imaged by a
+forked process into one shared mapping: one band per _BAND_PIXCH
+pixel-channels, as a smaller band does not repay its fork, and at most
+one per row, worker and CPU. A band takes Rx elements in blocks of B =
+max(1, _BLOCK_BYTES // (_PIXCH_BYTES * band pixels)), in buffers it
+allocates once for every receive terminal: each numpy call of a
+channel's op chain covers the block's rows of one (pair, Tx element),
+which are then added one after another. The order is fixed per pixel: a
+pair's image is bit-identical for any worker count, block size and
+co-imaged pairs.
 
 A delay map is r/c with r the square root of the broadcast squared x and
 y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
@@ -65,7 +66,7 @@ import numpy as np
 
 from .csvrows import write_csv
 from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2
-from .synth import SignalRecord, suggest_window, synthesize
+from .synth import Records, channel_table, suggest_window, synthesize
 from .wavenumber import TWO_PI, WavenumberRegion, coverage_region, predicted_resolution
 
 # bytes per pixel-channel of a block's op chain, kernel buffers included,
@@ -122,24 +123,22 @@ class ComplexImage:
         return np.abs(self.pixels)
 
 
-def _interp_linear(recs: list[SignalRecord], tau: np.ndarray, work) -> np.ndarray:
-    """Two-point interpolation of each ``recs[c]`` at the delays
-    ``tau[c]`` (overwritten), into the reused buffers ``work``; the
-    records share t0, fs and length."""
+def _interp_linear(samples: np.ndarray, t0: float, fs: float, tau: np.ndarray, work) -> np.ndarray:
+    """Two-point interpolation of each row ``samples[c]``, sampled from
+    ``t0`` at ``fs``, at the delays ``tau[c]`` (overwritten), into the
+    reused buffers ``work``; ``samples`` is a C-contiguous (c, n) array."""
     index, vals, step = work
-    rec, n = recs[0], len(recs[0].samples)
-    samples = np.concatenate([r.samples for r in recs]) if len(recs) > 1 else rec.samples
-    # the step to the next sample; a record's last sample repeats its last step
+    # the step to the next sample; a row's last sample repeats its last step
     steps = np.empty_like(samples)
-    np.subtract(samples[1:], samples[:-1], out=steps[:-1])
-    steps[n - 1::n] = steps[n - 2::n]
-    pos = np.multiply(np.subtract(tau, rec.t0, out=tau), rec.fs, out=tau)
+    np.subtract(samples[:, 1:], samples[:, :-1], out=steps[:, :-1])
+    steps[:, -1] = steps[:, -2]
+    pos = np.multiply(np.subtract(tau, t0, out=tau), fs, out=tau)
     # 0 <= pos < n inside the record window: truncation is the floor and
-    # every index below is in range; the floor lives in ``vals``, written last
+    # every index below is in range; the floor lives in ``vals``, written
+    # last, and is offset by each row's start in the flattened samples
     floor = vals.reshape(-1).view(float)[:pos.size].reshape(pos.shape)
     np.subtract(pos, np.trunc(pos, out=floor), out=pos)
-    if len(recs) > 1:
-        np.add(floor, np.arange(0.0, len(samples), n).reshape(-1, 1, 1), out=floor)
+    np.add(floor, np.arange(0.0, samples.size, samples.shape[1]).reshape(-1, 1, 1), out=floor)
     np.copyto(index, floor, casting="unsafe")
     np.multiply(np.take(steps, index, out=step, mode="wrap"), pos, out=vals)
     return np.add(vals, np.take(samples, index, out=step, mode="wrap"), out=vals)
@@ -181,7 +180,7 @@ def _carrier_phase(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
     return np.multiply(np.take(_PHASE_TABLE, index, out=table, mode="clip"), rot, out=out)
 
 
-def _check_window(rec: SignalRecord, tau: np.ndarray) -> None:
+def _check_window(rec: Records, tau: np.ndarray) -> None:
     lo, hi = float(tau.min()), float(tau.max())
     if lo < rec.t0 or hi > rec.t_end:
         flat = int(np.argmin(tau) if lo < rec.t0 else np.argmax(tau))
@@ -189,7 +188,7 @@ def _check_window(rec: SignalRecord, tau: np.ndarray) -> None:
         bad = lo if lo < rec.t0 else hi
         raise ValueError(
             f"pixel ({int(i)},{int(j)}) delay {bad:g} s outside record window "
-            f"[{rec.t0:g}, {rec.t_end:g}] s of channel {rec.channel}"
+            f"[{rec.t0:g}, {rec.t_end:g}] s of channel {tuple(rec.channels.tolist())}"
         )
 
 
@@ -203,62 +202,59 @@ def _band_count(pixch: int, rows: int, workers: int) -> int:
 
 
 def pair_images(
-    records: list[SignalRecord],
+    records: Records,
     scenario: Scenario,
     grid: ImageGrid,
     workers: int = 1,
 ) -> list[ComplexImage]:
-    """Back-project each Tx-Rx pair present in ``records`` separately,
-    preserving first-appearance pair order.
+    """Back-project each Tx-Rx pair of ``records`` separately, in the
+    records' pair order.
 
+    ``records`` must hold whole pairs, as ``synth.synthesize`` writes them
+    (``synth.channel_table``): every channel of each pair, pair by pair, in
+    (tx element, rx element) row-major order; other tables raise ValueError.
     Every pair must be active and every pixel's bistatic delay must fall
-    inside each record's time window. Records are interpolated linearly
-    between samples; ``synth.default_sample_rate`` states the error bound.
-    Every window is checked once, before any band runs, against the bound
-    that ``synth.suggest_window`` sizes windows for ``grid`` from. Equal
-    bands of x rows are then imaged by forked processes, one band per
-    _BAND_PIXCH pixel-channels (pixels times records), at most ``workers``
-    and at most one per CPU, in one process where ``os.fork`` is missing;
-    the images and any error do not depend on their number.
+    inside the records' window. Records are interpolated linearly between
+    samples; ``synth.default_sample_rate`` states the error bound. Every
+    channel's window is checked once, before any band runs, against the
+    bound that ``synth.suggest_window`` sizes windows for ``grid`` from.
+    Equal bands of x rows are then imaged by forked processes, one band per
+    _BAND_PIXCH pixel-channels, at most ``workers`` and at most one per CPU,
+    in one process where ``os.fork`` is missing; the images and any error
+    do not depend on their number.
     """
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
     omega = 2.0 * math.pi * scenario.f0
     terminals = scenario.terminals
-    # one pass over the records: the pairs in first-appearance order, the
-    # records by receive terminal and Rx element, one delay map and reach per
-    # Tx element, and the records whose window the sum of their elements'
-    # reach does not clear
-    pairs: dict[tuple[int, int], None] = {}
-    tx_delay: dict[tuple[int, int], tuple[np.ndarray, float, float]] = {}
-    # per receive terminal, every Rx element's (x, y) and its reach
-    rx_all: dict[int, np.ndarray] = {}
-    rx_reach: dict[int, list[list[float]]] = {}
-    by_rx: dict[int, dict[int, list[SignalRecord]]] = {}
-    suspects = []
-    for rec in records:
-        l, k, n, m = rec.channel
-        pairs[l, k] = None
-        if (tx := tx_delay.get((l, n))) is None:
-            xy = np.asarray(terminals[l].tx_elements[n])
-            tx = tx_delay[l, n] = _delay_map(*xy, x, y), *grid.reach(xy).ravel().tolist()
-        if (rx := rx_reach.get(k)) is None:
-            xy = rx_all[k] = np.array([(e.x, e.y) for e in terminals[k].rx_elements]).reshape(-1, 2)
-            rx = rx_reach[k] = grid.reach(xy).T.tolist()
-        rx_lo, rx_hi = rx[m]
-        if tx[1] + rx_lo < rec.t0 or tx[2] + rx_hi > rec.t_end:
-            suspects.append(rec)
-        by_rx.setdefault(k, {}).setdefault(m, []).append(rec)
+    channels, samples, t0, fs = records.channels, records.samples, records.t0, records.fs
+    # the pairs and their first rows, where the (tx, rx) terminals change
+    new = np.ones(len(channels), dtype=bool)
+    new[1:] = (channels[1:, :2] != channels[:-1, :2]).any(axis=1)
+    pairs, starts = [tuple(pair) for pair in channels[new, :2].tolist()], np.flatnonzero(new).tolist()
     for pair in pairs:
         if not scenario.pairing.is_active(*pair):
             raise ValueError(f"pair {pair} is not active in the association matrix")
-    # the windows the bound fails, pixel by pixel, in kernel order (receive
-    # terminal, Rx element, record)
-    order = {k: i for i, k in enumerate(by_rx)}
-    for rec in sorted(suspects, key=lambda r: (order[r.channel[1]], r.channel[3])):
-        l, k, n, m = rec.channel
-        _check_window(rec, tx_delay[l, n][0] + _delay_map(*rx_all[k][m], x, y))
-    # per receive terminal, its ascending Rx elements' (B, 1, 1) coordinates
-    rx_xy = {k: rx_all[k][sorted(by_m)].T[..., None, None] for k, by_m in by_rx.items()}
+    if len(set(pairs)) < len(pairs) or not np.array_equal(channels, channel_table(scenario, pairs)):
+        raise ValueError("records must hold whole pairs, each in (tx element, rx element) row-major order")
+    # per receive terminal, by first appearance, its pairs' (Tx terminal, first row)
+    received = {k: [(l, r) for (l, kk), r in zip(pairs, starts) if kk == k] for _, k in pairs}
+    # every element's (x, y) and reach; every Tx element's delay map
+    tx_xy = {l: np.array([(e.x, e.y) for e in terminals[l].tx_elements]).reshape(-1, 2) for l, _ in pairs}
+    rx_xy = {k: np.array([(e.x, e.y) for e in terminals[k].rx_elements]).reshape(-1, 2) for k in received}
+    tx_delay = {l: _delay_map(*xy.T[..., None, None], x, y) for l, xy in tx_xy.items()}
+    tx_reach = {l: grid.reach(xy) for l, xy in tx_xy.items()}
+    # the channels whose window their elements' reach sum does not clear take
+    # the exact check, in kernel order (receive terminal, Rx element, row)
+    suspects = []
+    for i, (k, sources) in enumerate(received.items()):
+        rx_reach = grid.reach(rx_xy[k])
+        for l, r in sources:
+            near, far = tx_reach[l][:, :, None] + rx_reach[:, None, :]
+            bad = np.flatnonzero((near < t0) | (far > records.t_end)).tolist()
+            suspects += [(i, c % len(rx_reach[0]), r + c) for c in bad]
+    for _, m, c in sorted(suspects):
+        l, k, n, _ = channels[c].tolist()
+        _check_window(records[c], tx_delay[l][n] + _delay_map(*rx_xy[k][m], x, y))
     # the pair images in an anonymous shared mapping that forked bands write
     nx, ny = grid.size
     stack = np.frombuffer(mmap.mmap(-1, 16 * len(pairs) * nx * ny or 1), complex, len(pairs) * nx * ny)
@@ -267,55 +263,40 @@ def pair_images(
     def image_band(row0: int, row1: int) -> None:
         rows, shape = slice(row0, row1), (row1 - row0, ny)
         per_block = _block_elements((row1 - row0) * ny)
-        x_rows = x[rows]
         # (block, rows, ny) buffers, shared by every receive terminal, and
         # their first c rows; complex products never write over an operand:
         # numpy rounds an in-place product of one element differently from a
         # longer one
-        block = min(per_block, max(map(len, by_rx.values()), default=1))
+        block = min(per_block, max(map(len, rx_xy.values()), default=1))
         buffer = functools.partial(np.empty, (block, *shape))
         rx_delay, phase, pos = buffer(), buffer(dtype=complex), buffer()
         work = (buffer(dtype=np.intp), buffer(dtype=complex), buffer(dtype=complex))
         first = functools.cache(lambda c: (pos[:c], tuple(w[:c] for w in work)))
         tx_theta, tx_phase, tx_work = pos[0], phase[0], tuple(w[0] for w in work)
-        for k, by_m in by_rx.items():
-            elements, (ex, ey) = sorted(by_m), rx_xy[k]
-            # one sum per (Tx terminal, Tx element) key without the Tx phase;
-            # the lowest Tx element of each pair sums in the pair's own pixels
-            keys = sorted({rec.channel[::2] for recs in by_m.values() for rec in recs})
-            lowest = {l: n for l, n in reversed(keys)}
-            sums = {
-                (l, n): pixels[l, k][rows] if lowest[l] == n else np.zeros(shape, dtype=complex)
-                for l, n in keys
-            }
-            tx_rows = {key: tx_delay[key][0][None, rows] for key in keys}
-            for b0 in range(0, len(elements), per_block):
-                at, ms = slice(b0, b0 + per_block), elements[b0:b0 + per_block]
-                delays = _delay_map(ex[at], ey[at], x_rows, y, out=rx_delay[:len(ms)])
-                theta, phase_work = first(len(ms))
-                _carrier_phase(np.multiply(delays, omega, out=theta), phase[:len(ms)], phase_work)
-                # runs (key, first row, records, layout) on consecutive rows
-                runs, last = [], {}
-                for b, m in enumerate(ms):
-                    for rec in by_m[m]:
-                        run, layout = last.get(key := rec.channel[::2]), (rec.t0, rec.fs, len(rec.samples))
-                        if run and run[1] + len(run[2]) == b and run[3] == layout:
-                            run[2].append(rec)
-                        else:
-                            last[key] = run = (key, b, [rec], layout)
-                            runs.append(run)
-                for key, b, recs, _ in runs:
-                    at, (p, chain_work) = slice(b, b + len(recs)), first(len(recs))
-                    vals = _interp_linear(recs, np.add(tx_rows[key], delays[at], out=p), chain_work)
-                    for row in np.multiply(vals, phase[at], out=chain_work[2]):
-                        sums[key] += row
-            for l, n in keys:
-                np.multiply(tx_rows[l, n][0], omega, out=tx_theta)
-                term = np.multiply(sums[l, n], _carrier_phase(tx_theta, tx_phase, tx_work), out=tx_work[2])
-                if lowest[l] == n:
-                    sums[l, n][...] = term
-                else:
-                    pixels[l, k][rows] += term
+        for k, sources in received.items():
+            (ex, ey), n_rx = rx_xy[k].T[..., None, None], len(rx_xy[k])
+            # per pair, its first row, its Tx elements' delay map rows and one
+            # sum each without the Tx phase, Tx element 0's in its own pixels
+            sums = [(r, tx_delay[l][:, rows], [pixels[l, k][rows], *(
+                np.zeros(shape, dtype=complex) for _ in tx_delay[l][1:])]) for l, r in sources]
+            for b0 in range(0, n_rx, per_block):
+                b1 = min(b0 + per_block, n_rx)
+                delays = _delay_map(ex[b0:b1], ey[b0:b1], x[rows], y, out=rx_delay[:b1 - b0])
+                p, chain_work = first(b1 - b0)
+                _carrier_phase(np.multiply(delays, omega, out=p), phase[:b1 - b0], chain_work)
+                # each (pair, Tx element) holds the block's Rx elements in consecutive rows
+                for r, tx_maps, accs in sums:
+                    for n, (tx_map, acc) in enumerate(zip(tx_maps, accs)):
+                        at = slice(r + n * n_rx + b0, r + n * n_rx + b1)
+                        vals = _interp_linear(samples[at], t0, fs, np.add(tx_map, delays, out=p), chain_work)
+                        for term in np.multiply(vals, phase[:b1 - b0], out=chain_work[2]):
+                            acc += term
+            for _, tx_maps, accs in sums:
+                for n, (tx_map, acc) in enumerate(zip(tx_maps, accs)):
+                    np.multiply(tx_map, omega, out=tx_theta)
+                    acc[...] = np.multiply(acc, _carrier_phase(tx_theta, tx_phase, tx_work), out=tx_work[2])
+                    if n:
+                        accs[0] += acc
 
     bands = _band_count(nx * ny * len(records), nx, workers)
     bounds = np.linspace(0, nx, bands + 1).astype(int).tolist()

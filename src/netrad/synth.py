@@ -13,8 +13,8 @@ amplitude. Simultaneous transmitters are assumed ideally orthogonal
 ``noise_power`` is added per sample, with an independent, reproducible
 stream per channel. Each element's distance to each target is computed
 once; a pair's delays form one (n_tx, n_rx) array per target and its
-records one (n_tx, n_rx, samples) array, bit for bit the channel-by-
-channel evaluation.
+records are written as one (n_tx, n_rx, samples) view of the run's one
+``Records`` array, bit for bit the channel-by-channel evaluation.
 """
 
 from __future__ import annotations
@@ -28,27 +28,27 @@ import numpy as np
 from .scene import SPEED_OF_LIGHT, ImageGrid, Scenario, Vec2, distance
 
 
-@dataclass(frozen=True)
-class SignalRecord:
-    """Complex baseband time series of one measurement channel.
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Complex baseband time series, one channel per row: row c of the (C, 4)
+    int ``channels`` is the (tx terminal, rx terminal, tx element, rx element)
+    of the (C, S) complex ``samples[c]``, sampled from ``t0`` at ``fs`` >= B;
+    an int index gives one channel ((4,) and (S,)), a mask a subset."""
 
-    ``channel`` is (tx terminal, rx terminal, tx element, rx element);
-    ``t0`` the time of the first sample and ``fs`` the complex sampling
-    rate, which must satisfy fs >= bandwidth.
-    """
-
-    channel: tuple[int, int, int, int]
+    channels: np.ndarray
+    samples: np.ndarray
     t0: float
     fs: float
-    samples: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.fs
+    def __len__(self) -> int:
+        return len(self.channels)
+
+    def __getitem__(self, index) -> Records:
+        return Records(self.channels[index], self.samples[index], self.t0, self.fs)
 
     @property
     def t_end(self) -> float:
-        return self.t0 + (len(self.samples) - 1) / self.fs
+        return self.t0 + (self.samples.shape[-1] - 1) / self.fs
 
 
 def bistatic_delay(tx_el: Vec2, rx_el: Vec2, target: Vec2) -> float:
@@ -109,30 +109,41 @@ def _channel_rng(seed: int, channel: tuple[int, int, int, int]) -> np.random.Gen
     return np.random.default_rng([seed, *channel])
 
 
+def channel_table(scenario: Scenario, pairs) -> np.ndarray:
+    """The ``Records.channels`` table of every channel of ``pairs``: pair
+    by pair, each pair's rows in (tx element, rx element) row-major order."""
+    rows = [np.empty((0, 4), dtype=int)]
+    for l, k in pairs:
+        n, m = np.indices((len(scenario.terminals[l].tx_elements), len(scenario.terminals[k].rx_elements)))
+        rows.append(np.column_stack(np.broadcast_arrays(l, k, n.ravel(), m.ravel())))
+    return np.concatenate(rows)
+
+
 def synthesize(
     scenario: Scenario,
     window: tuple[float, float],
     fs: float | None = None,
-) -> list[SignalRecord]:
+) -> Records:
     """Simulate the received signal of every active measurement channel.
 
     ``window`` is (t_min, t_max) in seconds and must cover each target
     delay with at least 4/B margin so no response is truncated. ``fs``
     defaults to 4*B. The scenario's association matrix is the pair
     selection: to synthesize fewer pairs, scope it with
-    ``AssociationMatrix.from_pairs``. Records come out in (tx terminal,
-    rx terminal, tx element, rx element) row-major order.
+    ``AssociationMatrix.from_pairs``. Rows come out in (tx terminal, rx
+    terminal, tx element, rx element) order, the active pairs' ``channel_table``.
     """
     bw = scenario.bandwidth
     if bw <= 0:
         raise ValueError("bandwidth must be positive")
     if fs is None:
         fs = default_sample_rate(bw)
-    if fs < bw:
-        raise ValueError(f"sample rate {fs:g} Hz below complex Nyquist rate {bw:g} Hz")
+    if not (math.isfinite(fs) and fs >= bw):
+        raise ValueError(f"sample rate fs = {fs:g} Hz must be finite and at least "
+                         f"the complex Nyquist rate {bw:g} Hz")
     t_min, t_max = window
-    if t_max <= t_min:
-        raise ValueError("empty acquisition window")
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and t_max > t_min):
+        raise ValueError(f"acquisition window ({t_min:g}, {t_max:g}) s must be finite and not empty")
 
     n_samp = int(round((t_max - t_min) * fs)) + 1
     if n_samp < 2:
@@ -141,9 +152,12 @@ def synthesize(
     margin = 4.0 / bw
     sigma2 = scenario.noise_power
 
-    records: list[SignalRecord] = []
+    pairs = scenario.pairing.active_pairs()
+    channels = channel_table(scenario, pairs)
+    samples = np.zeros((len(channels), n_samp), dtype=complex)
     dist = _distances(scenario, [target.position for target in scenario.targets])
-    for l, k in scenario.pairing.active_pairs():
+    row = 0
+    for l, k in pairs:
         taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]
         late = (taus - margin < t_min) | (taus + margin > t_max)
         if late.any():
@@ -153,7 +167,10 @@ def synthesize(
                 f"delay {taus[n, m, j]:g} s on channel ({l},{k},{n},{m}); "
                 f"need {margin:g} s margin"
             )
-        acc = np.zeros((*taus.shape[:2], n_samp), dtype=complex)
+        # the pair's rows of ``samples``, as (n_tx, n_rx, samples)
+        size = taus.shape[0] * taus.shape[1]
+        acc = samples[row:row + size].reshape(*taus.shape[:2], n_samp)
+        row += size
         for j, target in enumerate(scenario.targets):
             # the shortest paths stand for all of the pair's channels
             if dist[l][0][:, j].min() <= 0 or dist[k][1][:, j].min() <= 0:
@@ -167,18 +184,18 @@ def synthesize(
             scaled = (beta.real * phase.real - beta.imag * phase.imag).astype(complex)
             scaled.imag = beta.real * phase.imag + beta.imag * phase.real
             acc += scaled[..., None] * np.sinc(bw * (t - taus[..., j, None]))
-        for n, m in itertools.product(*map(range, acc.shape[:2])):
-            if sigma2 > 0.0:
+        if sigma2 > 0.0:
+            for n, m in itertools.product(*map(range, acc.shape[:2])):
                 rng = _channel_rng(scenario.rng_seed, (l, k, n, m))
                 noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)
                 acc[n, m] += math.sqrt(sigma2 / 2.0) * noise
-            records.append(SignalRecord(channel=(l, k, n, m), t0=t_min, fs=fs, samples=acc[n, m]))
-    return records
+    return Records(channels=channels, samples=samples, t0=t_min, fs=fs)
 
 
-def export_record_csv(record: SignalRecord, path) -> None:
-    """Raw-record dump: (t, re, im) rows, for debugging."""
-    rows = np.column_stack((record.times, record.samples.real, record.samples.imag))
+def export_record_csv(record: Records, path) -> None:
+    """Raw-record dump of one channel, ``records[c]``: (t, re, im) rows, for debugging."""
+    times = record.t0 + np.arange(len(record.samples)) / record.fs
+    rows = np.column_stack((times, record.samples.real, record.samples.imag))
     with open(path, "w") as fh:
         fh.write("t_s,re,im\n")
         fh.write("%.9g,%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist()))

@@ -17,7 +17,7 @@ from netrad.scene import (
     Vec2,
     distance,
 )
-from netrad.synth import SignalRecord, bistatic_delay, default_sample_rate
+from netrad.synth import Records, bistatic_delay, default_sample_rate
 
 F0 = 28e9
 BW = 500e6
@@ -131,7 +131,7 @@ def brute_force_backprojection(records, scenario: Scenario, grid: ImageGrid) -> 
             y = grid.origin.y + j * grid.spacing[1]
             acc = 0.0 + 0.0j
             for rec in records:
-                l, k, n, m = rec.channel
+                l, k, n, m = rec.channels
                 tx = scenario.terminals[l].tx_elements[n]
                 rx = scenario.terminals[k].rx_elements[m]
                 tau = (
@@ -179,17 +179,18 @@ def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple
     return (lo - margin, hi + margin)
 
 
-def reference_synthesize(scenario: Scenario, window, fs=None) -> list[SignalRecord]:
+def reference_synthesize(scenario: Scenario, window, fs=None) -> Records:
     """``synth.synthesize`` evaluated channel by channel and target by
     target with python scalars: the reference its array form must equal
-    bit for bit, truncation error included."""
+    bit for bit, truncation error included. Its rows are stacked at the
+    end, in the order they are evaluated."""
     bw = scenario.bandwidth
     fs = default_sample_rate(bw) if fs is None else fs
     t_min, t_max = window
     n_samp = int(round((t_max - t_min) * fs)) + 1
     t = t_min + np.arange(n_samp) / fs
     margin = 4.0 / bw
-    records = []
+    channels, rows = [], []
     for l, k in scenario.pairing.active_pairs():
         dt_sync = scenario.sync_errors[l, k]
         for n, tx_el in enumerate(scenario.terminals[l].tx_elements):
@@ -212,8 +213,10 @@ def reference_synthesize(scenario: Scenario, window, fs=None) -> list[SignalReco
                     rng = np.random.default_rng([scenario.rng_seed, l, k, n, m])
                     noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)
                     acc += math.sqrt(scenario.noise_power / 2.0) * noise
-                records.append(SignalRecord(channel=(l, k, n, m), t0=t_min, fs=fs, samples=acc))
-    return records
+                channels.append((l, k, n, m))
+                rows.append(acc)
+    return Records(channels=np.array(channels, dtype=int).reshape(-1, 4),
+                   samples=np.array(rows, dtype=complex).reshape(-1, n_samp), t0=t_min, fs=fs)
 
 
 def column_grid(x: float, y_lo: float, y_hi: float, dy: float) -> ImageGrid:

@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 from unittest.mock import patch
@@ -14,6 +15,8 @@ from netrad.imaging import pair_images
 from netrad.scene import load_scenario
 from netrad.synth import suggest_window
 from netrad.wavenumber import coverage_region
+from helpers import reference_synthesize
+from test_exports import reference_record_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -99,6 +102,21 @@ class TestSimulate:
         assert (a / "records" / "ch_0-0-0-0.csv").read_bytes() == (
             b / "records" / "ch_0-0-0-0.csv"
         ).read_bytes()
+
+    def test_noisy_records_match_the_channel_by_channel_reference(self, tmp_path):
+        # one tx terminal of 1 x 134 elements and five of 0 x 1: 139 files,
+        # listed in synthesis order
+        path = SCENARIOS / "opposite_side.json"
+        assert run_cli(["simulate", "--scenario", path, "--out", tmp_path, "--set", "noise_power=0.3"]) == 0
+        sc = load_scenario(path.read_text())
+        reference = reference_synthesize(replace(sc, noise_power=0.3), suggest_window(sc))
+        meta = json.loads((tmp_path / "records_meta.json").read_text())
+        assert meta["n_records"] == len(reference) == 139
+        assert meta["channels"] == reference.channels.tolist()
+        names = ["ch_" + "-".join(map(str, channel)) + ".csv" for channel in meta["channels"]]
+        assert sorted(names) == sorted(f.name for f in (tmp_path / "records").iterdir())
+        for name, record in zip(names, reference):
+            assert (tmp_path / "records" / name).read_text() == reference_record_csv(record), name
 
 
 class TestImageAndFuse:
@@ -679,6 +697,7 @@ class TestFailures:
         lambda tmp: ["image", "--scenario", edited_scenario(tmp, f0_hz="28 GHz")],
         lambda tmp: ["simulate", "--scenario", SCENARIOS / "lane_single_terminal.json",
                      "--set", "bandwidth_hz=0"],
+        lambda tmp: ["simulate", "--scenario", edited_scenario(tmp, targets=[])],
         lambda tmp: ["coverage", "--scenario", edited_scenario(tmp, targets=[])],
         lambda tmp: ["fuse", "--scenario", edited_scenario(tmp, targets=[])],
         lambda tmp: ["orchestrate", "--scenario", edited_scenario(tmp, targets=[])],
@@ -686,7 +705,7 @@ class TestFailures:
             tmp, "lane_multistatic.json", pairing=[[int(k == l + 1) for k in range(5)] for l in range(5)])],
         lambda tmp: ["report"],
     ], ids=["fs-below-bandwidth", "missing-scenario", "schema-error", "invalid-scenario",
-            "coverage-no-targets", "fuse-no-targets", "orchestrate-no-targets", "no-pairs-left",
+            "simulate-no-targets", "coverage-no-targets", "fuse-no-targets", "orchestrate-no-targets", "no-pairs-left",
             "report-missing-directory"])
     def test_validation_failure_leaves_no_output_directory(self, tmp_path, capsys, args):
         # --out and its parents used to be made before the inputs were checked

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from netrad.csvrows import write_csv
 from netrad.imaging import ComplexImage, export_image_csv
 from netrad.scene import ImageGrid, Vec2
-from netrad.synth import SignalRecord, export_record_csv
+from netrad.synth import Records, export_record_csv
 from netrad.wavenumber import WavenumberRegion, export_coverage_csv
 from test_exports import (FORMAT_EDGES, reference_coverage_csv, reference_image_csv,
                           reference_record_csv)
@@ -76,7 +76,7 @@ def records(draw):
     rate = st.one_of(st.sampled_from([1e-5, 123456789.5, 1e21]), st.floats(1e-300, 1e300))  # no overflow
     samples = np.empty(n, complex)
     samples.real, samples.imag = arrays(draw, (n,)), arrays(draw, (n,))
-    return SignalRecord(channel=(0, 1, 2, 3), t0=draw(coordinates), fs=draw(rate), samples=samples)
+    return Records(channels=np.array((0, 1, 2, 3)), samples=samples, t0=draw(coordinates), fs=draw(rate))
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ import numpy as np
 from netrad import csvrows
 from netrad.imaging import ComplexImage, export_image_csv
 from netrad.scene import ImageGrid, Vec2
-from netrad.synth import SignalRecord, export_record_csv
+from netrad.synth import Records, export_record_csv
 from netrad.wavenumber import (WavenumberRegion, coverage_region, export_coverage_csv,
                                export_hull_csv, predicted_resolution)
 from helpers import TARGET, lane_scenario
@@ -55,7 +55,8 @@ def reference_image_csv(image):
 
 def reference_record_csv(record):
     text = "t_s,re,im\n"
-    for t, v in zip(record.times, record.samples):
+    times = record.t0 + np.arange(len(record.samples)) / record.fs
+    for t, v in zip(times, record.samples):
         text += f"{t:.9g},{v.real:.9g},{v.imag:.9g}\n"
     return text
 
@@ -117,10 +118,10 @@ def test_record_csv_matches_reference(tmp_path):
     samples = np.empty(len(EDGE), complex)
     samples.real = EDGE
     samples.imag = -EDGE[::-1]  # negative imaginary parts, -0.0 last
-    edge = SignalRecord(channel=(0, 1, 12, 3), t0=-1e-5, fs=3e8, samples=samples)
+    edge = Records(channels=np.array((0, 1, 12, 3)), samples=samples, t0=-1e-5, fs=3e8)
     rng = np.random.default_rng(5)
-    noisy = SignalRecord(channel=(2, 0, 1, 7), t0=1.2e-7, fs=123456789.5,
-                         samples=(rng.standard_normal(49) + 1j * rng.standard_normal(49)) * 1e-3)
+    noisy = Records(channels=np.array((2, 0, 1, 7)), t0=1.2e-7, fs=123456789.5,
+                    samples=(rng.standard_normal(49) + 1j * rng.standard_normal(49)) * 1e-3)
     for record in (edge, noisy):
         export_record_csv(record, tmp_path / "record.csv")
         assert (tmp_path / "record.csv").read_text() == reference_record_csv(record)

@@ -29,7 +29,7 @@ from netrad.imaging import (
     point_spread,
 )
 from netrad.metrics import compute_metrics
-from netrad.synth import SignalRecord, bistatic_delay, suggest_window, synthesize
+from netrad.synth import Records, bistatic_delay, suggest_window, synthesize
 from netrad.wavenumber import coverage_region, predicted_resolution
 from helpers import (
     BW,
@@ -76,14 +76,14 @@ class TestBackproject:
 
     def test_zero_records_zero_image(self):
         sc = stacked_array_scenario(1, 1)
-        rec = SignalRecord(
-            channel=(0, 0, 0, 0),
+        records = Records(
+            channels=np.array([(0, 0, 0, 0)]),
+            samples=np.zeros((1, 200), dtype=complex),
             t0=1.0e-7,
             fs=4 * BW,
-            samples=np.zeros(200, dtype=complex),
         )
         grid = ImageGrid(Vec2(-0.5, 19.5), (0.25, 0.25), (5, 5))
-        (image,) = pair_images([rec], sc, grid)
+        (image,) = pair_images(records, sc, grid)
         assert np.all(image.pixels == 0)
 
     def test_single_channel_cut_matches_model(self):
@@ -91,8 +91,9 @@ class TestBackproject:
         sc = lane_scenario(n_terminals=1, m_rx=1)
         grid = column_grid(0.0, 18.5, 21.5, 0.02)
         window = suggest_window(sc, grid)
-        (rec,) = synthesize(sc, window)
-        (image,) = pair_images([rec], sc, grid)
+        records = synthesize(sc, window)
+        (rec,) = records
+        (image,) = pair_images(records, sc, grid)
         # direct evaluation of the model on the same cut
         ys = grid.y_coords
         expect = np.empty(len(ys), dtype=complex)
@@ -308,6 +309,46 @@ class TestBackproject:
         assert lin == pytest.approx(1.0, abs=0.05)
 
 
+class TestWholePairs:
+    """``pair_images`` takes whole pairs, in the order ``synthesize`` writes
+    them: pair by pair, each in (tx element, rx element) row-major order."""
+
+    @pytest.fixture(scope="class")
+    def acquisition(self):
+        terminals = tuple(
+            Terminal(i, Vec2(0.7 * i, 0.0), (Vec2(0.7 * i - 0.01, 0.0), Vec2(0.7 * i + 0.01, 0.0)),
+                     tuple(Vec2(0.7 * i + 0.005 * m, 0.01) for m in range(3)))
+            for i in range(2)
+        )
+        sc = Scenario(terminals=terminals, targets=(PointTarget(TARGET),), f0=F0, bandwidth=BW,
+                      noise_power=0.1, pairing=AssociationMatrix.full(2))
+        grid = ImageGrid(Vec2(-0.2, 19.8), (0.05, 0.05), (9, 9))
+        return sc, grid, synthesize(sc, suggest_window(sc, grid))
+
+    @pytest.mark.parametrize("rows", [
+        lambda c: [1, 0, *range(2, c)],  # two channels of a pair swapped
+        lambda c: [0, *range(c)],  # one channel twice
+        lambda c: [*range(c), *range(6)],  # a whole pair twice
+        lambda c: list(range(c - 1)),  # the last pair without its last channel
+        lambda c: [*range(6, c), *range(1, 6)],  # the first pair without its first channel
+    ], ids=["permuted", "duplicated-channel", "duplicated-pair", "partial-last", "partial-first"])
+    def test_other_channel_tables_raise(self, acquisition, rows):
+        sc, grid, records = acquisition
+        with pytest.raises(ValueError, match=r"^records must hold whole pairs"):
+            pair_images(records[rows(len(records))], sc, grid)
+
+    def test_a_pair_alone_gives_the_same_bits(self, acquisition):
+        sc, grid, records = acquisition
+        images = pair_images(records, sc, grid)
+        assert [im.provenance for im in images] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        with patch.object(os, "cpu_count", return_value=2), patch.object(imaging, "_BAND_PIXCH", 1):
+            for image in images:
+                alone = records[(records.channels[:, :2] == image.provenance).all(axis=1)]
+                for workers in (1, 2):
+                    (again,) = pair_images(alone, sc, grid, workers=workers)
+                    assert np.array_equal(again.pixels, image.pixels)
+
+
 def test_small_calls_do_not_fork():
     # the lane's envelope grids on two CPUs at two workers: 16x16 for the
     # default 49x49 grid (0.86 M pixel-channels) images in one process,
@@ -356,7 +397,8 @@ def test_working_set_stays_within_budget():
         half = step * (n - 1) / 2
         return ImageGrid(Vec2(target.x - half, target.y - half), (step, step), (n, n))
 
-    records = [r for r in synthesize(sc, suggest_window(sc, grid(121))) if r.channel[:2] == (0, 0)]
+    records = synthesize(sc, suggest_window(sc, grid(121)))
+    records = records[(records.channels[:, :2] == (0, 0)).all(axis=1)]
     budget, pixch_bytes = imaging._BLOCK_BYTES, imaging._PIXCH_BYTES
     for n in (49, 121):
         per_block = imaging._block_elements(n * n)

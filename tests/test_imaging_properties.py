@@ -1,7 +1,7 @@
 """Property tests of the back-projection kernel on random small
 acquisitions: 1-3 terminals with 1-2 Tx and 1-3 Rx elements each (up to
-6 where blocks of Rx elements are tested), a random association matrix
-and records in random order."""
+6 where blocks of Rx elements are tested) and a random association
+matrix, synthesized into one ``Records`` array of whole pairs."""
 
 import cmath
 import math
@@ -26,7 +26,7 @@ from netrad.imaging import (
     pair_images,
 )
 from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
-from netrad.synth import SignalRecord, bistatic_delay, suggest_window, synthesize
+from netrad.synth import bistatic_delay, suggest_window, synthesize
 from helpers import BW, F0, brute_force_backprojection
 
 WORKERS = (1, 2, 3, 8)
@@ -78,13 +78,16 @@ def acquisitions(draw, max_rx=3):
         (spacing, spacing),
         (nx, ny),
     )
-    records = synthesize(scenario, suggest_window(scenario, grid))
-    order = draw(st.permutations(range(len(records))))
-    return scenario, grid, [records[i] for i in order]
+    return scenario, grid, synthesize(scenario, suggest_window(scenario, grid))
+
+
+def of_pairs(records, pairs):
+    """The mask of the rows of ``records`` whose (tx, rx) pair is in ``pairs``."""
+    return (records.channels[:, None, :2] == np.array(pairs)).all(axis=2).any(axis=1)
 
 
 def records_of(records, pair):
-    return [r for r in records if r.channel[:2] == pair]
+    return records[of_pairs(records, [pair])]
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,8 +105,8 @@ def test_each_pair_matches_oracle(acquisition):
 def test_pairs_do_not_depend_on_workers_or_neighbours(acquisition, pair_workers):
     sc, grid, records = acquisition
     images = pair_images(records, sc, grid)
-    # first-appearance pair order
-    assert [im.provenance for im in images] == list(dict.fromkeys(r.channel[:2] for r in records))
+    # the records' pair order
+    assert [im.provenance for im in images] == list(dict.fromkeys(map(tuple, records.channels[:, :2].tolist())))
     for workers in WORKERS[1:]:
         again = pair_images(records, sc, grid, workers=workers)
         assert [im.provenance for im in again] == [im.provenance for im in images]
@@ -126,16 +129,16 @@ def with_block(per_block, grid):
 @given(acquisitions(max_rx=6), st.data())
 def test_blocks_keep_each_pixel_sum_in_order(acquisition, data):
     # blocks of 1, 2, 4 and 5 Rx elements: with up to 6 elements per
-    # terminal the last block is often partial; dropped channels leave
-    # blocks without some (Tx terminal, Tx element) keys, and records
-    # with one more leading sample start one sample earlier
+    # terminal the last block is often partial; dropped pairs leave
+    # receive terminals without some Tx terminals, and records with one
+    # more leading sample start one sample earlier
     sc, grid, records = acquisition
-    flags = st.lists(st.booleans(), min_size=len(records), max_size=len(records))
-    kept, longer = data.draw(flags), data.draw(flags)
-    records = [
-        replace(rec, t0=rec.t0 - 1 / rec.fs, samples=np.append(0j, rec.samples)) if extend else rec
-        for rec, keep, extend in zip(records, kept, longer) if keep or not any(kept)
-    ]
+    pairs = list(dict.fromkeys(map(tuple, records.channels[:, :2].tolist())))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    if any(kept):
+        records = records[of_pairs(records, [pair for pair, keep in zip(pairs, kept) if keep])]
+    if data.draw(st.booleans()):
+        records = replace(records, t0=records.t0 - 1 / records.fs, samples=np.pad(records.samples, ((0, 0), (1, 0))))
     with with_block(1, grid):
         images = pair_images(records, sc, grid)
     for image in images:
@@ -179,21 +182,20 @@ def test_block_constant_grids():
 @given(st.integers(2, 4), st.integers(2, 40), st.integers(0, 99))
 def test_stacked_records_interpolate_as_single_records(count, n, seed):
     rng = np.random.default_rng(seed)
-    recs = [SignalRecord((0, 0, 0, m), 0.0, 1.0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            for m in range(count)]
+    samples = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     # delays (t0 = 0, fs = 1: sample positions) anywhere in each record,
     # on its first and last sample and one ulp past the last, where
     # rounding can put the delay of a window edge
     tau = np.array([[rng.uniform(0, n - 1, 4).tolist() + [0.0, n - 1, np.nextafter(n - 1, n)]]
-                    for _ in recs])
+                    for _ in samples])
 
     def buffers(shape):
         return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
                 np.empty(shape, dtype=complex))
 
-    stacked = imaging._interp_linear(recs, tau.copy(), buffers(tau.shape)).copy()
-    for rec, row, value in zip(recs, tau, stacked):
-        alone = imaging._interp_linear([rec], row[None].copy(), buffers((1, *row.shape)))
+    stacked = imaging._interp_linear(samples, 0.0, 1.0, tau.copy(), buffers(tau.shape)).copy()
+    for c, (row, value) in enumerate(zip(tau, stacked)):
+        alone = imaging._interp_linear(samples[c:c + 1], 0.0, 1.0, row[None].copy(), buffers((1, *row.shape)))
         assert np.array_equal(alone[0], value)
 
 
@@ -225,7 +227,7 @@ def test_linear_kernel_meets_its_error_bound(oversample, x, y, beta, sync, seed)
     rng = np.random.default_rng(seed)
     bound = math.pi**2 * (BW / fs) ** 2 / 24 * abs(beta) + 1e-12
     for rec in synthesize(sc, suggest_window(sc), fs=fs):
-        l, k, n, m = rec.channel
+        l, k, n, m = rec.channels.tolist()
         tau = (bistatic_delay(terminals[l].tx_elements[n], terminals[k].rx_elements[m], target)
                + sc.sync_errors[l, k])
         # anywhere in the window, and within two samples of the peak
@@ -233,9 +235,9 @@ def test_linear_kernel_meets_its_error_bound(oversample, x, y, beta, sync, seed)
         shape = (1, 1, t.size)
         work = (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex),
                 np.empty(shape, dtype=complex))
-        vals = imaging._interp_linear([rec], t.reshape(shape).copy(), work)[0, 0]
+        vals = imaging._interp_linear(rec.samples[None], rec.t0, rec.fs, t.reshape(shape).copy(), work)[0, 0]
         exact = beta * np.exp(-2j * math.pi * F0 * tau) * np.sinc(BW * (t - tau))
-        assert np.abs(vals - exact).max() <= bound, rec.channel
+        assert np.abs(vals - exact).max() <= bound, (l, k, n, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,9 +269,10 @@ def test_reach_bounds_map_extremes(nx, ny, x0, y0, sx, sy, spans):
 
 
 def pixel_delays(rec, sc, grid):
-    """The kernel's per-pixel delays of ``rec``: Tx map plus Rx map."""
+    """The kernel's per-pixel delays of the one channel ``rec``: Tx map
+    plus Rx map."""
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
-    l, k, n, m = rec.channel
+    l, k, n, m = rec.channels.tolist()
     tx, rx = sc.terminals[l].tx_elements[n], sc.terminals[k].rx_elements[m]
     return _delay_map(tx.x, tx.y, x, y) + _delay_map(rx.x, rx.y, x, y)
 
@@ -280,9 +283,9 @@ def first_window_error(records, sc, grid):
     order), whose exact per-pixel delays leave its window; None if none."""
     by_rx = {}
     for rec in records:
-        by_rx.setdefault(rec.channel[1], []).append(rec)
+        by_rx.setdefault(int(rec.channels[1]), []).append(rec)
     for recs in by_rx.values():
-        for rec in sorted(recs, key=lambda r: r.channel[3]):
+        for rec in sorted(recs, key=lambda r: int(r.channels[3])):
             try:
                 _check_window(rec, pixel_delays(rec, sc, grid))
             except ValueError as err:
@@ -294,22 +297,20 @@ def first_window_error(records, sc, grid):
 @given(acquisitions(), st.data())
 def test_window_bound_raises_exactly_when_exact_check_does(acquisition, data):
     sc, grid, records = acquisition
-    moved = []
-    # move record windows so that an edge lands inside, on, one ulp inside
-    # or just outside the span of the record's pixel delays
-    for rec in records:
-        tau = pixel_delays(rec, sc, grid)
-        lo, hi = float(tau.min()), float(tau.max())
-        edge = data.draw(
-            st.sampled_from([lo, float(np.nextafter(lo, np.inf)), hi, float(np.nextafter(hi, 0))])
-            | st.floats(-0.5, 1.5).map(lambda u: lo + u * (hi - lo))
-        )
-        side = data.draw(st.sampled_from(["keep"] * 4 + ["t0", "t_end"]))
-        if side == "t0":
-            rec = replace(rec, t0=edge)
-        elif side == "t_end":
-            rec = replace(rec, t0=edge - (len(rec.samples) - 1) / rec.fs)
-        moved.append(rec)
+    # move the records' one window so that an edge lands inside, on, one
+    # ulp inside or just outside the span of a drawn channel's pixel delays
+    tau = pixel_delays(records[data.draw(st.integers(0, len(records) - 1))], sc, grid)
+    lo, hi = float(tau.min()), float(tau.max())
+    edge = data.draw(
+        st.sampled_from([lo, float(np.nextafter(lo, np.inf)), hi, float(np.nextafter(hi, 0))])
+        | st.floats(-0.5, 1.5).map(lambda u: lo + u * (hi - lo))
+    )
+    side = data.draw(st.sampled_from(["keep", "t0", "t_end"]))
+    moved = records
+    if side == "t0":
+        moved = replace(records, t0=edge)
+    elif side == "t_end":
+        moved = replace(records, t0=edge - (records.samples.shape[1] - 1) / records.fs)
     expected = first_window_error(moved, sc, grid)
     for workers in WORKERS:
         if expected is None:

@@ -122,7 +122,7 @@ class TestSynthesize:
             rng_seed=11,
         )
         records = synthesize(sc, (0.0, 1e-5))  # 3 x 20001 samples
-        z = np.concatenate([r.samples for r in records])
+        z = records.samples.ravel()
         n = len(z)
         assert n >= 1e4
         # mean -> 0 and var -> sigma2 within 3-sigma confidence
@@ -142,9 +142,8 @@ class TestSynthesize:
         sc = lane_scenario(n_terminals=2, m_rx=2, noise_power=0.1, seed=5)
         a = synthesize(sc, (1.1e-7, 1.7e-7))
         b = synthesize(sc, (1.1e-7, 1.7e-7))
-        for ra, rb in zip(a, b):
-            assert ra.channel == rb.channel
-            assert np.array_equal(ra.samples, rb.samples)
+        assert np.array_equal(a.channels, b.channels)
+        assert np.array_equal(a.samples, b.samples)
 
     def test_seed_changes_noise(self):
         sc1 = lane_scenario(n_terminals=1, m_rx=1, noise_power=0.1, seed=1)
@@ -170,10 +169,33 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="Nyquist"):
             synthesize(sc, (1.1e-7, 1.7e-7), fs=BW / 2)
 
+    @pytest.mark.parametrize("fs", [math.nan, math.inf])
+    def test_non_finite_rate_raises(self, fs):
+        sc = single_terminal_scenario()
+        with pytest.raises(ValueError, match=r"^sample rate fs = (nan|inf) Hz must be finite"):
+            synthesize(sc, (1.1e-7, 1.7e-7), fs=fs)
+
+    @pytest.mark.parametrize("window", [(math.nan, 1.7e-7), (1.1e-7, math.inf), (-math.inf, 1.7e-7)])
+    def test_non_finite_window_raises(self, window):
+        sc = single_terminal_scenario()
+        with pytest.raises(ValueError, match=r"^acquisition window .* s must be finite and not empty$"):
+            synthesize(sc, window)
+
+    def test_records_index_like_numpy(self):
+        sc = lane_scenario(n_terminals=2, m_rx=2, pairing=AssociationMatrix.full(2))
+        records = synthesize(sc, (1.05e-7, 1.75e-7))
+        one = records[5]  # pair (1, 0), Rx element 1
+        assert one.channels.tolist() == [1, 0, 0, 1]
+        assert np.array_equal(one.samples, records.samples[5]) and one.samples.ndim == 1
+        mask = records.channels[:, 1] == 1
+        subset = records[mask]
+        assert len(subset) == 4 and np.array_equal(subset.samples, records.samples[mask])
+        assert (subset.t0, subset.fs, subset.t_end) == (records.t0, records.fs, records.t_end)
+
     def test_record_order_is_channel_row_major(self):
         sc = lane_scenario(n_terminals=2, m_rx=2, pairing=AssociationMatrix.full(2))
         records = synthesize(sc, (1.05e-7, 1.75e-7))
-        channels = [r.channel for r in records]
+        channels = [tuple(channel) for channel in records.channels.tolist()]
         expect = [
             (l, k, 0, m) for l in range(2) for k in range(2) for m in range(2)
         ]
