@@ -125,6 +125,7 @@ def brute_force_backprojection(records, scenario: Scenario, grid: ImageGrid) -> 
     """
     nx, ny = grid.size
     out = np.zeros((nx, ny), dtype=complex)
+    records = list(records)  # one-channel records, indexed once for every pixel
     for i in range(nx):
         x = grid.origin.x + i * grid.spacing[0]
         for j in range(ny):
