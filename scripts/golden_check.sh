@@ -7,12 +7,13 @@
 # Extracts REV with `git archive` into a temporary directory, runs each
 # side's golden_runs.sh on its own package into temporary output
 # directories, prints scripts/golden_diff.py's report, then compares byte
-# for byte each side's `simulate` record export of opposite_side.json at
-# noise_power 0.3 (139 record files and records_meta.json), prints the
-# line count of src/ on each side, and exits 1 if the record export
-# differs, otherwise with golden_diff.py's code. The temporary directory
-# is removed on exit and no bytecode is written, so no files or git state
-# are left behind.
+# for byte two runs no golden run covers, on each side: the `simulate`
+# record export of opposite_side.json at noise_power 0.3 (139 record files
+# and records_meta.json) and the `coverage --baseband` export of
+# lane_multistatic.json. It prints the line count of src/ on each side,
+# and exits 1 if either export differs, otherwise with golden_diff.py's
+# code. The temporary directory is removed on exit and no bytecode is
+# written, so no files or git state are left behind.
 set -e
 if [ $# -ne 1 ]; then
     echo "usage: $0 REV" >&2
@@ -46,16 +47,23 @@ PATH="$tmp/bin:$PATH" NETRAD_SRC="$PWD/src" NETRAD_OUT="$tmp/out_tree" \
 status=0
 python3 scripts/golden_diff.py "$tmp/out_base" "$tmp/out_tree" || status=$?
 
-simulate="simulate --scenario scenarios/opposite_side.json --set noise_power=0.3"
-(cd "$tmp/base" && PATH="$tmp/bin:$PATH" NETRAD_SRC="$tmp/base/src" netrad $simulate --out "$tmp/sim_base" >/dev/null)
-PATH="$tmp/bin:$PATH" NETRAD_SRC="$PWD/src" netrad $simulate --out "$tmp/sim_tree" >/dev/null
-if diff -r "$tmp/sim_base" "$tmp/sim_tree" >/dev/null; then
-    echo "$simulate: identical, $(ls "$tmp/sim_tree/records" | wc -l | tr -d ' ') record files"
-else
-    echo "$simulate: differs"
-    diff -rq "$tmp/sim_base" "$tmp/sim_tree" | sed 's|'"$tmp"'/||g' | head -20
-    status=1
-fi
+# same NAME ARGS...: run `netrad ARGS` on each side into $tmp/NAME_base and
+# $tmp/NAME_tree and compare the two trees byte for byte
+same() {
+    name=$1
+    shift
+    (cd "$tmp/base" && PATH="$tmp/bin:$PATH" NETRAD_SRC="$tmp/base/src" netrad "$@" --out "$tmp/${name}_base" >/dev/null)
+    PATH="$tmp/bin:$PATH" NETRAD_SRC="$PWD/src" netrad "$@" --out "$tmp/${name}_tree" >/dev/null
+    if diff -r "$tmp/${name}_base" "$tmp/${name}_tree" >/dev/null; then
+        echo "$*: identical, $(find "$tmp/${name}_tree" -type f | wc -l | tr -d ' ') files"
+    else
+        echo "$*: differs"
+        diff -rq "$tmp/${name}_base" "$tmp/${name}_tree" | sed 's|'"$tmp"'/||g' | head -20
+        status=1
+    fi
+}
+same sim simulate --scenario scenarios/opposite_side.json --set noise_power=0.3
+same baseband coverage --scenario scenarios/lane_multistatic.json --baseband
 src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l | tr -d ' '; }
 echo "src/ lines: $(src_lines "$tmp/base") at $rev, $(src_lines .) in the working tree"
 exit $status

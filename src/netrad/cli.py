@@ -170,7 +170,7 @@ def _cmd_coverage(config: argparse.Namespace, out: Path) -> None:
     wavenumber.export_hull_csv(est, out / "hull.csv")
     doc = est.to_dict()
     doc["label"] = region.label
-    doc["n_tiles"] = len(region.pairs)
+    doc["n_tiles"] = len(region.channels)
     _write_json(doc, out / "resolution.json")
 
 

@@ -32,11 +32,11 @@ y offsets, so a channel's delay tau(x) is one add of a Tx and an Rx map.
 Phases exp(j*theta) come from a table of exp(2*pi*j*k/T) times a short
 Taylor series in the residual angle, within a few units of the last
 place of theta of the exact value. Every channel's window is checked
-once, in kernel order, before any band runs, against the bound that
-``synth.suggest_window`` sizes windows from: the sums of its Tx and Rx
-element's ``ImageGrid.reach``. Rounding is monotone, so it passes no
-pixel the exact per-pixel check would reject; that check runs, with its
-message, only for a window the bound fails.
+once, before any band runs, against the bound that
+``synth.suggest_window`` sizes windows from, ``synth.pixel_delay_bounds``.
+Rounding is monotone, so it passes no pixel the exact per-pixel check
+would reject; that check runs, with its message and in kernel order,
+only for a window the bound fails.
 
 The CLI sizes every grid of a run from one coverage region, at the targets'
 box centre; ``default_spacing`` holds the pitch rule. It images each pair
@@ -65,8 +65,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvrows import write_csv
-from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2
-from .synth import Records, channel_table, suggest_window, synthesize
+from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2, channel_table
+from .synth import Records, pixel_delay_bounds, suggest_window, synthesize
 from .wavenumber import TWO_PI, WavenumberRegion, coverage_region, predicted_resolution
 
 # bytes per pixel-channel of a block's op chain, kernel buffers included,
@@ -211,13 +211,13 @@ def pair_images(
     records' pair order.
 
     ``records`` must hold whole pairs, as ``synth.synthesize`` writes them
-    (``synth.channel_table``): every channel of each pair, pair by pair, in
+    (``scene.channel_table``): every channel of each pair, pair by pair, in
     (tx element, rx element) row-major order; other tables raise ValueError.
     Every pair must be active and every pixel's bistatic delay must fall
     inside the records' window. Records are interpolated linearly between
     samples; ``synth.default_sample_rate`` states the error bound. Every
-    channel's window is checked once, before any band runs, against the
-    bound that ``synth.suggest_window`` sizes windows for ``grid`` from.
+    channel's window is checked once, before any band runs, against its
+    ``synth.pixel_delay_bounds``, from which ``suggest_window`` sizes windows.
     Equal bands of x rows are then imaged by forked processes, one band per
     _BAND_PIXCH pixel-channels, at most ``workers`` and at most one per CPU,
     in one process where ``os.fork`` is missing; the images and any error
@@ -238,23 +238,15 @@ def pair_images(
         raise ValueError("records must hold whole pairs, each in (tx element, rx element) row-major order")
     # per receive terminal, by first appearance, its pairs' (Tx terminal, first row)
     received = {k: [(l, r) for (l, kk), r in zip(pairs, starts) if kk == k] for _, k in pairs}
-    # every element's (x, y) and reach; every Tx element's delay map
-    tx_xy = {l: np.array([(e.x, e.y) for e in terminals[l].tx_elements]).reshape(-1, 2) for l, _ in pairs}
-    rx_xy = {k: np.array([(e.x, e.y) for e in terminals[k].rx_elements]).reshape(-1, 2) for k in received}
-    tx_delay = {l: _delay_map(*xy.T[..., None, None], x, y) for l, xy in tx_xy.items()}
-    tx_reach = {l: grid.reach(xy) for l, xy in tx_xy.items()}
-    # the channels whose window their elements' reach sum does not clear take
-    # the exact check, in kernel order (receive terminal, Rx element, row)
-    suspects = []
-    for i, (k, sources) in enumerate(received.items()):
-        rx_reach = grid.reach(rx_xy[k])
-        for l, r in sources:
-            near, far = tx_reach[l][:, :, None] + rx_reach[:, None, :]
-            bad = np.flatnonzero((near < t0) | (far > records.t_end)).tolist()
-            suspects += [(i, c % len(rx_reach[0]), r + c) for c in bad]
-    for _, m, c in sorted(suspects):
-        l, k, n, _ = channels[c].tolist()
-        _check_window(records[c], tx_delay[l][n] + _delay_map(*rx_xy[k][m], x, y))
+    tx_delay = {l: _delay_map(*terminals[l].tx_elements.T[..., None, None], x, y) for l in {l for l, _ in pairs}}
+    # the channels whose window their bounds do not clear take the exact
+    # check, in kernel order (receive terminal, Rx element, row)
+    near, far = pixel_delay_bounds(scenario, grid, pairs)
+    rank = {k: i for i, k in enumerate(received)}
+    for c in sorted(np.flatnonzero((near < t0) | (far > records.t_end)).tolist(),
+                    key=lambda c: (rank[int(channels[c, 1])], int(channels[c, 3]), c)):
+        l, k, n, m = channels[c].tolist()
+        _check_window(records[c], tx_delay[l][n] + _delay_map(*terminals[k].rx_elements[m], x, y))
     # the pair images in an anonymous shared mapping that forked bands write
     nx, ny = grid.size
     stack = np.frombuffer(mmap.mmap(-1, 16 * len(pairs) * nx * ny or 1), complex, len(pairs) * nx * ny)
@@ -267,14 +259,14 @@ def pair_images(
         # their first c rows; complex products never write over an operand:
         # numpy rounds an in-place product of one element differently from a
         # longer one
-        block = min(per_block, max(map(len, rx_xy.values()), default=1))
+        block = min(per_block, max((len(terminals[k].rx_elements) for k in received), default=1))
         buffer = functools.partial(np.empty, (block, *shape))
         rx_delay, phase, pos = buffer(), buffer(dtype=complex), buffer()
         work = (buffer(dtype=np.intp), buffer(dtype=complex), buffer(dtype=complex))
         first = functools.cache(lambda c: (pos[:c], tuple(w[:c] for w in work)))
         tx_theta, tx_phase, tx_work = pos[0], phase[0], tuple(w[0] for w in work)
         for k, sources in received.items():
-            (ex, ey), n_rx = rx_xy[k].T[..., None, None], len(rx_xy[k])
+            (ex, ey), n_rx = terminals[k].rx_elements.T[..., None, None], len(terminals[k].rx_elements)
             # per pair, its first row, its Tx elements' delay map rows and one
             # sum each without the Tx phase, Tx element 0's in its own pixels
             sums = [(r, tx_delay[l][:, rows], [pixels[l, k][rows], *(
@@ -391,7 +383,7 @@ def envelope_grid(region: WavenumberRegion, grid: ImageGrid) -> ImageGrid:
     if not all(math.isfinite(d) for d in step):
         return grid
     size = [math.floor((n - 1) * s / d) + 5 for n, s, d in zip(grid.size, grid.spacing, step)]
-    channels, pairs = len(region.pairs), len(region.pair_extents)
+    channels, pairs = len(region.channels), len(region.pair_extents)
     pixels = grid.size[0] * grid.size[1]
     if size[0] * size[1] * channels + _UPSAMPLE_PIXCH * pairs * pixels >= pixels * channels:
         return grid
@@ -435,12 +427,8 @@ def _reference_carriers(scenario: Scenario, grid: ImageGrid, pairs):
     element of terminal l and the mean Rx element of terminal k."""
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
     terms = scenario.terminals
-
-    def mean_delay(elements):
-        return _delay_map(*np.mean([(e.x, e.y) for e in elements], axis=0), x, y)
-
-    tx = {l: mean_delay(terms[l].tx_elements) for l in {pair[0] for pair in pairs}}
-    rx = {k: mean_delay(terms[k].rx_elements) for k in {pair[1] for pair in pairs}}
+    tx = {l: _delay_map(*terms[l].tx_elements.mean(axis=0), x, y) for l in {pair[0] for pair in pairs}}
+    rx = {k: _delay_map(*terms[k].rx_elements.mean(axis=0), x, y) for k in {pair[1] for pair in pairs}}
     omega = 2.0 * math.pi * scenario.f0
     theta, out = np.empty(grid.size), np.empty(grid.size, dtype=complex)
     work = (np.empty(grid.size, dtype=np.intp), np.empty_like(out), np.empty_like(out))

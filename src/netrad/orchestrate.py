@@ -195,6 +195,6 @@ def default_stand_off(scenario: Scenario, target: Vec2) -> float:
     """Stand-off range for angle-to-position mapping: the distance from
     the first transmitting terminal's phase center to the target."""
     for term in scenario.terminals:
-        if term.tx_elements:
+        if len(term.tx_elements):
             return distance(term.phase_center, target)
     raise ValueError("scenario has no transmitting terminal")

@@ -2,7 +2,8 @@
 
 Units are SI throughout: meters, Hz, seconds, rad/m. All types are value
 data; treat them as read-only after construction so they can be shared
-freely across parallel workers.
+freely across parallel workers. Terminal elements are (n, 2) float
+arrays; ``channel_table`` orders the rows of records and coverage alike.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ def distance(a: Vec2, b: Vec2) -> float:
     return math.hypot(b.x - a.x, b.y - a.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Terminal:
-    """A sensing terminal: a phase center plus its Tx/Rx element positions.
+    """A sensing terminal: a phase center plus its Tx/Rx element positions,
+    (n, 2) float arrays built from ``Vec2``s or [x, y] pairs, equal by value.
 
     Elements can represent a physical array or sampled positions of a
     synthetic aperture; the toolkit does not distinguish the two.
@@ -67,12 +69,19 @@ class Terminal:
 
     id: int
     phase_center: Vec2
-    tx_elements: tuple[Vec2, ...] = ()
-    rx_elements: tuple[Vec2, ...] = ()
+    tx_elements: np.ndarray = ()
+    rx_elements: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tx_elements", tuple(self.tx_elements))
-        object.__setattr__(self, "rx_elements", tuple(self.rx_elements))
+        for name in ("tx_elements", "rx_elements"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).reshape(-1, 2))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Terminal):
+            return NotImplemented
+        return (self.id == other.id and self.phase_center == other.phase_center
+                and np.array_equal(self.tx_elements, other.tx_elements)
+                and np.array_equal(self.rx_elements, other.rx_elements))
 
 
 @dataclass(frozen=True)
@@ -251,19 +260,20 @@ def validate(scenario: Scenario) -> list[str]:
     for idx, term in enumerate(scenario.terminals):
         if term.id != idx:
             v.append(f"terminal ids must be 0..L-1 in list order (got id {term.id} at index {idx})")
-        if not term.tx_elements and not term.rx_elements:
+        if not len(term.tx_elements) and not len(term.rx_elements):
             v.append(f"terminal {term.id}: at least one element list must be non-empty")
         for name, elements in (("tx", term.tx_elements), ("rx", term.rx_elements)):
-            for e, el in enumerate(elements):
-                if not el.is_finite():
-                    v.append(f"terminal {term.id}: {name} element {e} is not finite")
+            for e in np.flatnonzero(~np.isfinite(elements).all(axis=1)).tolist():
+                v.append(f"terminal {term.id}: {name} element {e} is not finite")
         if not term.phase_center.is_finite():
             v.append(f"terminal {term.id}: phase center is not finite")
 
     for t, target in enumerate(scenario.targets):
         if not target.position.is_finite():
             v.append(f"target {t}: position is not finite")
-        if not abs(target.reflectivity) > 0:
+        if not np.isfinite(target.reflectivity):
+            v.append(f"target {t}: reflectivity must be finite")
+        elif not abs(target.reflectivity) > 0:
             v.append(f"target {t}: reflectivity magnitude must be positive")
 
     band = (("f0_hz", scenario.f0), ("bandwidth_hz", scenario.bandwidth))
@@ -296,12 +306,24 @@ def validate(scenario: Scenario) -> list[str]:
         if not pairs:
             v.append("no active pair")
         for l, k in pairs:
-            if l < n and not scenario.terminals[l].tx_elements:
+            if l < n and not len(scenario.terminals[l].tx_elements):
                 v.append(f"pair ({l},{k}) active but terminal {l} has no tx elements")
-            if k < n and not scenario.terminals[k].rx_elements:
+            if k < n and not len(scenario.terminals[k].rx_elements):
                 v.append(f"pair ({l},{k}) active but terminal {k} has no rx elements")
 
     return v
+
+
+def channel_table(scenario: Scenario, pairs) -> np.ndarray:
+    """The (C, 4) int (tx terminal, rx terminal, tx element, rx element)
+    table of every channel of ``pairs``, pair by pair and each pair's rows
+    row-major: the row order of ``synth.Records`` and ``WavenumberRegion``."""
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    n_tx, n_rx = np.array([[len(scenario.terminals[l].tx_elements), len(scenario.terminals[k].rx_elements)]
+                           for l, k in pairs.tolist()], dtype=int).reshape(-1, 2).T
+    counts = n_tx * n_rx
+    row = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # row within its pair
+    return np.column_stack((np.repeat(pairs, counts, axis=0), *np.divmod(row, np.repeat(n_rx, counts))))
 
 
 # --- JSON scenario schema ---------------------------------------------------
@@ -340,16 +362,15 @@ def _require_vec2(value, path: str) -> Vec2:
     return Vec2(_require_number(value[0], f"{path}[0]"), _require_number(value[1], f"{path}[1]"))
 
 
-def _require_vec2s(values, path: str) -> tuple[Vec2, ...]:
-    """The [x, y] pairs listed at ``path``; a pair's own path is formatted
-    only for a bad pair, which ``_require_vec2`` names."""
-    vecs = []
+def _require_vec2s(values, path: str) -> np.ndarray:
+    """The (n, 2) array of the [x, y] pairs listed at ``path``; a pair's
+    own path is formatted only for a bad pair, which ``_require_vec2`` names."""
+    if not isinstance(values, (list, tuple)):
+        raise SchemaError("expected a list of [x, y] pairs", path)
     for i, e in enumerate(values):
-        if isinstance(e, (list, tuple)) and len(e) == 2 and _is_number(e[0]) and _is_number(e[1]):
-            vecs.append(Vec2(float(e[0]), float(e[1])))
-        else:
-            vecs.append(_require_vec2(e, f"{path}[{i}]"))
-    return tuple(vecs)
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and _is_number(e[0]) and _is_number(e[1])):
+            _require_vec2(e, f"{path}[{i}]")
+    return np.array(values, dtype=float).reshape(-1, 2)
 
 def _require_matrix(value, n: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
@@ -374,13 +395,10 @@ def _parse_terminal(doc, index: int) -> Terminal:
     if "phase_center" in doc:
         center = _require_vec2(doc["phase_center"], f"{path}.phase_center")
     else:
-        allel = tx + rx
-        if not allel:
+        xs, ys = np.concatenate((tx, rx)).T.tolist()
+        if not xs:
             raise SchemaError("terminal has no elements and no phase_center", path)
-        center = Vec2(
-            sum(e.x for e in allel) / len(allel),
-            sum(e.y for e in allel) / len(allel),
-        )
+        center = Vec2(sum(xs) / len(xs), sum(ys) / len(ys))
     return Terminal(id=term_id, phase_center=center, tx_elements=tx, rx_elements=rx)
 
 
@@ -473,8 +491,8 @@ def scenario_to_json(scenario: Scenario) -> str:
             {
                 "id": t.id,
                 "phase_center": [t.phase_center.x, t.phase_center.y],
-                "tx_elements": [[e.x, e.y] for e in t.tx_elements],
-                "rx_elements": [[e.x, e.y] for e in t.rx_elements],
+                "tx_elements": t.tx_elements.tolist(),
+                "rx_elements": t.rx_elements.tolist(),
             }
             for t in scenario.terminals
         ],

@@ -14,7 +14,9 @@ amplitude. Simultaneous transmitters are assumed ideally orthogonal
 stream per channel. Each element's distance to each target is computed
 once; a pair's delays form one (n_tx, n_rx) array per target and its
 records are written as one (n_tx, n_rx, samples) view of the run's one
-``Records`` array, bit for bit the channel-by-channel evaluation.
+``Records`` array, bit for bit the channel-by-channel evaluation, in
+``scene.channel_table`` order. ``pixel_delay_bounds`` sizes windows and
+checks them in ``imaging.pair_images``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import SPEED_OF_LIGHT, ImageGrid, Scenario, Vec2, distance
+from .scene import SPEED_OF_LIGHT, ImageGrid, Scenario, Vec2, channel_table, distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +69,25 @@ def default_sample_rate(bandwidth: float) -> float:
 
 def _distances(scenario: Scenario, points) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per terminal, the (elements, points) distances of its Tx and of its
-    Rx elements to ``points``, each computed once with ``scene.distance``."""
+    Rx elements to ``points``, each one ``math.hypot`` as in ``scene.distance``."""
+    xy = [(p.x, p.y) for p in points]
+
     def table(elements):
-        rows = [[distance(el, p) for p in points] for el in elements]
-        return np.array(rows).reshape(len(elements), len(points))
+        d = [math.hypot(x - ex, y - ey) for ex, ey in elements.tolist() for x, y in xy]
+        return np.array(d).reshape(len(elements), len(xy))
 
     return [(table(term.tx_elements), table(term.rx_elements)) for term in scenario.terminals]
+
+
+def pixel_delay_bounds(scenario: Scenario, grid: ImageGrid, pairs) -> np.ndarray:
+    """The (2, C) near and far sums of the ``ImageGrid.reach`` of each
+    channel's Tx and Rx element, in ``channel_table(scenario, pairs)`` order,
+    reach taken once per terminal: by monotone rounding, bounds of the
+    channel's pixel delays."""
+    tx = {l: grid.reach(scenario.terminals[l].tx_elements) for l in {l for l, _ in pairs}}
+    rx = {k: grid.reach(scenario.terminals[k].rx_elements) for k in {k for _, k in pairs}}
+    sums = [(tx[l][:, :, None] + rx[k][:, None, :]).reshape(2, -1) for l, k in pairs]
+    return np.concatenate([np.empty((2, 0)), *sums], axis=1)
 
 
 def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
@@ -80,43 +95,26 @@ def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[f
     delay plus the pair's clock error (responses arrive that late) and,
     optionally, every grid pixel delay without it (back-projection never
     compensates the error), padded by 6/B, comfortably above the 4/B
-    minimum the simulator enforces around target responses.
-
-    A channel's pixel delays are bounded by the sums of its two elements'
-    ``ImageGrid.reach``: below by their delays to the nearest point of the
-    grid rectangle, above by their delays to its farthest corners. These
-    are the bounds ``imaging.pair_images`` checks every record against."""
+    minimum the simulator enforces around target responses. A channel's
+    pixel delays stand as its ``pixel_delay_bounds``, the bounds
+    ``imaging.pair_images`` checks every record against."""
     margin = 6.0 / scenario.bandwidth
     dist = _distances(scenario, [t.position for t in scenario.targets])
-    reach = None if grid is None else [
-        (grid.reach(term.tx_elements), grid.reach(term.rx_elements)) for term in scenario.terminals]
-    lo, hi = math.inf, -math.inf
-    for l, k in scenario.pairing.active_pairs():
-        taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]
-        if reach is not None:  # each channel's near and far sums stand for its pixels
-            bounds = reach[l][0][:, :, None] + reach[k][1][:, None, :]
-            taus = np.concatenate((taus, np.moveaxis(bounds, 0, -1)), axis=-1)
-        if taus.size:
-            lo, hi = min(lo, float(taus.min())), max(hi, float(taus.max()))
-    if not math.isfinite(lo):
+    pairs = scenario.pairing.active_pairs()
+    taus = [((dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]).ravel()
+            for l, k in pairs]
+    if grid is not None:
+        taus.append(pixel_delay_bounds(scenario, grid, pairs).ravel())
+    taus = np.concatenate([np.empty(0), *taus])
+    if not taus.size:
         raise ValueError("cannot size a window: no active channels or no points")
-    return (lo - margin, hi + margin)
+    return (float(taus.min()) - margin, float(taus.max()) + margin)
 
 
 def _channel_rng(seed: int, channel: tuple[int, int, int, int]) -> np.random.Generator:
     # Seed sequence hashes (seed, l, k, n, m): reproducible per channel and
     # independent across channels, so synthesis order does not matter.
     return np.random.default_rng([seed, *channel])
-
-
-def channel_table(scenario: Scenario, pairs) -> np.ndarray:
-    """The ``Records.channels`` table of every channel of ``pairs``: pair
-    by pair, each pair's rows in (tx element, rx element) row-major order."""
-    rows = [np.empty((0, 4), dtype=int)]
-    for l, k in pairs:
-        n, m = np.indices((len(scenario.terminals[l].tx_elements), len(scenario.terminals[k].rx_elements)))
-        rows.append(np.column_stack(np.broadcast_arrays(l, k, n.ravel(), m.ravel())))
-    return np.concatenate(rows)
 
 
 def synthesize(
@@ -131,7 +129,7 @@ def synthesize(
     defaults to 4*B. The scenario's association matrix is the pair
     selection: to synthesize fewer pairs, scope it with
     ``AssociationMatrix.from_pairs``. Rows come out in (tx terminal, rx
-    terminal, tx element, rx element) order, the active pairs' ``channel_table``.
+    terminal, tx element, rx element) order, the active pairs' ``scene.channel_table``.
     """
     bw = scenario.bandwidth
     if bw <= 0:

@@ -12,12 +12,12 @@ Angle convention: a wavevector at angle psi (measured from the +x axis)
 is (2*pi*f/c) * [cos(psi), sin(psi)], with psi the direction from the
 sensor element toward the target. Note this is the [cos, sin] component
 order everywhere; the alternative (k_x = k*sin(psi)) swaps axes and is
-not used in this codebase.
+not used in this codebase. A region's rows are ``scene.channel_table``'s
+channels, the rows ``synth.synthesize`` writes for the same scenario.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvrows import write_csv
-from .scene import SPEED_OF_LIGHT, Scenario, Vec2
+from .scene import SPEED_OF_LIGHT, Scenario, Vec2, channel_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,10 +48,10 @@ class WavenumberTile:
 @dataclass(frozen=True)
 class WavenumberRegion:
     """Coverage of a full acquisition, one row per channel: channel
-    ``pairs[i]`` (tx terminal, rx terminal, tx element, rx element) sweeps
-    ``samples[i]``, an (n_freq, 2) array in rad/m, over ``freqs`` in Hz."""
+    ``channels[i]`` (tx terminal, rx terminal, tx element, rx element), a
+    (C, 4) int table, sweeps ``samples[i]`` ((n_freq, 2), rad/m) over ``freqs`` (Hz)."""
 
-    pairs: tuple[tuple[int, int, int, int], ...]
+    channels: np.ndarray
     samples: np.ndarray
     freqs: np.ndarray
     label: str  # "monostatic" | "bistatic" | "fused"
@@ -59,17 +59,17 @@ class WavenumberRegion:
     @property
     def tiles(self) -> tuple[WavenumberTile, ...]:
         """Per-channel views of ``samples``."""
-        return tuple(WavenumberTile(p, s, self.freqs) for p, s in zip(self.pairs, self.samples))
+        return tuple(WavenumberTile(tuple(c), s, self.freqs) for c, s in zip(self.channels.tolist(), self.samples))
 
     @cached_property
     def pair_extents(self) -> np.ndarray:  # grouped on first read: once per region
         """(pairs, 2) k_x and k_y extents of each (tx, rx) terminal pair's band edges."""
-        return _pair_extents(self.pairs, self.samples)
+        return _pair_extents(self.channels, self.samples)
 
 
-def _pair_extents(pairs, samples: np.ndarray) -> np.ndarray:
+def _pair_extents(channels: np.ndarray, samples: np.ndarray) -> np.ndarray:
     # one integer key per (tx, rx) pair: terminal indices lie far below 2**32
-    key = np.fromiter((l << 32 | k for l, k, _, _ in pairs), np.int64, len(pairs))
+    key = channels[:, 0].astype(np.int64) << 32 | channels[:, 1]
     order = np.argsort(key, kind="stable")  # a pair's rows need not be contiguous
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     ends = samples[:, [0, -1]]
@@ -115,12 +115,13 @@ class ResolutionEstimate:
         }
 
 
-def _units_toward(elements, target: Vec2) -> np.ndarray:
-    """(n, 2) unit vectors from each element toward ``target``; NaN rows
-    for elements sitting on it."""
-    d = [(target.x - el.x, target.y - el.y) for el in elements]
-    units = [(dx / r, dy / r) if (r := math.hypot(dx, dy)) else (math.nan,) * 2 for dx, dy in d]
-    return np.array(units).reshape(-1, 2)
+def _units_toward(elements: np.ndarray, target: Vec2) -> np.ndarray:
+    """(n, 2) unit vectors from each of the (n, 2) ``elements`` toward
+    ``target``; NaN rows for elements sitting on it."""
+    d = np.array([target.x, target.y]) - elements
+    r = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()]).reshape(-1, 1)
+    with np.errstate(invalid="ignore"):  # 0/0 on the target
+        return d / r
 
 
 def _band(f0: float, bandwidth: float, n_freq: int, baseband: bool):
@@ -157,7 +158,7 @@ def coverage_region(
     u_tx = {l: _units_toward(terms[l].tx_elements, target) for l in {p[0] for p in pairs}}
     u_rx = {k: _units_toward(terms[k].rx_elements, target) for k in {p[1] for p in pairs}}
     mono, bist = any(l == k for l, k in pairs), any(l != k for l, k in pairs)
-    channels, directions = [], []
+    channels, directions = channel_table(scenario, pairs), []
     for l, k in pairs:
         direction = u_tx[l][:, None] + u_rx[k][None, :]
         if len(bad := np.argwhere(np.isnan(direction[:, :, 0]))):  # first in (n, m) order
@@ -165,13 +166,12 @@ def coverage_region(
             what = "tx" if np.isnan(u_tx[l][n, 0]) else "rx"
             raise ValueError(f"channel ({l},{k},{n},{m}): degenerate geometry: "
                              f"{what} element coincides with the target")
-        channels.extend(itertools.product((l,), (k,), *map(range, direction.shape[:2])))
         directions.append(direction.reshape(-1, 2))
-    if not channels:
+    if not len(channels):
         raise ValueError("no active channels: association matrix selects no pairs")
     samples = scale[:, None] * np.concatenate(directions)[:, None, :]
     label = "fused" if (mono and bist) else ("bistatic" if bist else "monostatic")
-    return WavenumberRegion(pairs=tuple(channels), samples=samples, freqs=freqs, label=label)
+    return WavenumberRegion(channels=channels, samples=samples, freqs=freqs, label=label)
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -264,7 +264,7 @@ def bistatic_loss(alpha: float) -> float:
 
 def export_coverage_csv(region: WavenumberRegion, path) -> None:
     """Write (pair_id, k_x, k_y, f_hz) rows per channel and frequency."""
-    pair_ids = np.array(["%d-%d-%d-%d" % pair for pair in region.pairs])
+    pair_ids = np.array(["%d-%d-%d-%d" % tuple(c) for c in region.channels.tolist()])
     write_csv(path, "pair_id,k_x,k_y,f_hz",
               pair_ids[:, None, None], region.samples, region.freqs[None, :, None])
 

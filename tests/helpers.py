@@ -125,18 +125,20 @@ def brute_force_backprojection(records, scenario: Scenario, grid: ImageGrid) -> 
     """
     nx, ny = grid.size
     out = np.zeros((nx, ny), dtype=complex)
-    records = list(records)  # one-channel records, indexed once for every pixel
+    # one-channel records with their Tx and Rx element rows, indexed once for every pixel
+    channels = []
+    for rec in records:
+        l, k, n, m = rec.channels.tolist()
+        channels.append((rec, scenario.terminals[l].tx_elements[n].tolist(),
+                         scenario.terminals[k].rx_elements[m].tolist()))
     for i in range(nx):
         x = grid.origin.x + i * grid.spacing[0]
         for j in range(ny):
             y = grid.origin.y + j * grid.spacing[1]
             acc = 0.0 + 0.0j
-            for rec in records:
-                l, k, n, m = rec.channels
-                tx = scenario.terminals[l].tx_elements[n]
-                rx = scenario.terminals[k].rx_elements[m]
+            for rec, (tx_x, tx_y), (rx_x, rx_y) in channels:
                 tau = (
-                    math.hypot(x - tx.x, y - tx.y) + math.hypot(rx.x - x, rx.y - y)
+                    math.hypot(x - tx_x, y - tx_y) + math.hypot(rx_x - x, rx_y - y)
                 ) / SPEED_OF_LIGHT
                 pos = (tau - rec.t0) * rec.fs
                 i0 = min(max(int(math.floor(pos)), 0), len(rec.samples) - 2)
@@ -147,34 +149,53 @@ def brute_force_backprojection(records, scenario: Scenario, grid: ImageGrid) -> 
     return out
 
 
+def vec2s(elements) -> list[Vec2]:
+    """The rows of an (n, 2) element array as ``Vec2``s."""
+    return [Vec2(*e) for e in elements.tolist()]
+
+
+def reference_reach(grid: ImageGrid, el: Vec2) -> tuple[float, float]:
+    """``ImageGrid.reach`` of one point with python scalars: its delays to
+    the grid rectangle's nearest point and farthest corner, each taken with
+    the delay map's ops in their order (square, add, sqrt, divide by c)."""
+    (x0, x1), (y0, y1) = grid.x_coords[[0, -1]].tolist(), grid.y_coords[[0, -1]].tolist()
+
+    def sq(d):
+        return d * d
+
+    near = sq(min(max(el.x, x0), x1) - el.x) + sq(min(max(el.y, y0), y1) - el.y)
+    far = max(sq(x0 - el.x), sq(x1 - el.x)) + max(sq(y0 - el.y), sq(y1 - el.y))
+    return math.sqrt(near) / SPEED_OF_LIGHT, math.sqrt(far) / SPEED_OF_LIGHT
+
+
+def reference_pixel_delay_bounds(scenario: Scenario, grid: ImageGrid, pairs) -> list[list[float]]:
+    """``synth.pixel_delay_bounds`` channel by channel with python scalars:
+    each channel's near and far sums of its two elements' reach."""
+    sums = []
+    for l, k in pairs:
+        for tx_el in vec2s(scenario.terminals[l].tx_elements):
+            for rx_el in vec2s(scenario.terminals[k].rx_elements):
+                (tx_near, tx_far), (rx_near, rx_far) = reference_reach(grid, tx_el), reference_reach(grid, rx_el)
+                sums.append((tx_near + rx_near, tx_far + rx_far))
+    return [[near for near, _ in sums], [far for _, far in sums]]
+
+
 def reference_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
     """``synth.suggest_window`` evaluated channel by channel with python
     scalars: the reference its array form must equal exactly. A channel's
-    pixel bound is the sum of its two elements' reach, each taken with the
-    delay map's ops in their order (square, add, sqrt, divide by c)."""
+    pixel bounds are ``reference_pixel_delay_bounds``."""
     margin = 6.0 / scenario.bandwidth
-
-    def reach(el):
-        """The element's delays to the grid rectangle's nearest point and farthest corner."""
-        (x0, x1), (y0, y1) = grid.x_coords[[0, -1]].tolist(), grid.y_coords[[0, -1]].tolist()
-
-        def sq(d):
-            return d * d
-
-        near = sq(min(max(el.x, x0), x1) - el.x) + sq(min(max(el.y, y0), y1) - el.y)
-        far = max(sq(x0 - el.x), sq(x1 - el.x)) + max(sq(y0 - el.y), sq(y1 - el.y))
-        return math.sqrt(near) / SPEED_OF_LIGHT, math.sqrt(far) / SPEED_OF_LIGHT
-
     lo, hi = math.inf, -math.inf
-    for l, k in scenario.pairing.active_pairs():
-        for tx_el in scenario.terminals[l].tx_elements:
-            for rx_el in scenario.terminals[k].rx_elements:
+    pairs = scenario.pairing.active_pairs()
+    for l, k in pairs:
+        for tx_el in vec2s(scenario.terminals[l].tx_elements):
+            for rx_el in vec2s(scenario.terminals[k].rx_elements):
                 dt_sync = scenario.sync_errors[l, k]
                 taus = [bistatic_delay(tx_el, rx_el, t.position) + dt_sync for t in scenario.targets]
-                if grid is not None:  # the nearest and farthest pixel bounds
-                    (tx_near, tx_far), (rx_near, rx_far) = reach(tx_el), reach(rx_el)
-                    taus += [tx_near + rx_near, tx_far + rx_far]
                 lo, hi = min([lo, *taus]), max([hi, *taus])
+    if grid is not None:  # the nearest and farthest pixel bounds
+        bounds = [d for row in reference_pixel_delay_bounds(scenario, grid, pairs) for d in row]
+        lo, hi = min([lo, *bounds]), max([hi, *bounds])
     if not math.isfinite(lo):
         raise ValueError("cannot size a window: no active channels or no points")
     return (lo - margin, hi + margin)
@@ -194,8 +215,8 @@ def reference_synthesize(scenario: Scenario, window, fs=None) -> Records:
     channels, rows = [], []
     for l, k in scenario.pairing.active_pairs():
         dt_sync = scenario.sync_errors[l, k]
-        for n, tx_el in enumerate(scenario.terminals[l].tx_elements):
-            for m, rx_el in enumerate(scenario.terminals[k].rx_elements):
+        for n, tx_el in enumerate(vec2s(scenario.terminals[l].tx_elements)):
+            for m, rx_el in enumerate(vec2s(scenario.terminals[k].rx_elements)):
                 acc = np.zeros(n_samp, dtype=complex)
                 for target in scenario.targets:
                     d_tx = distance(tx_el, target.position)

@@ -73,7 +73,7 @@ class TestCoverage:
         region = coverage_region(sc, sc.targets[0].position, n_freq=5, baseband=True)
         expected = [
             ["-".join(map(str, pair)), f"{kx:.9g}", f"{ky:.9g}", f"{f:.9g}"]
-            for pair, samples in zip(region.pairs, region.samples.tolist())
+            for pair, samples in zip(region.channels.tolist(), region.samples.tolist())
             for (kx, ky), f in zip(samples, region.freqs.tolist())
         ]
         lines = (tmp_path / "coverage.csv").read_text().splitlines()
@@ -641,6 +641,30 @@ class TestFailures:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "validation"
         assert "pairing[0][0]: expected 0 or 1" in err["message"]
+
+    def test_element_list_null_exits_2(self, tmp_path, capsys):
+        # used to exit 3 with "'NoneType' object is not iterable"
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["terminals"][0]["tx_elements"] = None
+        path = tmp_path / "null_elements.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["coverage", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "validation",
+                       "message": f"{path}: terminals[0].tx_elements: expected a list of [x, y] pairs"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "NaN", "[0.5, -1e400]"])
+    def test_non_finite_reflectivity_exits_2(self, tmp_path, capsys, literal):
+        # 1e400 parses to inf: fuse used to exit 0 with NaN pixels
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        doc["targets"][0]["reflectivity"] = "REFLECTIVITY"
+        path = tmp_path / "reflectivity.json"
+        path.write_text(json.dumps(doc).replace('"REFLECTIVITY"', literal))
+        assert run_cli(["fuse", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["violations"] == ["target 0: reflectivity must be finite"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid_args", [[], ["--grid-spacing", "0.1"]])
     def test_fuse_without_targets_exits_2(self, tmp_path, capsys, grid_args):

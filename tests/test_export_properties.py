@@ -36,8 +36,8 @@ def arrays(draw, shape):
 def regions(draw):
     n_channels, n_freq = draw(st.integers(1, 4)), draw(st.integers(2, 9))
     index = st.one_of(st.integers(0, 9), st.integers(10, 12345))  # one and several digits
-    pairs = tuple(tuple(draw(index) for _ in range(4)) for _ in range(n_channels))
-    return WavenumberRegion(pairs=pairs, samples=arrays(draw, (n_channels, n_freq, 2)),
+    channels = np.array([[draw(index) for _ in range(4)] for _ in range(n_channels)])
+    return WavenumberRegion(channels=channels, samples=arrays(draw, (n_channels, n_freq, 2)),
                             freqs=arrays(draw, (n_freq,)), label="fused")
 
 

@@ -37,7 +37,7 @@ FORMAT_EDGES = [sign * v for sign in (1.0, -1.0) for v in [
 
 def reference_coverage_csv(region):
     text = "pair_id,k_x,k_y,f_hz\n"
-    for pair, samples in zip(region.pairs, region.samples):
+    for pair, samples in zip(region.channels.tolist(), region.samples):
         pid = "-".join(str(i) for i in pair)
         for (kx, ky), f in zip(samples, region.freqs):
             text += f"{pid},{kx:.9g},{ky:.9g},{f:.9g}\n"
@@ -94,7 +94,7 @@ def test_hull_csv_matches_reference(tmp_path):
 
 
 def test_coverage_csv_matches_reference(tmp_path):
-    edge = WavenumberRegion(pairs=((0, 1, 12, 3),),
+    edge = WavenumberRegion(channels=np.array([[0, 1, 12, 3]]),
                             samples=np.column_stack([EDGE, -EDGE[::-1]])[None], freqs=-EDGE,
                             label="monostatic")
     sampled = coverage_region(lane_scenario(n_terminals=2, m_rx=3), TARGET, n_freq=5,

@@ -156,8 +156,8 @@ class TestBackproject:
             Terminal(
                 t.id,
                 shifted(t.phase_center),
-                tuple(map(shifted, t.tx_elements)),
-                tuple(map(shifted, t.rx_elements)),
+                t.tx_elements + (13.0, -7.0),
+                t.rx_elements + (13.0, -7.0),
             )
             for t in sc.terminals
         )
@@ -298,8 +298,8 @@ class TestBackproject:
 
     def test_linear_interpolation_off_sample_amplitude(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
-        tau = bistatic_delay(sc.terminals[0].tx_elements[0],
-                             sc.terminals[0].rx_elements[0], TARGET)
+        tau = bistatic_delay(Vec2(*sc.terminals[0].tx_elements[0]),
+                             Vec2(*sc.terminals[0].rx_elements[0]), TARGET)
         fs = 4 * BW
         t0 = tau - (40 + 0.5) / fs  # peak half-way between samples
         records = synthesize(sc, (t0, t0 + 81 / fs), fs=fs)
@@ -492,8 +492,8 @@ class TestFinestPairResolution:
     def test_does_not_rely_on_a_pairs_rows_being_contiguous(self, sc):
         (target,) = sc.targets
         region = coverage_region(sc, target.position)
-        order = np.random.default_rng(0).permutation(len(region.pairs))
-        shuffled = replace(region, pairs=tuple(region.pairs[i] for i in order), samples=region.samples[order])
+        order = np.random.default_rng(0).permutation(len(region.channels))
+        shuffled = replace(region, channels=region.channels[order], samples=region.samples[order])
         assert imaging.finest_pair_resolution(shuffled) == self.finest_alone(sc, target.position)
 
 
@@ -513,7 +513,7 @@ class TestEnvelopeGrid:
             replace(sc, pairing=AssociationMatrix.from_pairs(sc.n_terminals, [pair])), target))
             for pair in sorted(sc.pairing.active_pairs())]
         assert np.array_equal(region.pair_extents, [[est.dk_x, est.dk_y] for est in alone])
-        assert len(region.pair_extents) == len({channel[:2] for channel in region.pairs})
+        assert len(region.pair_extents) == len({tuple(channel[:2]) for channel in region.channels.tolist()})
 
 
 class TestExports:

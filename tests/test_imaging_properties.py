@@ -228,7 +228,7 @@ def test_linear_kernel_meets_its_error_bound(oversample, x, y, beta, sync, seed)
     bound = math.pi**2 * (BW / fs) ** 2 / 24 * abs(beta) + 1e-12
     for rec in synthesize(sc, suggest_window(sc), fs=fs):
         l, k, n, m = rec.channels.tolist()
-        tau = (bistatic_delay(terminals[l].tx_elements[n], terminals[k].rx_elements[m], target)
+        tau = (bistatic_delay(Vec2(*terminals[l].tx_elements[n]), Vec2(*terminals[k].rx_elements[m]), target)
                + sc.sync_errors[l, k])
         # anywhere in the window, and within two samples of the peak
         t = np.concatenate((rng.uniform(rec.t0, rec.t_end, 200), tau + rng.uniform(-2, 2, 200) / fs))
@@ -274,7 +274,7 @@ def pixel_delays(rec, sc, grid):
     x, y = grid.x_coords[:, None], grid.y_coords[None, :]
     l, k, n, m = rec.channels.tolist()
     tx, rx = sc.terminals[l].tx_elements[n], sc.terminals[k].rx_elements[m]
-    return _delay_map(tx.x, tx.y, x, y) + _delay_map(rx.x, rx.y, x, y)
+    return _delay_map(*tx, x, y) + _delay_map(*rx, x, y)
 
 
 def first_window_error(records, sc, grid):

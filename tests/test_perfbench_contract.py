@@ -50,7 +50,7 @@ def test_region_tiles_are_its_sample_rows(spans):
     sc = lane_scenario(n_terminals=2, m_rx=3, pairing=AssociationMatrix.full(2))
     region = coverage_region(sc, TARGET, n_freq=4)
     tiles = region.tiles
-    assert [tile.pair for tile in tiles] == list(region.pairs)
+    assert [tile.pair for tile in tiles] == [tuple(channel) for channel in region.channels.tolist()]
     for tile, samples in zip(tiles, region.samples, strict=True):
         assert np.array_equal(tile.samples, samples)
     assert spans._tile_samples((), {}, region) == {"tile_samples": 12 * 4}

@@ -125,6 +125,27 @@ def test_bad_element_message(field, elements, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("elements", [None, "[[0, 0]]", {"x": 0.0, "y": 0.0}],
+                         ids=["null", "string", "object"])
+def test_element_list_that_is_no_list_is_named(elements):
+    # null used to raise TypeError ("'NoneType' object is not iterable"), and a
+    # string or an object was reported at its first item, tx_elements[0]
+    doc = lane_doc()
+    doc["terminals"][2]["tx_elements"] = elements
+    with pytest.raises(SchemaError) as err:
+        load_scenario(json.dumps(doc))
+    assert str(err.value) == "terminals[2].tx_elements: expected a list of [x, y] pairs"
+
+
+def test_elements_are_arrays_equal_by_value():
+    sc = load_scenario(json.dumps(lane_doc()))
+    term = sc.terminals[2]
+    assert term.tx_elements.shape == (1, 2) and term.tx_elements.dtype == float
+    assert term == Terminal(2, Vec2(0.0, 0.0), [[0.0, 0.0]], (Vec2(0.0, 0.0),))
+    assert term != replace(term, rx_elements=[[0.0, 0.5]])
+    assert Terminal(0, Vec2(0, 0)).tx_elements.shape == (0, 2)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -176,6 +197,15 @@ def test_validate_reports_pair_without_elements():
         bandwidth=500e6,
     )
     assert any("no rx elements" in v for v in validate(sc))
+
+
+@pytest.mark.parametrize("reflectivity", [complex(math.inf, 0.0), complex(0.5, -math.inf),
+                                          complex(math.nan, 0.0)], ids=["inf", "imag-inf", "nan"])
+def test_validate_reports_non_finite_reflectivity(reflectivity):
+    # an infinite one used to pass and a NaN one to read "magnitude must be positive"
+    sc = load_scenario(MINIMAL_DOC)
+    bad = replace(sc, targets=(PointTarget(Vec2(0, 20), reflectivity),))
+    assert validate(bad) == ["target 0: reflectivity must be finite"]
 
 
 def test_validate_reports_noise_and_carrier_violations():

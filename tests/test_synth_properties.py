@@ -10,9 +10,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2
-from netrad.synth import suggest_window, synthesize
-from helpers import BW, F0, reference_synthesize, reference_window
+from netrad.scene import AssociationMatrix, ImageGrid, PointTarget, Scenario, Terminal, Vec2, channel_table
+from netrad.synth import pixel_delay_bounds, suggest_window, synthesize
+from helpers import BW, F0, reference_pixel_delay_bounds, reference_synthesize, reference_window
 
 
 @st.composite
@@ -50,6 +50,23 @@ def scenes(draw):
         sync_errors=np.array(sync).reshape(n_terms, n_terms),
         rng_seed=draw(st.integers(0, 99)),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes(), st.data())
+def test_pixel_delay_bounds_equal_the_scalar_reach_sums(sc, data):
+    # the grid may hold the elements (y near 0) or lie beyond them
+    origin = Vec2(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-0.5, 10.0)))
+    spacing = (data.draw(st.floats(1e-3, 0.2)), data.draw(st.floats(1e-3, 0.2)))
+    grid = ImageGrid(origin, spacing, (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))))
+    pairs = data.draw(st.permutations(sc.pairing.active_pairs()))
+    table = channel_table(sc, pairs)
+    assert table.tolist() == [[l, k, n, m] for l, k in pairs
+                              for n in range(len(sc.terminals[l].tx_elements))
+                              for m in range(len(sc.terminals[k].rx_elements))]
+    bounds = pixel_delay_bounds(sc, grid, pairs)
+    assert bounds.shape == (2, len(table))
+    assert bounds.tolist() == reference_pixel_delay_bounds(sc, grid, pairs)
 
 
 def outcome(simulate, *args, **kwargs):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from netrad import cli, orchestrate, wavenumber
-from netrad.imaging import default_grid
+from netrad.imaging import default_grid, target_box
 from netrad.orchestrate import plan
-from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, Scenario, Vec2, load_scenario
+from netrad.scene import SPEED_OF_LIGHT, AssociationMatrix, Scenario, Vec2, channel_table, load_scenario
+from netrad.synth import suggest_window, synthesize
 from netrad.wavenumber import (
     aperture_for_cross_range,
     bistatic_loss,
@@ -27,7 +28,7 @@ ORIGIN = Vec2(0.0, 0.0)
 def channel_row(tx: Vec2, rx: Vec2, target: Vec2 = TARGET, n_freq: int = 2, **scenario):
     """Samples and frequencies of the one coverage row of a one-pair scenario."""
     region = coverage_region(one_pair_scenario(tx, rx, **scenario), target, n_freq=n_freq)
-    assert region.pairs == ((0, 0, 0, 0),)
+    assert region.channels.tolist() == [[0, 0, 0, 0]]
     return region.samples[0], region.freqs
 
 
@@ -121,15 +122,15 @@ class TestCoverageRegion:
     def test_single_channel_single_tile(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
         region = coverage_region(sc, TARGET)
-        assert len(region.pairs) == 1
+        assert len(region.channels) == 1
         assert region.label == "monostatic"
 
     def test_full_pairing_tile_count(self):
         sc = lane_scenario(n_terminals=2, m_rx=3, pairing=AssociationMatrix.full(2))
         region = coverage_region(sc, TARGET)
         # 4 pairs x (1 tx x 3 rx) channels each
-        assert region.pairs == tuple((l, k, 0, m) for l in range(2) for k in range(2)
-                                     for m in range(3))
+        assert region.channels.tolist() == [[l, k, 0, m] for l in range(2) for k in range(2)
+                                            for m in range(3)]
         assert region.samples.shape == (4 * 3, 2, 2)
         assert region.label == "fused"
 
@@ -145,7 +146,7 @@ class TestCoverageRegion:
                 bandwidth=sc.bandwidth, pairing=AssociationMatrix(mask),
             )
             per_terminal.append(coverage_region(sub, TARGET, n_freq=8))
-        assert combined.pairs == sum((r.pairs for r in per_terminal), ())
+        assert np.array_equal(combined.channels, np.concatenate([r.channels for r in per_terminal]))
         assert np.array_equal(combined.samples,
                               np.concatenate([r.samples for r in per_terminal]))
 
@@ -175,6 +176,17 @@ class TestCoverageRegion:
             coverage_region(sc, sc.terminals[0].phase_center)
 
 
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_coverage_rows_are_the_record_rows(path):
+    # one channel table orders the coverage region and the records alike
+    sc = load_scenario(path.read_text())
+    table = channel_table(sc, sc.pairing.active_pairs())
+    assert len(table)
+    assert np.array_equal(coverage_region(sc, target_box(sc)[2]).channels, table)
+    assert np.array_equal(synthesize(sc, suggest_window(sc)).channels, table)
+
+
 class TestPredictedResolution:
     def test_broadside_range_resolution(self):
         sc = lane_scenario(n_terminals=1, m_rx=1)
@@ -197,9 +209,9 @@ class TestPredictedResolution:
         sc = lane_scenario(n_terminals=3, m_rx=2, pairing=AssociationMatrix.full(3))
         region = coverage_region(sc, TARGET, n_freq=8)
         prev_x = prev_y = 0.0
-        for count in range(1, len(region.pairs) + 1):
+        for count in range(1, len(region.channels) + 1):
             est = predicted_resolution(replace(
-                region, pairs=region.pairs[:count], samples=region.samples[:count]))
+                region, channels=region.channels[:count], samples=region.samples[:count]))
             assert est.dk_x >= prev_x and est.dk_y >= prev_y
             prev_x, prev_y = est.dk_x, est.dk_y
 
@@ -209,9 +221,8 @@ class TestPredictedResolution:
         est = predicted_resolution(region)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            perm = rng.permutation(len(region.pairs))
-            shuffled = replace(region, pairs=tuple(region.pairs[i] for i in perm),
-                               samples=region.samples[perm])
+            perm = rng.permutation(len(region.channels))
+            shuffled = replace(region, channels=region.channels[perm], samples=region.samples[perm])
             est2 = predicted_resolution(shuffled)
             assert est2.dk_x == est.dk_x and est2.dk_y == est.dk_y
 
@@ -219,7 +230,7 @@ class TestPredictedResolution:
         sc = lane_scenario(n_terminals=3, m_rx=1, pairing=AssociationMatrix.full(3))
         region = coverage_region(sc, TARGET, n_freq=8)
         # <= 3 channels, n_freq <= 8
-        sub = replace(region, pairs=region.pairs[:3], samples=region.samples[:3])
+        sub = replace(region, channels=region.channels[:3], samples=region.samples[:3])
         est = predicted_resolution(sub)
         pts = sub.samples.reshape(-1, 2)
         best_x = max(abs(a[0] - b[0]) for a in pts for b in pts)

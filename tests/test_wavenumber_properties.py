@@ -98,20 +98,20 @@ def test_prediction_from_band_edges_matches_dense_sampling(scenario, baseband, n
 @given(acquisitions(), st.booleans(), st.sampled_from([2, 3, 16]))
 def test_region_tiles_equal_per_channel_segments(scenario, baseband, n_freq):
     region = coverage_region(scenario, TARGET, n_freq=n_freq, baseband=baseband)
-    assert list(region.pairs) == [
-        (l, k, n, m)
+    assert region.channels.tolist() == [
+        [l, k, n, m]
         for l, k in scenario.pairing.active_pairs()
         for n in range(len(scenario.terminals[l].tx_elements))
         for m in range(len(scenario.terminals[k].rx_elements))
     ]
-    assert region.samples.shape == (len(region.pairs), n_freq, 2)
+    assert region.samples.shape == (len(region.channels), n_freq, 2)
     # closed form: k* = (2 pi (f - f0 baseband) / c) (u_tx + u_rx), within
     # 1e-12 of the monostatic magnitude 2 |scale| at each frequency
     freqs = np.linspace(F0 - scenario.bandwidth / 2, F0 + scenario.bandwidth / 2, n_freq)
     np.testing.assert_allclose(region.freqs, freqs, rtol=1e-12)
     scale = 2 * math.pi * (freqs - (F0 if baseband else 0.0)) / SPEED_OF_LIGHT
     target = np.array([TARGET.x, TARGET.y])
-    for pair, samples, tile in zip(region.pairs, region.samples, region.tiles, strict=True):
+    for pair, samples, tile in zip(map(tuple, region.channels.tolist()), region.samples, region.tiles, strict=True):
         l, k, n, m = pair
         elements = (scenario.terminals[l].tx_elements[n], scenario.terminals[k].rx_elements[m])
         u_tx, u_rx = ((target - e) / np.linalg.norm(target - e) for e in map(np.asarray, elements))
