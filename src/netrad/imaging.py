@@ -35,8 +35,8 @@ place of theta of the exact value. Every channel's window is checked
 once, before any band runs, against the bound that
 ``synth.suggest_window`` sizes windows from, ``synth.pixel_delay_bounds``.
 Rounding is monotone, so it passes no pixel the exact per-pixel check
-would reject; that check runs, with its message and in kernel order,
-only for a window the bound fails.
+would reject; that check runs, with its message and in row order, only
+for a window the bound fails, so that the first failing row is named.
 
 The CLI sizes every grid of a run from one coverage region, at the targets'
 box centre; ``default_spacing`` holds the pitch rule. It images each pair
@@ -65,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvrows import write_csv
-from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2, channel_table
+from .scene import SPEED_OF_LIGHT, ImageGrid, PointTarget, Scenario, Vec2, channel_table, pair_rows
 from .synth import Records, pixel_delay_bounds, suggest_window, synthesize
 from .wavenumber import TWO_PI, WavenumberRegion, coverage_region, predicted_resolution
 
@@ -211,8 +211,8 @@ def pair_images(
     records' pair order.
 
     ``records`` must hold whole pairs, as ``synth.synthesize`` writes them
-    (``scene.channel_table``): every channel of each pair, pair by pair, in
-    (tx element, rx element) row-major order; other tables raise ValueError.
+    (``scene.channel_table``, sliced by ``scene.pair_rows``): every channel of
+    each pair, pair by pair, in (tx element, rx element) row-major order.
     Every pair must be active and every pixel's bistatic delay must fall
     inside the records' window. Records are interpolated linearly between
     samples; ``synth.default_sample_rate`` states the error bound. Every
@@ -227,10 +227,8 @@ def pair_images(
     omega = 2.0 * math.pi * scenario.f0
     terminals = scenario.terminals
     channels, samples, t0, fs = records.channels, records.samples, records.t0, records.fs
-    # the pairs and their first rows, where the (tx, rx) terminals change
-    new = np.ones(len(channels), dtype=bool)
-    new[1:] = (channels[1:, :2] != channels[:-1, :2]).any(axis=1)
-    pairs, starts = [tuple(pair) for pair in channels[new, :2].tolist()], np.flatnonzero(new).tolist()
+    pairs, starts = pair_rows(channels)
+    pairs, starts = [tuple(pair) for pair in pairs.tolist()], starts.tolist()
     for pair in pairs:
         if not scenario.pairing.is_active(*pair):
             raise ValueError(f"pair {pair} is not active in the association matrix")
@@ -240,11 +238,9 @@ def pair_images(
     received = {k: [(l, r) for (l, kk), r in zip(pairs, starts) if kk == k] for _, k in pairs}
     tx_delay = {l: _delay_map(*terminals[l].tx_elements.T[..., None, None], x, y) for l in {l for l, _ in pairs}}
     # the channels whose window their bounds do not clear take the exact
-    # check, in kernel order (receive terminal, Rx element, row)
+    # check, in row order
     near, far = pixel_delay_bounds(scenario, grid, pairs)
-    rank = {k: i for i, k in enumerate(received)}
-    for c in sorted(np.flatnonzero((near < t0) | (far > records.t_end)).tolist(),
-                    key=lambda c: (rank[int(channels[c, 1])], int(channels[c, 3]), c)):
+    for c in np.flatnonzero((near < t0) | (far > records.t_end)).tolist():
         l, k, n, m = channels[c].tolist()
         _check_window(records[c], tx_delay[l][n] + _delay_map(*terminals[k].rx_elements[m], x, y))
     # the pair images in an anonymous shared mapping that forked bands write

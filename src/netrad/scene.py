@@ -3,7 +3,9 @@
 Units are SI throughout: meters, Hz, seconds, rad/m. All types are value
 data; treat them as read-only after construction so they can be shared
 freely across parallel workers. Terminal elements are (n, 2) float
-arrays; ``channel_table`` orders the rows of records and coverage alike.
+arrays; ``channel_table`` orders the rows of records and coverage alike,
+``pair_rows`` slices them by pair and ``element_rows`` maps them to their
+stacked Tx and Rx elements, so a per-channel geometry term is one gather.
 """
 
 from __future__ import annotations
@@ -310,6 +312,14 @@ def validate(scenario: Scenario) -> list[str]:
                 v.append(f"pair ({l},{k}) active but terminal {l} has no tx elements")
             if k < n and not len(scenario.terminals[k].rx_elements):
                 v.append(f"pair ({l},{k}) active but terminal {k} has no rx elements")
+        # with a well-formed pairing: a target on an active element has no path nor direction
+        for t, target in enumerate(scenario.targets if not bad else ()):
+            at = [target.position.x, target.position.y]
+            for name, side in (("tx", 0), ("rx", 1)):
+                for l in sorted({pair[side] for pair in pairs}):
+                    elements = (scenario.terminals[l].tx_elements, scenario.terminals[l].rx_elements)[side]
+                    for e in np.flatnonzero((elements == at).all(axis=1)).tolist():
+                        v.append(f"target {t} sits on terminal {l}'s {name} element {e}")
 
     return v
 
@@ -324,6 +334,28 @@ def channel_table(scenario: Scenario, pairs) -> np.ndarray:
     counts = n_tx * n_rx
     row = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # row within its pair
     return np.column_stack((np.repeat(pairs, counts, axis=0), *np.divmod(row, np.repeat(n_rx, counts))))
+
+
+def pair_rows(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, 2) (tx, rx) terminal pairs of a (C, 4) channel table in row
+    order, and each pair's first row. A pair starts where the terminals
+    change, so its rows must be contiguous, as ``channel_table`` writes them."""
+    new = np.ones(len(channels), dtype=bool)
+    new[1:] = (channels[1:, :2] != channels[:-1, :2]).any(axis=1)
+    return channels[new, :2], np.flatnonzero(new)
+
+
+def element_rows(scenario: Scenario, channels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(tx, rx, n, m)``: every terminal's Tx elements stacked in terminal
+    order, (N, 2), its Rx elements likewise, (M, 2), and the (C,) rows of
+    each channel's Tx element in ``tx`` and Rx element in ``rx``. A channel
+    quantity that is a Tx-element term plus an Rx-element term is then one
+    gather from each stack's per-element terms."""
+    tx = [term.tx_elements for term in scenario.terminals]
+    rx = [term.rx_elements for term in scenario.terminals]
+    first_tx, first_rx = (np.cumsum([0, *map(len, side)]) for side in (tx, rx))  # each terminal's first row
+    return (np.concatenate([np.empty((0, 2)), *tx]), np.concatenate([np.empty((0, 2)), *rx]),
+            first_tx[channels[:, 0]] + channels[:, 2], first_rx[channels[:, 1]] + channels[:, 3])
 
 
 # --- JSON scenario schema ---------------------------------------------------
@@ -353,7 +385,10 @@ def _is_number(value) -> bool:
 def _require_number(value, path: str) -> float:
     if not _is_number(value):
         raise SchemaError("expected a number", path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("integer beyond float range", path) from None
 
 
 def _require_vec2(value, path: str) -> Vec2:
@@ -370,7 +405,12 @@ def _require_vec2s(values, path: str) -> np.ndarray:
     for i, e in enumerate(values):
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and _is_number(e[0]) and _is_number(e[1])):
             _require_vec2(e, f"{path}[{i}]")
-    return np.array(values, dtype=float).reshape(-1, 2)
+    try:
+        return np.array(values, dtype=float).reshape(-1, 2)
+    except OverflowError:  # an integer beyond float range, which _require_number names
+        for i, e in enumerate(values):
+            _require_vec2(e, f"{path}[{i}]")
+        raise
 
 def _require_matrix(value, n: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:

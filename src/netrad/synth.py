@@ -12,22 +12,21 @@ amplitude. Simultaneous transmitters are assumed ideally orthogonal
 (no cross-talk). Complex white Gaussian noise of variance
 ``noise_power`` is added per sample, with an independent, reproducible
 stream per channel. Each element's distance to each target is computed
-once; a pair's delays form one (n_tx, n_rx) array per target and its
-records are written as one (n_tx, n_rx, samples) view of the run's one
-``Records`` array, bit for bit the channel-by-channel evaluation, in
-``scene.channel_table`` order. ``pixel_delay_bounds`` sizes windows and
-checks them in ``imaging.pair_images``.
+once and gathered into one (channels, targets) delay table
+(``scene.element_rows``); each pair's rows of the run's one ``Records``
+array are then written at once, bit for bit the channel-by-channel
+evaluation, in ``scene.channel_table`` order. ``pixel_delay_bounds``
+sizes windows and checks them in ``imaging.pair_images``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import SPEED_OF_LIGHT, ImageGrid, Scenario, Vec2, channel_table, distance
+from .scene import SPEED_OF_LIGHT, ImageGrid, Scenario, Vec2, channel_table, distance, element_rows, pair_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,27 +66,26 @@ def default_sample_rate(bandwidth: float) -> float:
     return 4.0 * bandwidth
 
 
-def _distances(scenario: Scenario, points) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per terminal, the (elements, points) distances of its Tx and of its
-    Rx elements to ``points``, each one ``math.hypot`` as in ``scene.distance``."""
-    xy = [(p.x, p.y) for p in points]
-
-    def table(elements):
-        d = [math.hypot(x - ex, y - ey) for ex, ey in elements.tolist() for x, y in xy]
-        return np.array(d).reshape(len(elements), len(xy))
-
-    return [(table(term.tx_elements), table(term.rx_elements)) for term in scenario.terminals]
+def _target_delays(scenario: Scenario, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, targets) delays of each channel via each target, its pair's
+    clock error included, and where either of the two paths is zero; one
+    ``math.hypot`` per (element, target), as in ``scene.distance``, gathered
+    by ``element_rows``."""
+    xy = [(t.position.x, t.position.y) for t in scenario.targets]
+    tx, rx, n, m = element_rows(scenario, channels)
+    d_tx, d_rx = (np.array([math.hypot(x - ex, y - ey) for ex, ey in elements.tolist() for x, y in xy])
+                  .reshape(len(elements), len(xy)) for elements in (tx, rx))
+    sync = scenario.sync_errors[channels[:, 0], channels[:, 1]]
+    return (d_tx[n] + d_rx[m]) / SPEED_OF_LIGHT + sync[:, None], (d_tx[n] <= 0) | (d_rx[m] <= 0)
 
 
 def pixel_delay_bounds(scenario: Scenario, grid: ImageGrid, pairs) -> np.ndarray:
     """The (2, C) near and far sums of the ``ImageGrid.reach`` of each
     channel's Tx and Rx element, in ``channel_table(scenario, pairs)`` order,
-    reach taken once per terminal: by monotone rounding, bounds of the
+    reach taken once per element: by monotone rounding, bounds of the
     channel's pixel delays."""
-    tx = {l: grid.reach(scenario.terminals[l].tx_elements) for l in {l for l, _ in pairs}}
-    rx = {k: grid.reach(scenario.terminals[k].rx_elements) for k in {k for _, k in pairs}}
-    sums = [(tx[l][:, :, None] + rx[k][:, None, :]).reshape(2, -1) for l, k in pairs]
-    return np.concatenate([np.empty((2, 0)), *sums], axis=1)
+    tx, rx, n, m = element_rows(scenario, channel_table(scenario, pairs))
+    return grid.reach(tx)[:, n] + grid.reach(rx)[:, m]
 
 
 def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[float, float]:
@@ -99,19 +97,16 @@ def suggest_window(scenario: Scenario, grid: ImageGrid | None = None) -> tuple[f
     pixel delays stand as its ``pixel_delay_bounds``, the bounds
     ``imaging.pair_images`` checks every record against."""
     margin = 6.0 / scenario.bandwidth
-    dist = _distances(scenario, [t.position for t in scenario.targets])
     pairs = scenario.pairing.active_pairs()
-    taus = [((dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]).ravel()
-            for l, k in pairs]
+    taus = _target_delays(scenario, channel_table(scenario, pairs))[0].ravel()
     if grid is not None:
-        taus.append(pixel_delay_bounds(scenario, grid, pairs).ravel())
-    taus = np.concatenate([np.empty(0), *taus])
+        taus = np.concatenate((taus, pixel_delay_bounds(scenario, grid, pairs).ravel()))
     if not taus.size:
         raise ValueError("cannot size a window: no active channels or no points")
     return (float(taus.min()) - margin, float(taus.max()) + margin)
 
 
-def _channel_rng(seed: int, channel: tuple[int, int, int, int]) -> np.random.Generator:
+def _channel_rng(seed: int, channel: list[int]) -> np.random.Generator:
     # Seed sequence hashes (seed, l, k, n, m): reproducible per channel and
     # independent across channels, so synthesis order does not matter.
     return np.random.default_rng([seed, *channel])
@@ -150,43 +145,32 @@ def synthesize(
     margin = 4.0 / bw
     sigma2 = scenario.noise_power
 
-    pairs = scenario.pairing.active_pairs()
-    channels = channel_table(scenario, pairs)
+    channels = channel_table(scenario, scenario.pairing.active_pairs())
+    taus, touching = _target_delays(scenario, channels)
+    if len(late := np.argwhere((taus - margin < t_min) | (taus + margin > t_max))):  # first in row order
+        c, j = late[0].tolist()
+        raise ValueError(f"window ({t_min:g}, {t_max:g}) s truncates the target at delay {taus[c, j]:g} s on "
+                         "channel ({},{},{},{}); ".format(*channels[c].tolist()) + f"need {margin:g} s margin")
+    if touching.any():
+        raise ValueError("propagation paths must be positive")
     samples = np.zeros((len(channels), n_samp), dtype=complex)
-    dist = _distances(scenario, [target.position for target in scenario.targets])
-    row = 0
-    for l, k in pairs:
-        taus = (dist[l][0][:, None] + dist[k][1][None]) / SPEED_OF_LIGHT + scenario.sync_errors[l, k]
-        late = (taus - margin < t_min) | (taus + margin > t_max)
-        if late.any():
-            n, m, j = np.argwhere(late)[0].tolist()
-            raise ValueError(
-                f"window ({t_min:g}, {t_max:g}) s truncates the target at "
-                f"delay {taus[n, m, j]:g} s on channel ({l},{k},{n},{m}); "
-                f"need {margin:g} s margin"
-            )
-        # the pair's rows of ``samples``, as (n_tx, n_rx, samples)
-        size = taus.shape[0] * taus.shape[1]
-        acc = samples[row:row + size].reshape(*taus.shape[:2], n_samp)
-        row += size
+    starts = pair_rows(channels)[1].tolist()
+    for r0, r1 in zip(starts, [*starts[1:], len(channels)]):
+        acc, tau = samples[r0:r1], taus[r0:r1]  # one pair's rows
         for j, target in enumerate(scenario.targets):
-            # the shortest paths stand for all of the pair's channels
-            if dist[l][0][:, j].min() <= 0 or dist[k][1][:, j].min() <= 0:
-                raise ValueError("propagation paths must be positive")
             # lossless convention: geometrical energy losses are neglected, so
             # the scattering amplitude is the reflectivity
             beta = target.reflectivity
-            phase = np.exp(-2j * math.pi * scenario.f0 * taus[..., j])
+            phase = np.exp(-2j * math.pi * scenario.f0 * tau[:, j])
             # beta * phase rounded as a scalar product: numpy's array loop
             # may fuse the multiply-adds
             scaled = (beta.real * phase.real - beta.imag * phase.imag).astype(complex)
             scaled.imag = beta.real * phase.imag + beta.imag * phase.real
-            acc += scaled[..., None] * np.sinc(bw * (t - taus[..., j, None]))
-        if sigma2 > 0.0:
-            for n, m in itertools.product(*map(range, acc.shape[:2])):
-                rng = _channel_rng(scenario.rng_seed, (l, k, n, m))
-                noise = rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp)
-                acc[n, m] += math.sqrt(sigma2 / 2.0) * noise
+            acc += scaled[:, None] * np.sinc(bw * (t - tau[:, j, None]))
+    if sigma2 > 0.0:
+        for row, channel in zip(samples, channels.tolist()):
+            rng = _channel_rng(scenario.rng_seed, channel)
+            row += math.sqrt(sigma2 / 2.0) * (rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp))
     return Records(channels=channels, samples=samples, t0=t_min, fs=fs)
 
 

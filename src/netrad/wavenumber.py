@@ -13,7 +13,8 @@ is (2*pi*f/c) * [cos(psi), sin(psi)], with psi the direction from the
 sensor element toward the target. Note this is the [cos, sin] component
 order everywhere; the alternative (k_x = k*sin(psi)) swaps axes and is
 not used in this codebase. A region's rows are ``scene.channel_table``'s
-channels, the rows ``synth.synthesize`` writes for the same scenario.
+channels, the rows ``synth.synthesize`` writes for the same scenario; a
+row's u_tx + u_rx is one gather of ``scene.element_rows``' unit vectors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvrows import write_csv
-from .scene import SPEED_OF_LIGHT, Scenario, Vec2, channel_table
+from .scene import SPEED_OF_LIGHT, Scenario, Vec2, channel_table, element_rows, pair_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,18 +64,14 @@ class WavenumberRegion:
 
     @cached_property
     def pair_extents(self) -> np.ndarray:  # grouped on first read: once per region
-        """(pairs, 2) k_x and k_y extents of each (tx, rx) terminal pair's band edges."""
+        """(pairs, 2) k_x and k_y extents of each ``scene.pair_rows`` pair's band edges."""
         return _pair_extents(self.channels, self.samples)
 
 
 def _pair_extents(channels: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    # one integer key per (tx, rx) pair: terminal indices lie far below 2**32
-    key = channels[:, 0].astype(np.int64) << 32 | channels[:, 1]
-    order = np.argsort(key, kind="stable")  # a pair's rows need not be contiguous
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     ends = samples[:, [0, -1]]
-    lo, hi = ends.min(axis=1)[order], ends.max(axis=1)[order]
-    return np.maximum.reduceat(hi, starts) - np.minimum.reduceat(lo, starts)
+    starts = pair_rows(channels)[1]
+    return np.maximum.reduceat(ends.max(axis=1), starts) - np.minimum.reduceat(ends.min(axis=1), starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,27 +146,24 @@ def coverage_region(
     along the bisector of its two sensor directions and has length
     (4*pi*B/c) * cos(delta_psi / 2); zero bandwidth collapses it to one
     point. The default two frequencies (the band edges) are all
-    ``predicted_resolution`` needs. Element unit vectors are
+    ``predicted_resolution`` needs. Each element's unit vector is
     computed once and all samples fill one array. ``baseband=True``
     shifts each segment so its center-frequency point sits at the origin
     (magnitude-only, incoherent combination)."""
     freqs, scale = _band(scenario.f0, scenario.bandwidth, n_freq, baseband)
-    pairs, terms = scenario.pairing.active_pairs(), scenario.terminals
-    u_tx = {l: _units_toward(terms[l].tx_elements, target) for l in {p[0] for p in pairs}}
-    u_rx = {k: _units_toward(terms[k].rx_elements, target) for k in {p[1] for p in pairs}}
+    pairs = scenario.pairing.active_pairs()
     mono, bist = any(l == k for l, k in pairs), any(l != k for l, k in pairs)
-    channels, directions = channel_table(scenario, pairs), []
-    for l, k in pairs:
-        direction = u_tx[l][:, None] + u_rx[k][None, :]
-        if len(bad := np.argwhere(np.isnan(direction[:, :, 0]))):  # first in (n, m) order
-            n, m = bad[0].tolist()
-            what = "tx" if np.isnan(u_tx[l][n, 0]) else "rx"
-            raise ValueError(f"channel ({l},{k},{n},{m}): degenerate geometry: "
-                             f"{what} element coincides with the target")
-        directions.append(direction.reshape(-1, 2))
+    channels = channel_table(scenario, pairs)
     if not len(channels):
         raise ValueError("no active channels: association matrix selects no pairs")
-    samples = scale[:, None] * np.concatenate(directions)[:, None, :]
+    tx, rx, n, m = element_rows(scenario, channels)
+    u_tx, u_rx = _units_toward(tx, target), _units_toward(rx, target)
+    directions = u_tx[n] + u_rx[m]
+    if len(bad := np.flatnonzero(np.isnan(directions[:, 0]))):  # the first in row order
+        c = bad[0]
+        raise ValueError("channel ({},{},{},{}): degenerate geometry: {} element coincides with the target"
+                         .format(*channels[c].tolist(), "tx" if np.isnan(u_tx[n[c], 0]) else "rx"))
+    samples = scale[:, None] * directions[:, None, :]
     label = "fused" if (mono and bist) else ("bistatic" if bist else "monostatic")
     return WavenumberRegion(channels=channels, samples=samples, freqs=freqs, label=label)
 

@@ -666,6 +666,32 @@ class TestFailures:
         assert err["violations"] == ["target 0: reflectivity must be finite"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["coverage", "simulate", "image", "fuse"])
+    def test_target_on_an_active_element_exits_2(self, tmp_path, capsys, command):
+        # each used to exit 3 and leave an empty --out; simulate said only
+        # "propagation paths must be positive"
+        path = edited_scenario(tmp_path, targets=[{"position": [0.0, 0.0], "reflectivity": [1.0, 0.0]}])
+        assert run_cli([command, "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["violations"] == ["target 0 sits on terminal 0's tx element 0"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, edit", [
+        ("f0_hz", lambda doc: doc.update(f0_hz=10 ** 400)),
+        ("terminals[0].rx_elements[3][0]",
+         lambda doc: doc["terminals"][0]["rx_elements"][3].__setitem__(0, 10 ** 400)),
+    ], ids=["f0", "rx-element"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, key, edit):
+        # used to exit 3 with "int too large to convert to float"
+        doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
+        edit(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["coverage", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "validation", "message": f"{path}: {key}: integer beyond float range"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid_args", [[], ["--grid-spacing", "0.1"]])
     def test_fuse_without_targets_exits_2(self, tmp_path, capsys, grid_args):
         doc = json.loads((SCENARIOS / "lane_single_terminal.json").read_text())
@@ -745,9 +771,10 @@ class TestFailures:
         assert (out / "resolution.json").exists()
 
     def test_runtime_failure_keeps_its_output_directory(self, tmp_path, capsys):
-        # validation passes and the directory is made; the coverage pass then fails
+        # validation passes and the directory is made; the coverage pass at the
+        # targets' box centre, on the Tx element at the origin, then fails
         out = tmp_path / "out" / "run"
-        path = edited_scenario(tmp_path, targets=[{"position": [0.0, 0.0], "reflectivity": [1.0, 0.0]}])
+        path = edited_scenario(tmp_path, targets=[{"position": [0.0, y]} for y in (-20.0, 20.0)])
         assert run_cli(["fuse", "--scenario", path, "--out", out]) == 3
         assert "coincides with the target" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert list(out.iterdir()) == []

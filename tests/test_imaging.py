@@ -220,6 +220,25 @@ class TestBackproject:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(serial.value))}$"):
                     pair_images(records, sc, grid, workers=workers)
 
+    def test_window_error_names_the_first_failing_row(self):
+        # two Tx and three Rx elements: the far Tx element 1 and Rx element 2
+        # put channels (0,2), (1,0), (1,1) and (1,2) (rows 2-5) past a window
+        # end that (0,0) and (0,1) clear; the check used to run in kernel
+        # order, ascending Rx element first, and named (1,0)
+        far = Vec2(0.0, -0.5)
+        sc = Scenario(terminals=(Terminal(0, Vec2(0, 0), (Vec2(0, 0), far), (Vec2(0, 0), Vec2(0.01, 0), far)),),
+                      targets=(PointTarget(Vec2(0.1, 20.0)),), f0=F0, bandwidth=BW)
+        grid = ImageGrid(Vec2(-0.1, 19.8), (0.05, 0.05), (9, 9))
+        records = synthesize(sc, suggest_window(sc, grid))
+        # the window moved to end at a path of 40.65 m: the farthest pixel,
+        # (8,8) at (0.3, 20.2), is 40.40 m from (0,1) and 40.90 m from (0,2)
+        t_end = 40.65 / C
+        moved = replace(records, t0=t_end - (records.samples.shape[1] - 1) / records.fs)
+        with patch.object(os, "cpu_count", return_value=2):
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=r"^pixel \(8,8\) .* channel \(0, 0, 0, 2\)$"):
+                    pair_images(moved, sc, grid, workers=workers)
+
     def test_window_error_forks_no_process(self):
         # every window is checked before the bands fork
         sc = lane_scenario(n_terminals=1, m_rx=1)
@@ -487,14 +506,6 @@ class TestFinestPairResolution:
         (target,) = sc.targets
         assert imaging.finest_pair_resolution(coverage_region(sc, target.position)) == (
             self.finest_alone(sc, target.position))
-
-    @scenarios
-    def test_does_not_rely_on_a_pairs_rows_being_contiguous(self, sc):
-        (target,) = sc.targets
-        region = coverage_region(sc, target.position)
-        order = np.random.default_rng(0).permutation(len(region.channels))
-        shuffled = replace(region, channels=region.channels[order], samples=region.samples[order])
-        assert imaging.finest_pair_resolution(shuffled) == self.finest_alone(sc, target.position)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

@@ -278,18 +278,13 @@ def pixel_delays(rec, sc, grid):
 
 
 def first_window_error(records, sc, grid):
-    """The message of the first record, in the kernel's one-worker order
-    (receive terminal by first appearance, then Rx element, then record
-    order), whose exact per-pixel delays leave its window; None if none."""
-    by_rx = {}
+    """The message of the first record, in row order, whose exact
+    per-pixel delays leave its window; None if none."""
     for rec in records:
-        by_rx.setdefault(int(rec.channels[1]), []).append(rec)
-    for recs in by_rx.values():
-        for rec in sorted(recs, key=lambda r: int(r.channels[3])):
-            try:
-                _check_window(rec, pixel_delays(rec, sc, grid))
-            except ValueError as err:
-                return str(err)
+        try:
+            _check_window(rec, pixel_delays(rec, sc, grid))
+        except ValueError as err:
+            return str(err)
     return None
 
 

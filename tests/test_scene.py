@@ -263,6 +263,47 @@ def test_validate_is_total_on_weird_values():
     assert any("0 or 1" in v for v in violations)
 
 
+def test_validate_reports_a_target_on_an_active_element():
+    # used to pass, and then fail at runtime with "propagation paths must be
+    # positive" or "coincides with the target"
+    doc = lane_doc()
+    # (0,1), (1,2), (2,3), (3,4): terminal 0 only transmits, terminal 4 only receives
+    doc["pairing"] = [[int(k == l + 1) for k in range(5)] for l in range(5)]
+    doc["targets"] += [{"position": doc["terminals"][i]["tx_elements"][0]} for i in (0, 4, 2)]
+    assert validate(scenario_from_doc(doc)) == [
+        "target 1 sits on terminal 0's tx element 0",
+        "target 2 sits on terminal 4's rx element 0",
+        "target 3 sits on terminal 2's tx element 0",
+        "target 3 sits on terminal 2's rx element 0",
+    ]
+    # elements of terminals left out of the pairing are not checked
+    doc["pairing"] = [[int(k == l and l < 2) for k in range(5)] for l in range(5)]
+    assert validate(scenario_from_doc(doc)) == ["target 1 sits on terminal 0's tx element 0",
+                                                "target 1 sits on terminal 0's rx element 0"]
+
+
+BIG = 10 ** 400  # a JSON integer no float holds
+
+
+@pytest.mark.parametrize("path, edit", [
+    ("f0_hz", lambda d: d.update(f0_hz=BIG)),
+    ("noise_power", lambda d: d.update(noise_power=BIG)),
+    ("targets[0].reflectivity", lambda d: d["targets"][0].update(reflectivity=BIG)),
+    ("sync_errors_s[1][2]", lambda d: d.update(
+        sync_errors_s=[[BIG if (i, j) == (1, 2) else 0.0 for j in range(5)] for i in range(5)])),
+    ("terminals[2].rx_elements[1][1]",
+     lambda d: d["terminals"][2].update(rx_elements=[[0.0, 0.0], [1.0, -BIG]])),
+    ("terminals[2].phase_center[0]", lambda d: d["terminals"][2].update(phase_center=[BIG, 0.0])),
+], ids=["f0", "noise", "reflectivity", "sync", "rx-element", "phase-center"])
+def test_integer_beyond_float_range_names_field(path, edit):
+    # each used to raise OverflowError "int too large to convert to float"
+    doc = lane_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        load_scenario(json.dumps(doc))
+    assert str(err.value) == f"{path}: integer beyond float range"
+
+
 def test_validate_accepts_lane_scenario():
     assert validate(lane_scenario(m_rx=4)) == []
 
