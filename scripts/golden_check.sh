@@ -15,8 +15,11 @@
 # second Tx element per terminal, three targets with complex
 # reflectivities, nonzero sync_errors_s and terminal 4 left out of the
 # pairing (every golden scene has one Tx element per terminal and one
-# target). It prints the line count of src/ on each side, and exits 1 if
-# any of these exports differs, otherwise with golden_diff.py's code. The
+# target). It also writes orchestrate.plan's plan.to_dict() as JSON lines,
+# one per objective and n_active 1-5 of lane_multistatic.json and of the
+# multi-element scene, which no CLI command plans, and compares them. It
+# prints the line count of src/ on each side, and exits 1 if any of these
+# exports differs, otherwise with golden_diff.py's code. The
 # temporary directory is removed on exit and no bytecode is written, so no
 # files or git state are left behind.
 set -e
@@ -86,6 +89,30 @@ EOF
 same multi_sim simulate --scenario "$tmp/multi.json" --set noise_power=0.1
 same multi_coverage coverage --scenario "$tmp/multi.json"
 same multi_fuse fuse --scenario "$tmp/multi.json"
+# plans SRC OUT: every greedy plan of both scenes, at each one's first target
+plans() {
+    PYTHONPATH="$1" python3 - "$tmp/multi.json" > "$2" <<'EOF'
+import json, sys
+from netrad import load_scenario, plan
+for path in ("scenarios/lane_multistatic.json", sys.argv[1]):
+    sc = load_scenario(open(path).read())
+    for objective in ("extent-x", "extent-y", "area"):
+        for n_active in range(1, 6):
+            try:
+                doc = plan(sc, sc.targets[0].position, n_active, objective).to_dict()
+            except ValueError as err:
+                doc = {"error": str(err)}
+            print(json.dumps(doc))
+EOF
+}
+plans "$tmp/base/src" "$tmp/plans_base.json"
+plans "$PWD/src" "$tmp/plans_tree.json"
+if cmp -s "$tmp/plans_base.json" "$tmp/plans_tree.json"; then
+    echo "plan: identical, $(wc -l < "$tmp/plans_tree.json" | tr -d ' ') plans"
+else
+    echo "plan: differs"
+    status=1
+fi
 src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l | tr -d ' '; }
 echo "src/ lines: $(src_lines "$tmp/base") at $rev, $(src_lines .) in the working tree"
 exit $status

@@ -16,7 +16,6 @@ from .scene import (
     Terminal,
     Vec2,
     load_scenario,
-    scenario_to_json,
     validate,
 )
 from .wavenumber import (

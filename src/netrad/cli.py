@@ -133,8 +133,8 @@ def _select_pairs(config: argparse.Namespace, scenario: scene.Scenario) -> scene
 def _imaging_grids(config: argparse.Namespace,
                    scenario: scene.Scenario) -> tuple[scene.ImageGrid, scene.ImageGrid]:
     """The grid to image ``scenario`` on and the grid to back-project on
-    (``imaging.envelope_grid``), from one coverage region freed on return."""
-    region = wavenumber.coverage_region(scenario, imaging.target_box(scenario)[2])
+    (``imaging.envelope_grid``), from one coverage region at the first target, freed on return."""
+    region = wavenumber.coverage_region(scenario, _reference_target(scenario))
     spacing = config.grid_spacing
     # the default pitch resolves the selected pairs; incoherent fusion adds
     # no coverage, so it resolves the finest single pair

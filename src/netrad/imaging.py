@@ -38,9 +38,10 @@ Rounding is monotone, so it passes no pixel the exact per-pixel check
 would reject; that check runs, with its message and in row order, only
 for a window the bound fails, so that the first failing row is named.
 
-The CLI sizes every grid of a run from one coverage region, at the targets'
-box centre; ``default_spacing`` holds the pitch rule. It images each pair
-in two steps. A pair's image holds only its own wavenumber tile: it is a
+The CLI sizes every grid of a run from one coverage region, at the
+reference target (the first), and centres it on the targets' box;
+``default_spacing`` holds the pitch rule. It images each pair in two
+steps. A pair's image holds only its own wavenumber tile: it is a
 reference carrier exp(j*omega*tau_ref), tau_ref the delay through the
 pair's mean Tx and mean Rx element, times an envelope about one single-pair
 rho wide. ``envelope_grid`` returns the grid to back-project on: a coarse
@@ -354,10 +355,11 @@ def default_grid(scenario: Scenario, margin_cells: int = 24,
                  spacing: float | None = None) -> ImageGrid:
     """Square-pixel grid centered on the target bounding box padded by
     ``margin_cells`` pixels per side. The pixel ``spacing`` defaults to
-    ``default_spacing`` of the resolution predicted at the box's centre."""
+    ``default_spacing`` of the resolution predicted at the first target,
+    which ``scene.validate`` keeps off every active element."""
     lo, hi, ref = target_box(scenario)
     if spacing is None:
-        est = predicted_resolution(coverage_region(scenario, ref))
+        est = predicted_resolution(coverage_region(scenario, scenario.targets[0].position))
         spacing = default_spacing(est.rho_x, est.rho_y)
     nx = int(math.ceil((hi.x - lo.x) / spacing)) + 2 * margin_cells + 1
     ny = int(math.ceil((hi.y - lo.y) / spacing)) + 2 * margin_cells + 1

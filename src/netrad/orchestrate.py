@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .scene import AssociationMatrix, Scenario, Terminal, Vec2, distance
+import numpy as np
+
+from .scene import AssociationMatrix, Scenario, Terminal, Vec2, distance, pair_rows
 from .wavenumber import (
     ResolutionEstimate,
     coverage_region,
@@ -104,9 +106,10 @@ def plan(
     objective at ``target``.
 
     Candidates are scored by the coverage extent (or hull area) of the
-    already-selected set plus the candidate, under the scenario
-    pairing restricted to that set; ties break toward the lowest
-    terminal id, so the plan is deterministic.
+    already-selected set plus the candidate: the rows of one coverage
+    region whose Tx and Rx terminals are both in the set. Ties break toward
+    the lowest terminal id, so the plan is deterministic; a target on any
+    active element raises ValueError.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
@@ -114,27 +117,26 @@ def plan(
     if not 1 <= n_active <= n:
         raise ValueError(f"n_active must be in 1..{n}")
 
+    region = coverage_region(scenario, target)
     selected: list[int] = []
-    remaining = list(range(n))
     for _ in range(n_active):
         best_id, best_val = None, -math.inf
-        for cand in remaining:
-            trial = sorted(selected + [cand])
-            pairing = AssociationMatrix.from_pairs(n, [
-                (l, k) for l, k in scenario.pairing.active_pairs() if l in trial and k in trial])
-            if not pairing.active_pairs():
+        for cand in (i for i in range(n) if i not in selected):
+            rows = np.isin(region.channels[:, :2], selected + [cand]).all(axis=1)
+            if not rows.any():
                 continue
-            est = predicted_resolution(coverage_region(replace(scenario, pairing=pairing), target))
+            est = predicted_resolution(replace(region, channels=region.channels[rows],
+                                               samples=region.samples[rows]))
             val = _objective_value(est, objective)
             if val > best_val * (1.0 + 1e-9):  # ties within rounding keep the lowest id
-                best_id, best_val, best = cand, val, (pairing, est)
+                best_id, best_val, best = cand, val, (rows, est)
         if best_id is None:
             raise ValueError("infeasible plan: no candidate yields an active pair")
         selected.append(best_id)
-        remaining.remove(best_id)
 
     selected.sort()
-    pairing, est = best  # the last round's winner is the selected set
+    rows, est = best  # the last round's winner is the selected set
+    pairing = AssociationMatrix.from_pairs(n, pair_rows(region.channels[rows])[0].tolist())
     angles = [
         _observation_angle(scenario.terminals[i].phase_center, target) for i in selected
     ]

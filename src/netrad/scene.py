@@ -519,35 +519,3 @@ def scenario_from_doc(doc) -> Scenario:
         rng_seed=seed,
     )
 
-
-def scenario_to_json(scenario: Scenario) -> str:
-    """Serialize a scenario to the JSON schema consumed by load_scenario.
-
-    Floats are written exactly (shortest round-trip repr) so that
-    serialize -> load -> serialize is stable.
-    """
-    doc = {
-        "terminals": [
-            {
-                "id": t.id,
-                "phase_center": [t.phase_center.x, t.phase_center.y],
-                "tx_elements": t.tx_elements.tolist(),
-                "rx_elements": t.rx_elements.tolist(),
-            }
-            for t in scenario.terminals
-        ],
-        "targets": [
-            {
-                "position": [t.position.x, t.position.y],
-                "reflectivity": [t.reflectivity.real, t.reflectivity.imag],
-            }
-            for t in scenario.targets
-        ],
-        "f0_hz": scenario.f0,
-        "bandwidth_hz": scenario.bandwidth,
-        "noise_power": scenario.noise_power,
-        "sync_errors_s": scenario.sync_errors.tolist(),
-        "pairing": scenario.pairing.entries.tolist(),
-        "seed": scenario.rng_seed,
-    }
-    return json.dumps(doc, indent=2)

@@ -50,12 +50,18 @@ class WavenumberTile:
 class WavenumberRegion:
     """Coverage of a full acquisition, one row per channel: channel
     ``channels[i]`` (tx terminal, rx terminal, tx element, rx element), a
-    (C, 4) int table, sweeps ``samples[i]`` ((n_freq, 2), rad/m) over ``freqs`` (Hz)."""
+    (C, 4) int table, sweeps ``samples[i]`` ((n_freq, 2), rad/m) over ``freqs`` (Hz).
+    A subset of the rows (``dataclasses.replace``) covers the channels it keeps."""
 
     channels: np.ndarray
     samples: np.ndarray
     freqs: np.ndarray
-    label: str  # "monostatic" | "bistatic" | "fused"
+
+    @property
+    def label(self) -> str:
+        """The kinds of pair among the rows: "monostatic", "bistatic" or "fused"."""
+        mono = self.channels[:, 0] == self.channels[:, 1]
+        return "fused" if mono.any() and not mono.all() else ("monostatic" if mono.all() else "bistatic")
 
     @property
     def tiles(self) -> tuple[WavenumberTile, ...]:
@@ -151,9 +157,7 @@ def coverage_region(
     shifts each segment so its center-frequency point sits at the origin
     (magnitude-only, incoherent combination)."""
     freqs, scale = _band(scenario.f0, scenario.bandwidth, n_freq, baseband)
-    pairs = scenario.pairing.active_pairs()
-    mono, bist = any(l == k for l, k in pairs), any(l != k for l, k in pairs)
-    channels = channel_table(scenario, pairs)
+    channels = channel_table(scenario, scenario.pairing.active_pairs())
     if not len(channels):
         raise ValueError("no active channels: association matrix selects no pairs")
     tx, rx, n, m = element_rows(scenario, channels)
@@ -163,9 +167,7 @@ def coverage_region(
         c = bad[0]
         raise ValueError("channel ({},{},{},{}): degenerate geometry: {} element coincides with the target"
                          .format(*channels[c].tolist(), "tx" if np.isnan(u_tx[n[c], 0]) else "rx"))
-    samples = scale[:, None] * directions[:, None, :]
-    label = "fused" if (mono and bist) else ("bistatic" if bist else "monostatic")
-    return WavenumberRegion(channels=channels, samples=samples, freqs=freqs, label=label)
+    return WavenumberRegion(channels=channels, samples=scale[:, None] * directions[:, None, :], freqs=freqs)
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:

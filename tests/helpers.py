@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +18,9 @@ from netrad.scene import (
     Vec2,
     distance,
 )
+from netrad.orchestrate import OrchestrationPlan
 from netrad.synth import Records, bistatic_delay, default_sample_rate
+from netrad.wavenumber import coverage_region, polygon_area, predicted_resolution
 
 F0 = 28e9
 BW = 500e6
@@ -245,3 +248,41 @@ def column_grid(x: float, y_lo: float, y_hi: float, dy: float) -> ImageGrid:
     """Single-column grid for 1D range cuts at fixed x."""
     ny = int(round((y_hi - y_lo) / dy)) + 1
     return ImageGrid(Vec2(x, y_lo), (1.0, dy), (1, ny))
+
+
+def reference_plan(scenario: Scenario, target: Vec2, n_active: int, objective: str) -> OrchestrationPlan:
+    """``orchestrate.plan`` by one ``coverage_region`` pass per candidate
+    set: the scenario with its pairing restricted to the selected
+    terminals plus the candidate. The reference its one-region form must
+    equal."""
+    n = scenario.n_terminals
+    selected, remaining = [], list(range(n))
+    for _ in range(n_active):
+        best_id, best_val = None, -math.inf
+        for cand in remaining:
+            trial = selected + [cand]
+            pairing = AssociationMatrix.from_pairs(n, [
+                (l, k) for l, k in scenario.pairing.active_pairs() if l in trial and k in trial])
+            if not pairing.active_pairs():
+                continue
+            est = predicted_resolution(coverage_region(replace(scenario, pairing=pairing), target))
+            if objective == "extent-x":
+                val = est.dk_x
+            elif objective == "extent-y":
+                val = est.dk_y
+            else:
+                val = polygon_area(est.hull)
+            if val > best_val * (1.0 + 1e-9):  # ties within rounding keep the lowest id
+                best_id, best_val, best = cand, val, (pairing, est)
+        if best_id is None:
+            raise ValueError("infeasible plan: no candidate yields an active pair")
+        selected.append(best_id)
+        remaining.remove(best_id)
+    selected.sort()
+    pairing, est = best
+    angles = [math.atan2(target.y - p.y, target.x - p.x)
+              for p in (scenario.terminals[i].phase_center for i in selected)]
+    order = sorted(range(len(selected)), key=lambda i: -math.sin(angles[i]))
+    return OrchestrationPlan(angles=tuple(angles[i] for i in order),
+                             positions=tuple(scenario.terminals[selected[i]].phase_center for i in order),
+                             pairing=pairing, predicted=est)

@@ -232,6 +232,15 @@ class TestImageAndFuse:
         assert "error" not in metrics
         assert metrics["pslr_db"] < -10.0
 
+    def test_grid_is_sized_at_the_reference_target(self, tmp_path):
+        # the targets' box centre sits on the Tx element at the origin: sizing
+        # the grid there used to fail with "tx element coincides with the target"
+        path = edited_scenario(tmp_path, targets=[{"position": [0.0, y]} for y in (-20.0, 20.0)])
+        assert run_cli(["fuse", "--scenario", path, "--out", tmp_path / "out"]) == 0
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["rho_x_m"] == pytest.approx(0.291, abs=1e-3)
+        assert metrics["rho_y_m"] == pytest.approx(0.297, abs=1e-3)
+
     def test_sync_error_defocuses_instead_of_failing(self, tmp_path):
         # a uniform 15 ns clock error delays every target response; the
         # window must still cover the unsynchronized pixel delays
@@ -771,11 +780,11 @@ class TestFailures:
         assert (out / "resolution.json").exists()
 
     def test_runtime_failure_keeps_its_output_directory(self, tmp_path, capsys):
-        # validation passes and the directory is made; the coverage pass at the
-        # targets' box centre, on the Tx element at the origin, then fails
+        # validation passes and the directory is made; imaging then fails
         out = tmp_path / "out" / "run"
-        path = edited_scenario(tmp_path, targets=[{"position": [0.0, y]} for y in (-20.0, 20.0)])
-        assert run_cli(["fuse", "--scenario", path, "--out", out]) == 3
+        failure = ValueError("channel (0,0,0,0): degenerate geometry: tx element coincides with the target")
+        with patch.object(imaging, "pair_images", side_effect=failure):
+            assert run_cli(["fuse", "--scenario", SCENARIOS / "lane_single_terminal.json", "--out", out]) == 3
         assert "coincides with the target" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert list(out.iterdir()) == []
 

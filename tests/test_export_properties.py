@@ -38,7 +38,7 @@ def regions(draw):
     index = st.one_of(st.integers(0, 9), st.integers(10, 12345))  # one and several digits
     channels = np.array([[draw(index) for _ in range(4)] for _ in range(n_channels)])
     return WavenumberRegion(channels=channels, samples=arrays(draw, (n_channels, n_freq, 2)),
-                            freqs=arrays(draw, (n_freq,)), label="fused")
+                            freqs=arrays(draw, (n_freq,)))
 
 
 @st.composite

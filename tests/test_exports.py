@@ -95,8 +95,7 @@ def test_hull_csv_matches_reference(tmp_path):
 
 def test_coverage_csv_matches_reference(tmp_path):
     edge = WavenumberRegion(channels=np.array([[0, 1, 12, 3]]),
-                            samples=np.column_stack([EDGE, -EDGE[::-1]])[None], freqs=-EDGE,
-                            label="monostatic")
+                            samples=np.column_stack([EDGE, -EDGE[::-1]])[None], freqs=-EDGE)
     sampled = coverage_region(lane_scenario(n_terminals=2, m_rx=3), TARGET, n_freq=5,
                               baseband=True)
     for region in (edge, sampled):

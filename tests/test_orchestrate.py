@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netrad.scene import AssociationMatrix, PointTarget, Scenario, Vec2
+from netrad.scene import AssociationMatrix, PointTarget, Scenario, Terminal, Vec2, validate
 from netrad.orchestrate import (
     angles_to_positions,
     default_stand_off,
@@ -15,7 +15,7 @@ from netrad.orchestrate import (
     tessellation_angles,
 )
 from netrad.wavenumber import coverage_region, predicted_resolution
-from helpers import F0, TARGET, lane_scenario, monostatic_arc_scenario
+from helpers import F0, TARGET, lane_scenario, monostatic_arc_scenario, point_terminal
 
 B100 = 100e6
 
@@ -223,6 +223,23 @@ class TestGreedyPlan:
         sc = lane_scenario(n_terminals=2, m_rx=1)
         with pytest.raises(ValueError):
             plan(sc, TARGET, 3)
+
+    def test_target_on_any_active_element_rejected(self):
+        # terminal 1's Tx element sits on the target in pair (1, 0) alone,
+        # which no one-terminal candidate reaches; the plan used to ignore it
+        sc = Scenario(terminals=(point_terminal(0, Vec2(0.0, 0.0)),
+                                 Terminal(1, Vec2(1.0, 0.0), (TARGET,), (Vec2(1.0, 0.0),))),
+                      targets=(PointTarget(TARGET),), f0=F0, bandwidth=B100,
+                      pairing=AssociationMatrix.from_pairs(2, [(0, 0), (1, 0)]))
+        assert validate(sc) == ["target 0 sits on terminal 1's tx element 0"]
+        with pytest.raises(ValueError, match="tx element coincides with the target"):
+            plan(sc, TARGET, 1)
+
+    def test_no_active_pair_is_reported_by_coverage(self):
+        # used to be "infeasible plan: no candidate yields an active pair"
+        sc = replace(lane_scenario(n_terminals=2, m_rx=1), pairing=AssociationMatrix(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="no active channels"):
+            plan(sc, TARGET, 1)
 
     def test_unknown_objective_rejected(self):
         sc = lane_scenario(n_terminals=2, m_rx=1)

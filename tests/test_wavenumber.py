@@ -134,6 +134,13 @@ class TestCoverageRegion:
         assert region.samples.shape == (4 * 3, 2, 2)
         assert region.label == "fused"
 
+    def test_row_subset_is_labelled_by_its_own_rows(self):
+        region = coverage_region(lane_scenario(n_terminals=2, m_rx=3, pairing=AssociationMatrix.full(2)),
+                                 TARGET)
+        mono = region.channels[:, 0] == region.channels[:, 1]
+        for rows, label in ((mono, "monostatic"), (~mono, "bistatic"), (mono | ~mono, "fused")):
+            assert replace(region, channels=region.channels[rows], samples=region.samples[rows]).label == label
+
     def test_identity_equals_union_of_monostatic_regions(self):
         sc = lane_scenario(n_terminals=3, m_rx=2)
         combined = coverage_region(sc, TARGET, n_freq=8)
@@ -257,15 +264,21 @@ class TestHullIsBuiltOnlyWhereRead:
         assert hull_calls == []
 
     def test_area_plan_builds_one_per_candidate(self, hull_calls, monkeypatch):
-        candidates = []
+        # one coverage pass scores every candidate set as a subset of its rows;
+        # there used to be a pass, a Scenario and a pairing per candidate
+        passes, built = [], []
         region = orchestrate.coverage_region
         monkeypatch.setattr(orchestrate, "coverage_region",
-                            lambda *a, **kw: candidates.append(1) or region(*a, **kw))
-        result = plan(lane_scenario(pairing=AssociationMatrix.full(5)), TARGET, 3,
-                      objective="area")
+                            lambda *a, **kw: passes.append(1) or region(*a, **kw))
+        sc = lane_scenario(pairing=AssociationMatrix.full(5))
+        for cls in (Scenario, AssociationMatrix):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__:
+                                built.append(type(self)) or init(self))
+        result = plan(sc, TARGET, 3, objective="area")
         result.to_dict()  # the winner's hull is already built
-        assert len(candidates) == 5 + 4 + 3
-        assert len(hull_calls) == len(candidates)
+        assert len(passes) == 1
+        assert len(hull_calls) == 5 + 4 + 3
+        assert built == [AssociationMatrix]  # the winner's pairing
 
     def test_coverage_command_builds_one(self, hull_calls, tmp_path):
         scenario = Path(__file__).resolve().parent.parent / "scenarios" / "lane_multistatic.json"
